@@ -6,7 +6,8 @@ that influenced it, the canonicalized input, the results, and certificates
 serialized as "p/q" strings; no floating point appears anywhere.
 
 Exit codes: 0 success, 2 precondition violation or malformed input,
-3 budget exhaustion (with partial results flagged).
+3 budget exhaustion (with partial results flagged, and the work needed and
+the budget it exceeded).
 """
 
 import argparse
@@ -111,9 +112,10 @@ def read_points(path):
     if not lines:
         raise InputError("empty point file")
     head = lines[0][1].split()
-    if len(head) != 2:
+    try:
+        q, s = map(int, head)
+    except ValueError:
         raise InputError("first line must be 'q s'", line=lines[0][0])
-    q, s = int(head[0]), int(head[1])
     pts = []
     for no, ln in lines[1:]:
         try:
@@ -141,11 +143,11 @@ def canonical_points_text(points):
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    lo, sep, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise InputError(f"bad range {text!r}: expected N or LO..HI")
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +429,8 @@ def run(argv):
         code = 2
     except BudgetExceededError as exc:
         document["error"] = str(exc)
+        document["needed"] = exc.needed
+        document["budget"] = exc.budget
         document["partial"] = True
         code = 3
     text = json.dumps(document, indent=2, sort_keys=True)

@@ -84,12 +84,6 @@ class GF:
             out = self.mul[out][a]
         return out
 
-    def dot(self, u, v):
-        out = 0
-        for x, y in zip(u, v):
-            out = self.add[out][self.mul[x][y]]
-        return out
-
 
 def rref(field, rows):
     """Reduced row echelon form over the field; returns (rows, pivots)."""

@@ -1,25 +1,23 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices are lists/tuples of row tuples.  Rational work uses
-:class:`fractions.Fraction`; integer normal forms (Smith, Hermite) use
-plain ints, so everything stays exact at any size.
+Matrices are lists/tuples of row tuples.  Rank, echelon forms, solving,
+null spaces, inverses and determinants all run on one fraction-free integer
+Gauss-Jordan elimination (after Bareiss, Math. Comp. 22 (1968), but each
+changed row is divided by the gcd of its entries); rational rows are first
+scaled by their own denominators, and :class:`fractions.Fraction` appears
+only in the values returned.  The reduced echelon form is unique, so these
+values are those of rational Gauss-Jordan.  Integer normal forms (Smith,
+Hermite) use plain ints, so everything stays exact at any size.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+
+from monomials.errors import PreconditionError
 
 
 def vec_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
-def vec_addm(a, b, c=1):
-    """a + c*b."""
-    return tuple(x + c * y for x, y in zip(a, b))
 
 
 def primitive(v):
@@ -34,134 +32,139 @@ def primitive(v):
 
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector."""
-    from math import lcm
+    return primitive(_integer_row(v)[0])
 
-    denom = 1
-    for x in v:
-        denom = lcm(denom, Fraction(x).denominator)
-    return primitive(tuple(int(x * denom) for x in v))
+
+def _integer_row(row):
+    """The row times the lcm d of its denominators, as ints, and d."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _eliminate(mat):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Clearing a column replaces a row by p*row - a*pivot_row, which is then
+    divided by the gcd of its entries.  Returns (pivots, num, den):
+    mat[:len(pivots)] are the non-zero rows in pivot order, each a multiple
+    of a row of the reduced echelon form, and the row operations multiplied
+    the determinant by num/den.
+    """
+    m = len(mat)
+    pivots = []
+    num = den = 1
+    r = 0
+    for c in range(len(mat[0]) if m else 0):
+        pivot = next((i for i in range(r, m) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            num = -num
+        prow = mat[r]
+        p = prow[c]
+        for i in range(m):
+            a = mat[i][c]
+            if a and i != r:
+                row = [p * x - a * y for x, y in zip(mat[i], prow)]
+                num *= p
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    den *= g
+                mat[i] = row
+        pivots.append(c)
+        r += 1
+    del mat[r:]
+    return pivots, num, den
 
 
 def row_echelon(rows):
-    """Reduced row echelon form over Fraction.
+    """Reduced row echelon form, with Fraction entries.
 
     Returns (echelon rows, pivot column indices).
     """
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    mat = [_integer_row(r)[0] for r in rows]
+    pivots, _, _ = _eliminate(mat)
+    return [
+        tuple(Fraction(x, row[c]) for x in row) for row, c in zip(mat, pivots)
+    ], pivots
 
 
 def rank(rows):
-    return len(row_echelon(rows)[0])
+    return len(_eliminate([_integer_row(r)[0] for r in rows])[0])
 
 
 def det(rows):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    mat = [list(map(Fraction, r)) for r in rows]
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            sign = -sign
-        d *= mat[c][c]
-        pv = mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / pv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return sign * d
+    """Exact determinant of a square matrix, as a Fraction."""
+    scaled = [_integer_row(r) for r in rows]
+    mat = [row for row, _ in scaled]
+    pivots, num, den = _eliminate(mat)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    # full rank: mat is now diagonal
+    return Fraction(prod(row[i] for i, row in enumerate(mat)) * den,
+                    prod(d for _, d in scaled) * num)
 
 
 def solve(rows, rhs):
-    """One exact solution of rows * x = rhs, or None if inconsistent."""
+    """One exact solution of rows * x = rhs, or None if inconsistent.
+
+    Free variables are 0.  The solution x = xs / d is checked against every
+    equation, in integers, before it is returned as Fractions.
+    """
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    ech, pivots = row_echelon(aug)
-    x = [Fraction(0)] * ncols
-    for row, c in zip(ech, pivots):
-        if c == ncols:
-            return None  # pivot in the rhs column: inconsistent
-        x[c] = row[-1]
-    # rows of ech beyond pivots are zero by construction
-    for row in ech[len(pivots):]:
-        if row[-1] != 0:
+    aug = [_integer_row(list(r) + [b])[0] for r, b in zip(rows, rhs)]
+    mat = [list(r) for r in aug]
+    pivots, _, _ = _eliminate(mat)
+    if pivots and pivots[-1] == ncols:
+        return None  # pivot in the rhs column: inconsistent
+    d = lcm(*(row[c] for row, c in zip(mat, pivots)))
+    xs = [0] * ncols
+    for row, c in zip(mat, pivots):
+        xs[c] = row[-1] * (d // row[c])
+    for row in aug:
+        if vec_dot(row[:-1], xs) != row[-1] * d:
             return None
-    # verify (cheap, catches free-variable interplay)
-    for r, b in zip(rows, rhs):
-        if vec_dot(r, x) != b:
-            return None
-    return tuple(x)
+    return tuple(Fraction(x, d) for x in xs)
 
 
 def nullspace(rows, ncols=None):
-    """Basis of {x : rows * x = 0} over Fraction."""
-    if not rows:
-        if ncols is None:
-            return []
-        basis = []
-        for i in range(ncols):
-            e = [Fraction(0)] * ncols
-            e[i] = Fraction(1)
-            basis.append(tuple(e))
-        return basis
-    ncols = len(rows[0])
-    ech, pivots = row_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of {x : rows * x = 0}, with Fraction entries."""
+    if rows:
+        ncols = len(rows[0])
+    mat = [_integer_row(r)[0] for r in rows]
+    pivots, _, _ = _eliminate(mat)
     basis = []
-    for f in free:
+    for f in range(ncols or 0):
+        if f in pivots:
+            continue
         x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
-        for row, c in zip(ech, pivots):
-            x[c] = -row[f]
+        for row, c in zip(mat, pivots):
+            x[c] = Fraction(-row[f], row[c])
         basis.append(tuple(x))
     return basis
 
 
 def invert(rows):
-    """Exact inverse of a square rational matrix."""
+    """Exact inverse of a square rational matrix, with Fraction entries."""
     n = len(rows)
-    aug = [list(map(Fraction, rows[i])) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    ech, pivots = row_echelon(aug)
+    mat = [
+        _integer_row(list(rows[i]) + [int(i == j) for j in range(n)])[0]
+        for i in range(n)
+    ]
+    pivots, _, _ = _eliminate(mat)
     if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [tuple(row[n:]) for row in ech]
+        raise PreconditionError("matrix is singular")
+    return [tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(mat)]
 
 
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [tuple(vec_dot(ra, cb) for cb in bt) for ra in a]
-
-
-def mat_vec(a, x):
-    return tuple(vec_dot(r, x) for r in a)
 
 
 def smith_normal_form(matrix):

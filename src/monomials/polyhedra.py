@@ -1,9 +1,11 @@
 """Exact rational polyhedral kernel.
 
 Provides the linear programming entry points, cone machinery (double
-description, pulling triangulation, fundamental-parallelepiped lattice
-points, Hilbert bases), vertex enumeration for polyhedra, lattice-point
-counting with pruning, Ehrhart interpolation, and Smith invariants.
+description; pointedness and extreme rays from ranks of facet normals, with
+no LP; pulling triangulation, fundamental-parallelepiped lattice points,
+Hilbert bases), vertex enumeration for polyhedra, lattice-point counting
+with pruning, Ehrhart interpolation, and Smith invariants.  Ranks, inverses
+and solutions come from the integer elimination of :mod:`monomials.linalg`.
 
 Currently everything is sequential; operations are pure, so callers may
 parallelize over independent inputs if they wish.
@@ -11,7 +13,7 @@ parallelize over independent inputs if they wish.
 
 import itertools
 from fractions import Fraction
-from math import ceil, comb, factorial, floor
+from math import ceil, comb, factorial, floor, lcm
 
 from monomials import linalg
 from monomials import lp
@@ -78,16 +80,11 @@ def extreme_rays_of_inequalities(rows):
     if not rows:
         raise NonPointedConeError("no constraints: cone is all of space")
     n = len(rows[0])
-    base_idx = []
-    chosen = []
-    for i, r in enumerate(rows):
-        if linalg.rank(chosen + [r]) > len(chosen):
-            chosen.append(r)
-            base_idx.append(i)
-            if len(chosen) == n:
-                break
-    if len(chosen) < n:
+    # the pivot columns of the transpose: the first independent rows
+    _, base_idx = linalg.row_echelon(list(zip(*rows)))
+    if len(base_idx) < n:
         raise NonPointedConeError("constraint matrix is rank deficient")
+    chosen = [rows[i] for i in base_idx]
     inv = linalg.invert(chosen)
     rays = []
     for j in range(n):
@@ -154,13 +151,11 @@ def cone_facets(generators):
     if not gens:
         raise PreconditionError("cone has no non-zero generators")
     n = len(gens[0])
-    r = linalg.rank(gens)
     equations = [
         clear_denominators(v) for v in linalg.nullspace(gens, ncols=n)
     ]
-    if r == n:
-        facets = extreme_rays_of_inequalities(gens)
-        return sorted(equations), [tuple(f) for f in facets]
+    if not equations:
+        return [], extreme_rays_of_inequalities(gens)
     sat = linalg.saturation_basis(gens)
     coords = []
     for g in gens:
@@ -187,29 +182,25 @@ def cone_contains(point, equations, facets):
 def is_pointed(generators):
     """No non-trivial non-negative combination of the generators is zero."""
     gens = [tuple(g) for g in generators if any(g)]
-    if not gens:
-        return True
-    cols = list(zip(*gens))
-    k = len(gens)
-    res = lp.exact_lp(
-        [1] * k,
-        a_ub=[[int(i == j) for j in range(k)] for i in range(k)],
-        b_ub=[1] * k,
-        a_eq=[list(row) for row in cols],
-        b_eq=[0] * len(cols),
-    )
-    return res.status == lp.OPTIMAL and res.value == 0
+    return not gens or RationalCone(gens).is_pointed()
 
 
-def extreme_ray_generators(generators):
-    """The subset of (primitivized) generators spanning extreme rays."""
+def extreme_ray_generators(generators, description=None):
+    """The subset of (primitivized) generators spanning extreme rays.
+
+    The cone must be pointed.  A generator g spans an extreme ray iff the
+    equations and the facets tight at g have rank n - 1.  ``description``
+    is the cone's (equations, facets) pair when the caller already has it.
+    """
     prim = sorted({primitive(g) for g in generators if any(g)})
-    extreme = []
-    for g in prim:
-        others = [h for h in prim if h != g]
-        if not others or not lp.in_cone(g, others):
-            extreme.append(g)
-    return extreme
+    if not prim:
+        return []
+    eqs, facets = description or cone_facets(prim)
+    n = len(prim[0])
+    return [
+        g for g in prim
+        if linalg.rank(eqs + [f for f in facets if vec_dot(f, g) == 0]) == n - 1
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +259,17 @@ def parallelepiped_points(rays):
     u, _, _, factors = linalg.smith_normal_form(cols)
     if any(f == 0 for f in factors):
         raise PreconditionError("rays are dependent")
-    uinv = linalg.invert(u)
+    uinv = [[int(x) for x in row] for row in linalg.invert(u)]
     rinv = linalg.invert(cols)
+    # den * cols^-1 is integral; den * (fractional part of a coefficient) is
+    # the integral coefficient mod den
+    den = lcm(*(x.denominator for row in rinv for x in row))
+    radj = [[int(x * den) for x in row] for row in rinv]
     pts = []
     for c in itertools.product(*[range(f) for f in factors]):
-        x = [sum(uinv[i][j] * c[j] for j in range(n)) for i in range(n)]
-        lam = [sum(rinv[i][j] * x[j] for j in range(n)) for i in range(n)]
-        frac = [l - floor(l) for l in lam]
-        pt = tuple(
-            int(sum(frac[j] * cols[i][j] for j in range(n))) for i in range(n)
-        )
-        pts.append(pt)
+        x = [vec_dot(row, c) for row in uinv]
+        lam = [vec_dot(row, x) % den for row in radj]
+        pts.append(tuple(vec_dot(row, lam) // den for row in cols))
     return pts
 
 
@@ -299,7 +290,9 @@ class RationalCone:
         self._hilbert = None
 
     def is_pointed(self):
-        return is_pointed(self.generators)
+        """The equations and facets have rank n: the cone holds no line."""
+        eqs, facets = self.facet_description()
+        return linalg.rank(eqs + facets) == self.dim
 
     def facet_description(self):
         if self._facets is None:
@@ -319,23 +312,25 @@ class RationalCone:
 def hilbert_basis(generators, cone=None):
     """Minimal Hilbert basis of the pointed cone spanned by the generators.
 
-    Normaliz-style pipeline: triangulate the extreme rays (pulling order),
-    collect fundamental-parallelepiped lattice points of each simplicial
-    piece, then discard every reducible candidate.
+    Normaliz-style pipeline: compute the facets, from them pointedness and
+    the extreme rays, triangulate the extreme rays (pulling order), collect
+    fundamental-parallelepiped lattice points of each simplicial piece,
+    then discard every reducible candidate.
     """
     gens = sorted({tuple(int(x) for x in g) for g in generators if any(g)})
     if not gens:
         return ()
-    if not is_pointed(gens):
+    if cone is None:
+        cone = RationalCone(gens)
+    if not cone.is_pointed():
         raise NonPointedConeError("Hilbert basis requires a pointed cone")
-    rays = extreme_ray_generators(gens)
+    eqs, facets = cone.facet_description()
+    rays = extreme_ray_generators(gens, (eqs, facets))
     candidates = set(gens) | set(rays)
     for simplex in pulling_triangulation(rays):
         for pt in parallelepiped_points(simplex):
             if any(pt):
                 candidates.add(pt)
-    eqs, facets = (cone.facet_description() if cone is not None
-                   else cone_facets(gens))
     orthant = all(x >= 0 for g in gens for x in g)
     cands = sorted(candidates, key=lambda v: (sum(v), v))
     basis = []

@@ -62,9 +62,12 @@ def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET
     if result is None:
         covers = cache.primes
         s = ideal.s
-        if (n + 1) ** s > budget:
+        needed = (n + 1) ** s
+        if needed > budget:
             raise BudgetExceededError(
-                f"symbolic power box has {(n + 1) ** s} points", budget=budget
+                f"symbolic power box has {needed} points",
+                needed=needed,
+                budget=budget,
             )
         masks = [tuple(1 if i in set(c) else 0 for i in range(s)) for c in covers]
         kept = []

@@ -70,6 +70,20 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "error" in doc and doc["error_line"] == 2
 
 
+def test_bad_point_header_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "bad_points.txt", "x 3\n1 0 0\n")
+    code, doc = run_capture(capsys, ["vnumber", path, "--kind", "points"])
+    assert code == 2
+    assert doc["error_line"] == 1
+
+
+def test_bad_range_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "c3.txt", "1 1 0\n0 1 1\n1 0 1\n")
+    code, doc = run_capture(capsys, ["containment", path, "--r", "3..x"])
+    assert code == 2
+    assert "3..x" in doc["error"]
+
+
 def test_precondition_exits_2(tmp_path, capsys):
     path = write(tmp_path, "nonsq.txt", "2 0\n0 1\n")
     code, doc = run_capture(capsys, ["symbolic", path, "--power", "2"])
@@ -89,6 +103,8 @@ def test_budget_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert doc["partial"] is True
+    assert doc["needed"] == 7**6
+    assert doc["budget"] == 10
 
 
 def test_code_weights_and_vnumber(tmp_path, capsys):

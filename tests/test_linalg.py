@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from monomials import linalg
+from monomials.errors import PreconditionError
 
 
 def random_matrix(rng, m, n, lo=-4, hi=4):
@@ -126,3 +129,8 @@ def test_saturation_basis():
 def test_primitive_and_clear_denominators():
     assert linalg.primitive((2, 4, -6)) == (1, 2, -3)
     assert linalg.clear_denominators((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
+
+
+def test_invert_rejects_a_singular_matrix():
+    with pytest.raises(PreconditionError, match="singular"):
+        linalg.invert([(1, 2), (2, 4)])

@@ -1,0 +1,123 @@
+"""Seeded property tests of the exact kernel.
+
+Hypothesis draws the inputs; ``derandomize`` fixes them, so every run sees
+the same examples, and no example database is kept.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from monomials import linalg, lp, polyhedra
+from monomials.errors import PreconditionError
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def square(n):
+    return st.lists(st.tuples(*[ENTRIES] * n), min_size=n, max_size=n)
+
+
+def matrices(square_only=False):
+    return st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda mn: st.lists(
+            st.tuples(*[ENTRIES] * (mn[0] if square_only else mn[1])),
+            min_size=mn[0], max_size=mn[0],
+        )
+    )
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@SEEDED
+@given(matrices())
+def test_property_rank_plus_nullity_is_the_column_count(mat):
+    basis = linalg.nullspace(mat)
+    assert linalg.rank(mat) + len(basis) == len(mat[0])
+    assert all_fractions(basis)
+    for v in basis:
+        assert all(linalg.vec_dot(row, v) == 0 for row in mat)
+    echelon, pivots = linalg.row_echelon(mat)
+    assert len(echelon) == len(pivots) == linalg.rank(mat)
+    assert all_fractions(echelon)
+    assert all(row[c] == 1 for row, c in zip(echelon, pivots))
+
+
+@SEEDED
+@given(matrices(), st.data())
+def test_property_solve_satisfies_the_system(mat, data):
+    x = [data.draw(ENTRIES) for _ in mat[0]]
+    rhs = [linalg.vec_dot(row, x) for row in mat]
+    sol = linalg.solve(mat, rhs)
+    assert sol is not None and all_fractions([sol])
+    assert [linalg.vec_dot(row, sol) for row in mat] == rhs
+
+
+@SEEDED
+@given(matrices(square_only=True))
+def test_property_invert_gives_the_identity(mat):
+    n = len(mat)
+    if linalg.rank(mat) < n:
+        assert linalg.det(mat) == 0
+        with pytest.raises(PreconditionError):
+            linalg.invert(mat)
+        return
+    inv = linalg.invert(mat)
+    assert all_fractions(inv)
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert linalg.mat_mul(mat, inv) == identity
+    assert linalg.mat_mul(inv, mat) == identity
+
+
+@SEEDED
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(square(n), square(n))))
+def test_property_det_is_multiplicative(pair):
+    a, b = pair
+    product = linalg.det(linalg.mat_mul(a, b))
+    assert type(product) is Fraction
+    assert product == linalg.det(a) * linalg.det(b)
+
+
+def generator_sets(entry):
+    return st.integers(2, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[entry] * n).filter(any), min_size=1, max_size=7
+        )
+    )
+
+
+@settings(SEEDED, max_examples=100)
+@given(generator_sets(st.integers(-2, 2)))
+def test_property_is_pointed_matches_the_lp_oracle(gens):
+    """Pointed iff the only non-negative combination giving 0 is trivial."""
+    k = len(gens)
+    res = lp.exact_lp(
+        [1] * k,
+        a_ub=[[int(i == j) for j in range(k)] for i in range(k)],
+        b_ub=[1] * k,
+        a_eq=[list(col) for col in zip(*gens)],
+        b_eq=[0] * len(gens[0]),
+    )
+    assert polyhedra.is_pointed(gens) == (res.value == 0)
+
+
+@settings(SEEDED, max_examples=100)
+@given(
+    generator_sets(st.integers(-2, 3)).map(
+        lambda gs: [g[:-1] + (abs(g[-1]) + 1,) for g in gs]
+    )
+)
+def test_property_extreme_rays_match_the_lp_oracle(gens):
+    """A positive last coordinate keeps the cone pointed."""
+    prim = sorted({linalg.primitive(g) for g in gens})
+    expected = [
+        g for g in prim if not lp.in_cone(g, [h for h in prim if h != g])
+    ]
+    assert polyhedra.extreme_ray_generators(gens) == expected

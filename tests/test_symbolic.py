@@ -5,7 +5,7 @@ import pytest
 
 from monomials import closure, symbolic
 from monomials.core import MonomialIdeal, alexander_dual, ideal_power
-from monomials.errors import PreconditionError
+from monomials.errors import BudgetExceededError, PreconditionError
 
 from helpers import (
     cycle_graph,
@@ -182,3 +182,15 @@ def test_resurgence_one_and_ceiling():
 def test_rejects_non_squarefree():
     with pytest.raises(PreconditionError):
         symbolic.symbolic_power(MonomialIdeal(2, [(2, 0), (0, 1)]), 2)
+
+
+def test_symbolic_power_budget_reports_the_box_size():
+    # the bull graph, at a power no other test computes, so the cache misses
+    bull = MonomialIdeal(5, [
+        (1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, 1, 0, 0),
+        (0, 0, 1, 1, 0), (0, 1, 0, 0, 1),
+    ])
+    with pytest.raises(BudgetExceededError) as info:
+        symbolic.symbolic_power(bull, 7, budget=100)
+    assert info.value.needed == 8**5
+    assert info.value.budget == 100

@@ -2,17 +2,16 @@
 
 Membership in the closure of I^n is the linear condition that the lifted
 exponent vector lies in the Rees cone, so after computing the Rees cone
-facets once per ideal, closures of powers reduce to filtered staircase
-extraction over an explicit candidate box.  The LP membership test is kept
-alongside because it produces rational witnesses.
+facets once per ideal, a closure's minimal generators are read off by a
+threshold walk (:func:`monomials.core.staircase`) over a candidate box.
+The LP membership test is kept alongside for its rational witnesses.
 """
 
-import itertools
 from fractions import Fraction
 from math import lcm
 
 from monomials import polyhedra
-from monomials.core import MonomialIdeal, divides, ideal_power, vec_add
+from monomials.core import MonomialIdeal, ideal_power, ideal_product, staircase
 from monomials.errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -85,8 +84,10 @@ def closure_of_power(ideal, n, budget=DEFAULT_BOX_BUDGET):
     """Minimal generators of the integral closure of I^n.
 
     Candidates live in the box prod [0, n*max_i v_i[j]]; anything outside
-    has a slack coordinate and cannot be a minimal generator.  Points are
-    scanned by increasing degree, skipping multiples of kept generators.
+    has a slack coordinate and cannot be a minimal generator.  The walk
+    keeps each column's least last coordinate passing the facet test,
+    stepping down from the lower neighbours' values, and a point is a
+    generator when its value lies below all of theirs.
     """
     if n < 1:
         raise PreconditionError("power must be >= 1")
@@ -99,25 +100,15 @@ def closure_of_power(ideal, n, budget=DEFAULT_BOX_BUDGET):
         raise BudgetExceededError(
             f"closure candidate box has {size} points", needed=size, budget=budget
         )
-    kept = []
-    points = sorted(
-        itertools.product(*[range(b + 1) for b in bounds]),
-        key=lambda p: (sum(p), p),
-    )
-    for a in points:
-        if any(divides(g, a) for g in kept):
-            continue
-        if rep.newton_polyhedron_contains(a, n):
-            kept.append(a)
+    kept = staircase(bounds, lambda a: rep.newton_polyhedron_contains(a, n))
     if not kept:
         raise InternalConsistencyError("closure of a proper power came out empty")
     return MonomialIdeal(ideal.s, kept)
 
 
-def ideal_product(a, b):
-    """Minimal generators of the product of two monomial ideals."""
-    sums = {vec_add(g, h) for g in a.gens for h in b.gens}
-    return MonomialIdeal(a.s, sums)
+def _closures(ideal, top, budget):
+    """closure(I^n) for n = 1..top, each computed once, in increasing n."""
+    return {n: closure_of_power(ideal, n, budget=budget) for n in range(1, top + 1)}
 
 
 class NormalityReport:
@@ -157,14 +148,37 @@ def _normal_by_hilbert(ideal):
     return False, worst[-1], worst[:-1]
 
 
-def _normal_by_powers(ideal, budget):
+def _normal_by_powers(ideal, closures):
     for n in range(1, ideal.s):
-        closed = closure_of_power(ideal, n, budget=budget)
+        closed = closures[n]
         power = ideal_power(ideal, n)
         if closed != power:
             gap = [g for g in closed.gens if not power.contains_monomial(g)]
             return False, n, gap[0]
     return True, None, None
+
+
+def _normality(ideal, method, closures):
+    """The power route reads ``closures`` and is left out if they are None."""
+    if method not in ("hilbert", "powers", "both"):
+        raise PreconditionError(f"unknown method {method!r}")
+    ran = []
+    results = []
+    if method in ("hilbert", "both"):
+        results.append(_normal_by_hilbert(ideal))
+        ran.append("hilbert")
+    if method in ("powers", "both") and closures is not None:
+        results.append(_normal_by_powers(ideal, closures))
+        ran.append("powers")
+    verdicts = {r[0] for r in results}
+    if len(verdicts) != 1:
+        raise InternalConsistencyError(
+            f"normality methods disagree on {ideal}: "
+            + ", ".join(f"{m}={r[0]}" for m, r in zip(ran, results))
+        )
+    normal = verdicts.pop()
+    witness = next((r for r in results if r[1] is not None), results[0])
+    return NormalityReport(normal, tuple(ran), witness[1], witness[2])
 
 
 def is_normal(ideal, method="both", budget=DEFAULT_BOX_BUDGET):
@@ -177,39 +191,18 @@ def is_normal(ideal, method="both", budget=DEFAULT_BOX_BUDGET):
     verdict is tagged with the methods that actually ran; disagreement
     between routes raises.
     """
-    if method not in ("hilbert", "powers", "both"):
-        raise PreconditionError(f"unknown method {method!r}")
-    ran = []
-    results = []
-    if method in ("hilbert", "both"):
-        results.append(_normal_by_hilbert(ideal))
-        ran.append("hilbert")
+    closures = None
     if method in ("powers", "both"):
         try:
-            results.append(_normal_by_powers(ideal, budget))
-            ran.append("powers")
+            closures = _closures(ideal, ideal.s - 1, budget)
         except BudgetExceededError:
             if method == "powers":
                 raise
-    verdicts = {r[0] for r in results}
-    if len(verdicts) != 1:
-        raise InternalConsistencyError(
-            f"normality methods disagree on {ideal}: "
-            + ", ".join(f"{m}={r[0]}" for m, r in zip(ran, results))
-        )
-    normal = verdicts.pop()
-    witness = next((r for r in results if r[1] is not None), results[0])
-    return NormalityReport(normal, tuple(ran), witness[1], witness[2])
+    return _normality(ideal, method, closures)
 
 
-def normalization_index(ideal, budget=DEFAULT_BOX_BUDGET):
-    """Smallest N with closure(I^{n+1}) = I * closure(I^n) for all n >= N.
-
-    Checks n = 0..s-1 directly; stabilization beyond s-1 is guaranteed for
-    monomial ideals, which also caps the answer at s-1 (asserted).
-    """
+def _normalization_index(ideal, closures):
     s = ideal.s
-    closures = {n: closure_of_power(ideal, n, budget=budget) for n in range(1, s + 1)}
     failing = -1
     # n = 0: closure(I) = I * closure(I^0) = I
     if closures[1] != ideal:
@@ -223,6 +216,15 @@ def normalization_index(ideal, budget=DEFAULT_BOX_BUDGET):
             f"normalization index {index} exceeds the dimension bound {s - 1}"
         )
     return index
+
+
+def normalization_index(ideal, budget=DEFAULT_BOX_BUDGET):
+    """Smallest N with closure(I^{n+1}) = I * closure(I^n) for all n >= N.
+
+    Checks n = 0..s-1 directly; stabilization beyond s-1 is guaranteed for
+    monomial ideals, which also caps the answer at s-1 (asserted).
+    """
+    return _normalization_index(ideal, _closures(ideal, ideal.s, budget))
 
 
 class ClosureReport:
@@ -257,16 +259,15 @@ class ClosureReport:
 
 
 def closure_report(ideal, up_to=None, method="both", budget=DEFAULT_BOX_BUDGET):
-    """Bundle per-power closures, the normality verdict and N(I)."""
+    """Bundle per-power closures, the normality verdict and N(I); each
+    closure(I^n), n <= max(up_to, s), is computed once and read by all."""
     if up_to is None:
         up_to = max(ideal.s - 1, 1)
-    closures = {
-        n: closure_of_power(ideal, n, budget=budget)
-        for n in range(1, up_to + 1)
-    }
-    verdict = is_normal(ideal, method=method, budget=budget)
-    index = normalization_index(ideal, budget=budget)
-    return ClosureReport(ideal, closures, verdict, index)
+    closures = _closures(ideal, max(up_to, ideal.s), budget)
+    verdict = _normality(ideal, method, closures)
+    index = _normalization_index(ideal, closures)
+    reported = {n: closures[n] for n in range(1, up_to + 1)}
+    return ClosureReport(ideal, reported, verdict, index)
 
 
 def is_gr_reduced(ideal, budget=DEFAULT_BOX_BUDGET):

@@ -8,6 +8,7 @@ to them return the :data:`UNIT` / :data:`ZERO` sentinels instead.
 """
 
 import itertools
+from math import prod
 
 from monomials.errors import BudgetExceededError, PreconditionError
 
@@ -189,19 +190,52 @@ def minimal_generating_set(gens, s=None):
     return MonomialIdeal(s, gens)
 
 
+def ideal_product(a, b):
+    """Minimal generators of the product of two monomial ideals."""
+    sums = {vec_add(g, h) for g in a.gens for h in b.gens}
+    return MonomialIdeal(a.s, sums)
+
+
 def ideal_power(ideal, n):
-    """I^n, generated by the n-fold sums of generator vectors."""
+    """I^n, built as I * I^(n-1) and minimalized at every step."""
     if n < 1:
         raise PreconditionError("ideal_power requires n >= 1 (I^0 is the unit ideal)")
-    if n == 1:
-        return ideal
-    sums = set()
-    for combo in itertools.combinations_with_replacement(ideal.gens, n):
-        total = combo[0]
-        for g in combo[1:]:
-            total = vec_add(total, g)
-        sums.add(total)
-    return MonomialIdeal(ideal.s, sums)
+    power = ideal
+    for _ in range(n - 1):
+        power = ideal_product(ideal, power)
+    return power
+
+
+def _columns(bounds, member):
+    """(p, t, u) for each p of the box of the first s-1 coordinates, in lex order.
+
+    t is the least last coordinate with (p, t) a member and u the least t
+    over the lower neighbours p - e_i, either being last + 1 for none.  As
+    (p, u) lies above a member, the walk steps down from u; a column with
+    no finite neighbour value is first tested at its top.
+    """
+    *head, last = bounds
+    strides = [prod(b + 1 for b in head[i + 1:]) for i in range(len(head))]
+    seen = []
+    for p in itertools.product(*[range(b + 1) for b in head]):
+        u = min([seen[-k] for x, k in zip(p, strides) if x], default=last + 1)
+        t = last if u > last and member(p + (last,)) else u
+        while 0 < t <= last and member(p + (t - 1,)):
+            t -= 1
+        seen.append(t)
+        yield p, t, u
+
+
+def staircase(bounds, member):
+    """Minimal points, in lexicographic order, of an upward-closed ``member``
+    in the box prod [0, b_i]: the (p, t) whose column threshold t lies
+    below those of all lower neighbours.  Nothing is sorted or rescanned."""
+    return [p + (t,) for p, t, u in _columns(bounds, member) if t < u]
+
+
+def staircase_count(bounds, member):
+    """Number of box points outside the upward-closed set ``member``."""
+    return sum(t for _, t, _ in _columns(bounds, member))
 
 
 def colon_monomial(ideal, a):
@@ -333,20 +367,16 @@ def covering_number(clutter, limit=20):
     edges = [set(e) for e in clutter.edges]
     if not edges:
         return 0
-    best = [min(len(set().union(*edges)), clutter.s)]
+    return _least_cover(edges, 0, min(len(set().union(*edges)), clutter.s))
 
-    def search(remaining, size):
-        if size >= best[0]:
-            return
-        if not remaining:
-            best[0] = size
-            return
-        e = min(remaining, key=lambda x: (len(x), sorted(x)))
-        for v in sorted(e):
-            search([f for f in remaining if v not in f], size + 1)
 
-    search(edges, 0)
-    return best[0]
+def _least_cover(remaining, size, best):
+    if size >= best or not remaining:
+        return min(size, best)
+    e = min(remaining, key=lambda x: (len(x), sorted(x)))
+    for v in sorted(e):
+        best = _least_cover([f for f in remaining if v not in f], size + 1, best)
+    return best
 
 
 def matching_number(clutter, limit=20):
@@ -358,21 +388,15 @@ def matching_number(clutter, limit=20):
             budget=limit,
         )
     edges = [set(e) for e in clutter.edges]
-    best = [0]
+    return _largest_matching(edges, 0, set(), 0, 0)
 
-    def search(idx, used, size):
-        if size + (len(edges) - idx) <= best[0]:
-            return
-        if idx == len(edges):
-            best[0] = max(best[0], size)
-            return
-        e = edges[idx]
-        if not (e & used):
-            search(idx + 1, used | e, size + 1)
-        search(idx + 1, used, size)
 
-    search(0, set(), 0)
-    return best[0]
+def _largest_matching(edges, idx, used, size, best):
+    if size + (len(edges) - idx) <= best or idx == len(edges):
+        return max(size, best)
+    if not (edges[idx] & used):
+        best = _largest_matching(edges, idx + 1, used | edges[idx], size + 1, best)
+    return _largest_matching(edges, idx + 1, used, size, best)
 
 
 def is_konig(clutter, limit=20):

@@ -13,7 +13,7 @@ from math import ceil, factorial
 
 from monomials import closure as closure_mod
 from monomials import polyhedra
-from monomials.core import MonomialIdeal
+from monomials.core import MonomialIdeal, staircase_count
 from monomials.errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -101,10 +101,7 @@ def normalization_hilbert_function(ideal, n, verify=True):
     region = MultiplicityRegion(ideal)
     rep = closure_mod.rees_representation(ideal)
     bounds = [n * a for a in region.pure_degrees]
-    count = 0
-    for a in itertools.product(*[range(b + 1) for b in bounds]):
-        if not rep.newton_polyhedron_contains(a, n):
-            count += 1
+    count = staircase_count(bounds, lambda a: rep.newton_polyhedron_contains(a, n))
     if verify:
         e_delta = polyhedra.lattice_points(
             region.delta_vertices, n, collect=False

@@ -2,8 +2,9 @@
 
 For a squarefree monomial ideal the n-th symbolic power is cut out by the
 minimal vertex covers: t^a lies in I^(n) exactly when every cover collects
-total degree at least n from a.  That makes symbolic powers, containments
-and the Schenzel function finite computations.
+total degree at least n from a, an upward-closed set whose minimal
+generators a threshold walk over [0, n]^s reads off.  That makes symbolic
+powers, containments and the Schenzel function finite computations.
 """
 
 import itertools
@@ -12,7 +13,7 @@ from math import ceil
 
 from monomials import closure as closure_mod
 from monomials import polyhedra
-from monomials.core import MonomialIdeal, divides, ideal_power
+from monomials.core import MonomialIdeal, ideal_power, staircase
 from monomials.errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -25,6 +26,10 @@ def _covers(ideal):
     if not ideal.is_squarefree():
         raise PreconditionError("symbolic machinery requires a squarefree ideal")
     return ideal.minimal_primes()
+
+
+def _masks(s, covers):
+    return [tuple(int(i in c) for i in range(s)) for c in covers]
 
 
 class SymbolicPowerCache:
@@ -52,15 +57,17 @@ def symbolic_cache(ideal):
 def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET):
     """Minimal generators of I^(n), via the covering polyhedron of the dual.
 
-    Candidates live in [0, n]^s (larger entries can be reduced); with
-    ``verify`` the result is recomputed by intersecting cover-prime powers.
+    Candidates live in [0, n]^s (larger entries can be reduced).  The walk
+    keeps each column's least last coordinate at which every cover collects
+    degree n, stepping down from the lower neighbours' values, and a point
+    is a generator when its value lies below all of theirs.  With ``verify``
+    the result is recomputed by intersecting cover-prime powers.
     """
     if n < 1:
         raise PreconditionError("symbolic power needs n >= 1")
     cache = symbolic_cache(ideal)
     result = cache.powers.get(n)
     if result is None:
-        covers = cache.primes
         s = ideal.s
         needed = (n + 1) ** s
         if needed > budget:
@@ -69,15 +76,8 @@ def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET
                 needed=needed,
                 budget=budget,
             )
-        masks = [tuple(1 if i in set(c) else 0 for i in range(s)) for c in covers]
-        kept = []
-        for a in sorted(
-            itertools.product(range(n + 1), repeat=s), key=lambda p: (sum(p), p)
-        ):
-            if any(divides(g, a) for g in kept):
-                continue
-            if all(vec_dot(m, a) >= n for m in masks):
-                kept.append(a)
+        masks = _masks(s, cache.primes)
+        kept = staircase((n,) * s, lambda a: all(vec_dot(m, a) >= n for m in masks))
         result = MonomialIdeal(s, kept)
         cache.powers[n] = result
     if verify:
@@ -91,16 +91,10 @@ def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET
 
 def symbolic_power_via_primes(ideal, n):
     """I^(n) as the intersection of the n-th powers of the minimal primes."""
-    covers = _covers(ideal)
     result = None
-    for cover in covers:
-        gens = []
-        for combo in itertools.combinations_with_replacement(cover, n):
-            g = [0] * ideal.s
-            for v in combo:
-                g[v] += 1
-            gens.append(tuple(g))
-        prime_power = MonomialIdeal(ideal.s, gens)
+    for cover in _covers(ideal):
+        prime = MonomialIdeal(ideal.s, _masks(ideal.s, [(v,) for v in cover]))
+        prime_power = ideal_power(prime, n)
         result = prime_power if result is None else result.intersect(prime_power)
     return result
 
@@ -136,33 +130,23 @@ def mfmc_spot_check(ideal, max_entry=3):
         best_cover = min(sum(alpha[i] for i in c) for c in covers)
         if Fraction(best_cover) != lp_value:
             return False
-        best_packing = _integer_packing(gens, alpha)
+        best_packing = _integer_packing(gens, 0, tuple(alpha), 0, 0)
         if Fraction(best_packing) != lp_value:
             return False
     return True
 
 
-def _integer_packing(gens, alpha):
-    """max |y| over natural y with sum y_j v_j <= alpha componentwise."""
-    best = [0]
-
-    def rec(j, remaining, size):
-        if size + _packing_bound(gens, j, remaining) <= best[0]:
-            return
-        if j == len(gens):
-            best[0] = max(best[0], size)
-            return
-        g = gens[j]
-        cap = min(
-            (r // x for r, x in zip(remaining, g) if x),
-            default=0,
-        )
-        for use in range(cap, -1, -1):
-            nxt = tuple(r - use * x for r, x in zip(remaining, g))
-            rec(j + 1, nxt, size + use)
-
-    rec(0, tuple(alpha), 0)
-    return best[0]
+def _integer_packing(gens, j, remaining, size, best):
+    """max |y| over natural y with sum y_j v_j <= alpha componentwise, by
+    branch and bound on y_j, y_{j+1}, ... with ``remaining`` left of alpha."""
+    if size + _packing_bound(gens, j, remaining) <= best or j == len(gens):
+        return max(size, best)
+    g = gens[j]
+    cap = min((r // x for r, x in zip(remaining, g) if x), default=0)
+    for use in range(cap, -1, -1):
+        nxt = tuple(r - use * x for r, x in zip(remaining, g))
+        best = _integer_packing(gens, j + 1, nxt, size + use, best)
+    return best
 
 
 def _packing_bound(gens, j, remaining):
@@ -182,16 +166,9 @@ def symbolic_rees_generators(ideal, budget=closure_mod.DEFAULT_BOX_BUDGET):
     """
     covers = _covers(ideal)
     s = ideal.s
-    rows = []
-    for i in range(s + 1):
-        e = [0] * (s + 1)
-        e[i] = 1
-        rows.append(tuple(e))
-    masks = []
-    for c in covers:
-        mask = tuple(1 if i in set(c) else 0 for i in range(s))
-        masks.append(mask)
-        rows.append(mask + (-1,))
+    masks = _masks(s, covers)
+    rows = [tuple(int(i == j) for j in range(s + 1)) for i in range(s + 1)]
+    rows += [mask + (-1,) for mask in masks]
     rays = polyhedra.extreme_rays_of_inequalities(rows)
     basis = polyhedra.hilbert_basis(rays)
     for h in basis:

@@ -6,7 +6,7 @@ import pytest
 
 from monomials import closure
 from monomials.core import MonomialIdeal, ideal_power
-from monomials.errors import PreconditionError
+from monomials.errors import BudgetExceededError, PreconditionError
 from monomials.linalg import solve
 
 from helpers import (
@@ -146,6 +146,18 @@ def test_closure_report():
     assert not report.normality.normal
     assert report.normalization_index == 1
     assert (1, 1) in report.closures[1].gens
+
+
+def test_closure_report_budget_overrun_at_the_top_power():
+    """closure(I^3) has a 4^3 box, above the budget; lower powers fit."""
+    ideal = MonomialIdeal(3, [(1, 1, 0), (0, 1, 1)])
+    with pytest.raises(BudgetExceededError) as direct:
+        closure.closure_of_power(ideal, 3, budget=30)
+    for method in ("hilbert", "powers", "both"):
+        with pytest.raises(BudgetExceededError) as info:
+            closure.closure_report(ideal, method=method, budget=30)
+        assert info.value.needed == direct.value.needed == 64
+        assert info.value.budget == 30
 
 
 def test_gr_reduced():

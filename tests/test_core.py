@@ -1,8 +1,11 @@
+import gc
+import itertools
 import random
 
 import pytest
 
 from monomials.core import (
+    Clutter,
     MonomialIdeal,
     UNIT,
     ZERO,
@@ -179,9 +182,34 @@ def test_intersection():
     assert a.intersect(b).gens == ((2, 3),)
 
 
-def test_size_limits_raise_budget_errors():
-    from monomials.core import Clutter
+def test_cover_and_matching_searches_leave_no_reference_cycles():
+    """Only the cyclic collector could free a self-recursive closure."""
+    q6 = q6_clutter()
+    gc.collect()
+    gc.disable()
+    try:
+        assert covering_number(q6) == 2
+        assert matching_number(q6) == 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
+
+def test_ideal_power_matches_the_n_fold_sums():
+    rng = random.Random(13)
+    for _ in range(20):
+        ideal = random_ideal(rng, rng.randint(1, 4), max_exp=3, max_gens=4)
+        n = rng.randint(2, 4)
+        sums = set()
+        for combo in itertools.combinations_with_replacement(ideal.gens, n):
+            total = combo[0]
+            for g in combo[1:]:
+                total = vec_add(total, g)
+            sums.add(total)
+        assert ideal_power(ideal, n) == MonomialIdeal(ideal.s, sums)
+
+
+def test_size_limits_raise_budget_errors():
     big = Clutter(25, [(i, i + 1) for i in range(24)])
     with pytest.raises(BudgetExceededError):
         covering_number(big)

@@ -4,12 +4,13 @@ Hypothesis draws the inputs; ``derandomize`` fixes them, so every run sees
 the same examples, and no example database is kept.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monomials import linalg, lp, polyhedra
+from monomials import closure, core, linalg, lp, polyhedra, symbolic
 from monomials.errors import PreconditionError
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -121,3 +122,74 @@ def test_property_extreme_rays_match_the_lp_oracle(gens):
         g for g in prim if not lp.in_cone(g, [h for h in prim if h != g])
     ]
     assert polyhedra.extreme_ray_generators(gens) == expected
+
+
+def brute_staircase(bounds, member):
+    """Sort the box by degree and keep members no kept point divides."""
+    kept = []
+    outside = 0
+    box = itertools.product(*[range(b + 1) for b in bounds])
+    for a in sorted(box, key=lambda p: (sum(p), p)):
+        if not member(a):
+            outside += 1
+        elif not any(core.divides(g, a) for g in kept):
+            kept.append(a)
+    return sorted(kept), outside
+
+
+def upward_closed_sets(bounds):
+    """Multiples of a random generator set, or a random facet system."""
+    s = len(bounds)
+    points = st.tuples(*[st.integers(0, b + 1) for b in bounds])
+    multiples = st.lists(points, max_size=5).map(
+        lambda gens: lambda a: any(core.divides(g, a) for g in gens)
+    )
+    weights = st.tuples(*[st.integers(0, 3)] * s)
+    facets = st.lists(st.tuples(weights, st.integers(0, 8)), max_size=4).map(
+        lambda rows: lambda a: all(linalg.vec_dot(w, a) >= c for w, c in rows)
+    )
+    return st.one_of(multiples, facets)
+
+
+BOXES = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple)
+
+
+@SEEDED
+@given(BOXES.flatmap(lambda b: st.tuples(st.just(b), upward_closed_sets(b))))
+def test_property_staircase_matches_a_sorted_box_scan(case):
+    bounds, member = case
+    kept, outside = brute_staircase(bounds, member)
+    assert core.staircase(bounds, member) == kept
+    assert core.staircase_count(bounds, member) == outside
+
+
+@pytest.mark.parametrize("bounds", [(3,), (0,), (0, 0, 0), (2, 0, 3)])
+def test_staircase_edge_cases(bounds):
+    size = 1
+    for b in bounds:
+        size *= b + 1
+    assert core.staircase(bounds, lambda a: False) == []
+    assert core.staircase_count(bounds, lambda a: False) == size
+    assert core.staircase(bounds, lambda a: True) == [(0,) * len(bounds)]
+    assert core.staircase_count(bounds, lambda a: True) == 0
+    top = tuple(bounds)
+    assert core.staircase(bounds, lambda a: a == top) == [top]
+    assert core.staircase_count(bounds, lambda a: a == top) == size - 1
+
+
+def squarefree_ideals():
+    """Clutters on 2-5 vertices, as squarefree monomial ideals."""
+    return st.integers(2, 5).flatmap(
+        lambda s: st.lists(
+            st.tuples(*[st.integers(0, 1)] * s).filter(any), min_size=1, max_size=5
+        ).map(lambda gens: core.MonomialIdeal(len(gens[0]), gens))
+    )
+
+
+@settings(SEEDED, max_examples=60)
+@given(squarefree_ideals(), st.integers(1, 3))
+def test_property_power_closure_symbolic_chain(ideal, n):
+    """I^n inside closure(I^n) inside I^(n)."""
+    closed = closure.closure_of_power(ideal, n)
+    assert closed.contains_ideal(core.ideal_power(ideal, n))
+    assert symbolic.symbolic_power(ideal, n).contains_ideal(closed)

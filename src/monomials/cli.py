@@ -54,17 +54,28 @@ def _jsonable(value):
     return repr(value)
 
 
+def _read_lines(path):
+    """(line number, stripped text) of the lines that are neither blank nor
+    ``#`` comments; an unreadable or undecodable file is an InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(enumerate(fh, 1))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input: {exc}")
+    return [
+        (no, text)
+        for no, line in lines
+        if (text := line.strip()) and not text.startswith("#")
+    ]
+
+
 def read_ideal(path):
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append(tuple(int(tok) for tok in line.split()))
-            except ValueError:
-                raise InputError(f"bad exponent row: {line!r}", line=lineno)
+    for lineno, line in _read_lines(path):
+        try:
+            rows.append(tuple(int(tok) for tok in line.split()))
+        except ValueError:
+            raise InputError(f"bad exponent row: {line!r}", line=lineno)
     if not rows:
         raise InputError("no generators in input")
     widths = {len(r) for r in rows}
@@ -73,13 +84,10 @@ def read_ideal(path):
     return MonomialIdeal(widths.pop(), rows)
 
 
-def read_graph(path, multigraph=False):
-    with open(path) as fh:
-        lines = [
-            (no, ln.strip())
-            for no, ln in enumerate(fh, 1)
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
+def read_graph(path, max_vertices, multigraph=False):
+    """The graph in ``path``; more than ``max_vertices`` vertices raise the
+    cycle budget's error before anything of that size is built."""
+    lines = _read_lines(path)
     if not lines:
         raise InputError("empty graph file")
     try:
@@ -99,16 +107,12 @@ def read_graph(path, multigraph=False):
             edges.append((a - 1,))
         else:
             edges.append((a - 1, b - 1))
+    graphs_mod.require_cycle_budget(s, max_vertices)
     return Graph(s, edges, multigraph=multigraph)
 
 
 def read_points(path):
-    with open(path) as fh:
-        lines = [
-            (no, ln.strip())
-            for no, ln in enumerate(fh, 1)
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
+    lines = _read_lines(path)
     if not lines:
         raise InputError("empty point file")
     head = lines[0][1].split()
@@ -145,9 +149,12 @@ def canonical_points_text(points):
 def _parse_range(text):
     lo, sep, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi if sep else lo) + 1)
+        values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise InputError(f"bad range {text!r}: expected N or LO..HI")
+    if not values:
+        raise InputError(f"empty range {text!r}: LO must not exceed HI")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +237,7 @@ def cmd_containment(args):
 
 
 def cmd_graph_analyze(args):
-    graph = read_graph(args.input, multigraph=args.multigraph)
+    graph = read_graph(args.input, args.budget_cycles, multigraph=args.multigraph)
     ideal = graph.edge_ideal()
     clutter = graph.clutter()
     configs = graphs_mod.hochster_configurations(graph, budget=args.budget_cycles)
@@ -300,7 +307,7 @@ def cmd_cremona(args):
 
 def cmd_code_weights(args):
     points = read_points(args.input)
-    code = codes_mod.build_code(points, args.degree)
+    code = codes_mod.EvaluationCode(points, args.degree)
     hierarchy = {}
     top = min(args.r or code.dimension, code.dimension)
     for r in range(1, top + 1):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from monomials import polyhedra
-from monomials.core import MonomialIdeal, ideal_power, ideal_product, staircase
+from monomials.core import MonomialIdeal, ideal_power, ideal_product, memo, staircase
 from monomials.errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -19,16 +19,12 @@ from monomials.errors import (
 )
 DEFAULT_BOX_BUDGET = 2_000_000
 
-_REES_CACHE = {}
 
-
+@memo
 def rees_representation(ideal):
-    """Cached irreducible representation of RC(I)."""
-    rep = _REES_CACHE.get(ideal)
-    if rep is None:
-        rep = polyhedra.rees_cone_representation(ideal)
-        _REES_CACHE[ideal] = rep
-    return rep
+    """Irreducible representation of RC(I), one per ideal: its ``cone``
+    keeps the facets and the Hilbert basis once they are computed."""
+    return polyhedra.ReesRepresentation(ideal)
 
 
 def membership(a, ideal, n=1, witness=True, verify=False):
@@ -137,10 +133,9 @@ class NormalityReport:
 
 
 def _normal_by_hilbert(ideal):
-    cone = polyhedra.rees_cone(ideal)
-    basis = polyhedra.hilbert_basis(cone.generators, cone=cone)
+    cone = rees_representation(ideal).cone
     gens = set(cone.generators)
-    extra = [h for h in basis if h not in gens]
+    extra = [h for h in cone.hilbert_basis() if h not in gens]
     if not extra:
         return True, None, None
     extra.sort(key=lambda h: (h[-1], h))

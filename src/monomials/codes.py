@@ -214,10 +214,6 @@ class EvaluationCode:
         self.dimension = len(basis)
 
 
-def build_code(points, degree):
-    return EvaluationCode(points, degree)
-
-
 def _codewords_projective(code):
     """One codeword per scalar class (first non-zero coefficient 1)."""
     f = code.field
@@ -381,10 +377,6 @@ class WeightReport:
                 raise InternalConsistencyError(
                     "weights beyond the threshold must be trivial"
                 )
-
-
-def weight_report(points, max_r=3):
-    return WeightReport(points, max_r=max_r)
 
 
 def v_number_points(points):

@@ -8,9 +8,34 @@ to them return the :data:`UNIT` / :data:`ZERO` sentinels instead.
 """
 
 import itertools
+from collections import OrderedDict
+from functools import wraps
 from math import prod
 
 from monomials.errors import BudgetExceededError, PreconditionError
+
+#: Results kept by each :func:`memo` cache.
+MEMO_SIZE = 128
+
+
+def memo(fn):
+    """``fn`` memoized on its positional arguments, which must be hashable
+    canonical values; the MEMO_SIZE most recently used results are kept.
+    The cache is the wrapper's ``cache`` attribute."""
+    cache = OrderedDict()
+
+    @wraps(fn)
+    def cached(*args):
+        if args in cache:
+            cache.move_to_end(args)
+            return cache[args]
+        value = cache[args] = fn(*args)
+        if len(cache) > MEMO_SIZE:
+            cache.popitem(last=False)
+        return value
+
+    cached.cache = cache
+    return cached
 
 
 def divides(a, b):

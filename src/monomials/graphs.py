@@ -43,6 +43,16 @@ class CycleRecord:
         return f"CycleRecord{self.vertices}"
 
 
+def require_cycle_budget(s, budget):
+    """Cycle enumeration is refused on more than ``budget`` vertices."""
+    if s > budget:
+        raise BudgetExceededError(
+            f"cycle enumeration limited to s <= {budget}, got {s}",
+            needed=s,
+            budget=budget,
+        )
+
+
 def induced_cycles(graph, parity=None, budget=14):
     """All induced (chordless) cycles, canonically rotated.
 
@@ -50,36 +60,32 @@ def induced_cycles(graph, parity=None, budget=14):
     path's last vertex, except the start vertex, contact with which closes
     the cycle.  ``parity`` filters to "odd"/"even"; loops come first.
     """
-    if graph.s > budget:
-        raise BudgetExceededError(
-            f"cycle enumeration limited to s <= {budget}, got {graph.s}",
-            needed=graph.s,
-            budget=budget,
-        )
+    require_cycle_budget(graph.s, budget)
     cycles = []
     if graph.multigraph and parity != "even":
         cycles.extend(CycleRecord((v,)) for v in graph.loops)
-
-    def extend(path, members):
-        last = path[-1]
-        start = path[0]
-        for w in sorted(graph.neighbors(last)):
-            if w in members or w < start:
-                continue
-            touches = graph.neighbors(w) & members
-            if len(path) >= 2 and touches == {last, start}:
-                if path[1] < w:  # one orientation per cycle
-                    cycles.append(CycleRecord(path + (w,)))
-            if touches == {last}:
-                extend(path + (w,), members | {w})
-
     for v in range(graph.s):
-        extend((v,), {v})
+        _extend_path(graph, (v,), {v}, cycles)
     if parity == "odd":
         cycles = [c for c in cycles if c.odd]
     elif parity == "even":
         cycles = [c for c in cycles if not c.odd]
     return sorted(cycles, key=lambda c: (len(c), c.vertices))
+
+
+def _extend_path(graph, path, members, cycles):
+    """Grow an induced path, appending each cycle it closes to ``cycles``."""
+    last = path[-1]
+    start = path[0]
+    for w in sorted(graph.neighbors(last)):
+        if w in members or w < start:
+            continue
+        touches = graph.neighbors(w) & members
+        if len(path) >= 2 and touches == {last, start}:
+            if path[1] < w:  # one orientation per cycle
+                cycles.append(CycleRecord(path + (w,)))
+        if touches == {last}:
+            _extend_path(graph, path + (w,), members | {w}, cycles)
 
 
 class HochsterConfiguration:
@@ -152,11 +158,9 @@ def rees_closure_generators(graph, budget=14, cross_validate=False):
     configs = hochster_configurations(graph, budget=budget)
     gens = sorted({(c.monomial, c.z_degree) for c in configs})
     if cross_validate:
-        ideal = graph.edge_ideal()
-        cone = polyhedra.rees_cone(ideal)
-        basis = polyhedra.hilbert_basis(cone.generators, cone=cone)
+        cone = closure_mod.rees_representation(graph.edge_ideal()).cone
         allowed = set(cone.generators) | {m + (z,) for m, z in gens}
-        stray = [h for h in basis if h not in allowed]
+        stray = [h for h in cone.hilbert_basis() if h not in allowed]
         if stray:
             raise InternalConsistencyError(
                 f"Rees closure has generators beyond the Hochster monomials: {stray}"

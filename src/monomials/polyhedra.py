@@ -17,6 +17,7 @@ from math import ceil, comb, factorial, floor, lcm
 
 from monomials import linalg
 from monomials import lp
+from monomials.core import memo
 from monomials.errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -207,34 +208,35 @@ def extreme_ray_generators(generators, description=None):
 # triangulation and parallelepiped points
 # ---------------------------------------------------------------------------
 
-def pulling_triangulation(rays):
+def pulling_triangulation(rays, facets=None):
     """Split cone(rays) into simplicial cones on subsets of the rays.
 
     Rays must be the extreme rays.  Recursively joins the first ray to the
-    triangulated facets that do not contain it.
+    triangulated facets that do not contain it.  ``facets`` are the cone's
+    facet normals when the caller already has them.
     """
-    memo = {}
+    return _pull(tuple(tuple(r) for r in rays), {}, facets)
 
-    def tri(rs):
-        if rs in memo:
-            return memo[rs]
-        d = linalg.rank(rs)
-        if len(rs) == d:
-            out = [rs]
-        else:
+
+def _pull(rs, done, facets=None):
+    """Triangulation of cone(rs), kept in ``done`` per sub-tuple of rays."""
+    if rs in done:
+        return done[rs]
+    if len(rs) == linalg.rank(rs):
+        out = [rs]
+    else:
+        if facets is None:
             _, facets = cone_facets(rs)
-            apex = rs[0]
-            out = []
-            for f in facets:
-                if vec_dot(f, apex) == 0:
-                    continue
-                sub = tuple(g for g in rs if vec_dot(f, g) == 0)
-                for simp in tri(sub):
-                    out.append((apex,) + simp)
-        memo[rs] = out
-        return out
-
-    return tri(tuple(tuple(r) for r in rays))
+        apex = rs[0]
+        out = []
+        for f in facets:
+            if vec_dot(f, apex) == 0:
+                continue
+            sub = tuple(g for g in rs if vec_dot(f, g) == 0)
+            for simp in _pull(sub, done):
+                out.append((apex,) + simp)
+    done[rs] = out
+    return out
 
 
 def parallelepiped_points(rays):
@@ -327,7 +329,7 @@ def hilbert_basis(generators, cone=None):
     eqs, facets = cone.facet_description()
     rays = extreme_ray_generators(gens, (eqs, facets))
     candidates = set(gens) | set(rays)
-    for simplex in pulling_triangulation(rays):
+    for simplex in pulling_triangulation(rays, facets):
         for pt in parallelepiped_points(simplex):
             if any(pt):
                 candidates.add(pt)
@@ -485,12 +487,13 @@ class ReesRepresentation:
     ``gamma_d`` lists the facet normals (gamma_i, -d_i) with d_i >= 1, as
     (gamma tuple, d) pairs sorted with d = 1 first; ``r`` counts those with
     d = 1, ``p`` all of them.  The remaining facets have last coordinate
-    >= 0 (the unit-vector-type supports).
+    >= 0 (the unit-vector-type supports).  ``cone`` is RC(I) itself, which
+    keeps its facets and, once asked for, its Hilbert basis.
     """
 
     def __init__(self, ideal):
         self.ideal = ideal
-        cone = rees_cone(ideal)
+        self.cone = cone = rees_cone(ideal)
         eqs, facets = cone.facet_description()
         if eqs:
             raise InternalConsistencyError("Rees cone should be full-dimensional")
@@ -522,15 +525,6 @@ class ReesRepresentation:
         """Is point/level in NP(I)?  Tested as (point, level) in RC(I)."""
         lifted = tuple(point) + (level,)
         return all(vec_dot(f, lifted) >= 0 for f in self.facets)
-
-
-def rees_cone_representation(ideal):
-    return ReesRepresentation(ideal)
-
-
-def covering_vertices(ideal):
-    """Vertex set of Q(I), read off the Rees cone facets."""
-    return ReesRepresentation(ideal).vertices()
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +700,7 @@ def lattice_points(polytope_vertices, dilation=1, collect=True,
         special = _special_count(verts, k)
         if special is not None:
             return special
-    eqs_h, facets_h = _homogenization(verts)
+    eqs_h, facets_h = _homogenization(tuple(sorted(verts)))
     eqs = [(e[:-1], -e[-1] * k) for e in eqs_h]
     ineqs = [(f[:-1], -f[-1] * k) for f in facets_h]
     lo = [k * min(v[i] for v in verts) for i in range(n)]
@@ -742,15 +736,11 @@ def lattice_points_of_polyhedron(poly, dilation=1, collect=True,
                                  budget=budget)
 
 
-_HOMOG_CACHE = {}
-
-
+@memo
 def _homogenization(verts):
-    key = tuple(sorted(verts))
-    if key not in _HOMOG_CACHE:
-        lifted = [v + (1,) for v in key]
-        _HOMOG_CACHE[key] = cone_facets(lifted)
-    return _HOMOG_CACHE[key]
+    """Equations and facets of the cone over ``verts``, a sorted tuple,
+    lifted to height 1."""
+    return cone_facets([v + (1,) for v in verts])
 
 
 # ---------------------------------------------------------------------------
@@ -826,10 +816,6 @@ def ehrhart_polynomial(polytope_vertices, budget=DEFAULT_POINT_BUDGET):
     if any(x < 0 for x in h):
         raise InternalConsistencyError(f"negative h-vector entry: {h}")
     return EhrhartData(tuple(verts), d, tuple(counts), tuple(coeffs), tuple(h))
-
-
-def h_vector(polytope_vertices, budget=DEFAULT_POINT_BUDGET):
-    return ehrhart_polynomial(polytope_vertices, budget=budget).h_vector
 
 
 def polytope_volume(points):

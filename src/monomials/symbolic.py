@@ -13,7 +13,7 @@ from math import ceil
 
 from monomials import closure as closure_mod
 from monomials import polyhedra
-from monomials.core import MonomialIdeal, ideal_power, staircase
+from monomials.core import MonomialIdeal, ideal_power, memo, staircase
 from monomials.errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -22,36 +22,22 @@ from monomials.errors import (
 from monomials.linalg import vec_dot
 
 
+@memo
 def _covers(ideal):
     if not ideal.is_squarefree():
         raise PreconditionError("symbolic machinery requires a squarefree ideal")
-    return ideal.minimal_primes()
+    return tuple(ideal.minimal_primes())
 
 
 def _masks(s, covers):
     return [tuple(int(i in c) for i in range(s)) for c in covers]
 
 
-class SymbolicPowerCache:
-    """Write-once map n -> minimal generators of I^(n), plus minimal primes."""
-
-    __slots__ = ("ideal", "primes", "powers")
-
-    def __init__(self, ideal):
-        self.ideal = ideal
-        self.primes = _covers(ideal)
-        self.powers = {}
-
-
-_SYMBOLIC_CACHE = {}
-
-
-def symbolic_cache(ideal):
-    cache = _SYMBOLIC_CACHE.get(ideal)
-    if cache is None:
-        cache = SymbolicPowerCache(ideal)
-        _SYMBOLIC_CACHE[ideal] = cache
-    return cache
+@memo
+def _symbolic_staircase(ideal, n):
+    masks = _masks(ideal.s, _covers(ideal))
+    kept = staircase((n,) * ideal.s, lambda a: all(vec_dot(m, a) >= n for m in masks))
+    return MonomialIdeal(ideal.s, kept)
 
 
 def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET):
@@ -60,26 +46,19 @@ def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET
     Candidates live in [0, n]^s (larger entries can be reduced).  The walk
     keeps each column's least last coordinate at which every cover collects
     degree n, stepping down from the lower neighbours' values, and a point
-    is a generator when its value lies below all of theirs.  With ``verify``
-    the result is recomputed by intersecting cover-prime powers.
+    is a generator when its value lies below all of theirs.  The box budget
+    is checked on every call, before the walk's memo is consulted.  With
+    ``verify`` the result is recomputed by intersecting cover-prime powers.
     """
     if n < 1:
         raise PreconditionError("symbolic power needs n >= 1")
-    cache = symbolic_cache(ideal)
-    result = cache.powers.get(n)
-    if result is None:
-        s = ideal.s
-        needed = (n + 1) ** s
-        if needed > budget:
-            raise BudgetExceededError(
-                f"symbolic power box has {needed} points",
-                needed=needed,
-                budget=budget,
-            )
-        masks = _masks(s, cache.primes)
-        kept = staircase((n,) * s, lambda a: all(vec_dot(m, a) >= n for m in masks))
-        result = MonomialIdeal(s, kept)
-        cache.powers[n] = result
+    _covers(ideal)  # squarefree guard
+    needed = (n + 1) ** ideal.s
+    if needed > budget:
+        raise BudgetExceededError(
+            f"symbolic power box has {needed} points", needed=needed, budget=budget
+        )
+    result = _symbolic_staircase(ideal, n)
     if verify:
         check = symbolic_power_via_primes(ideal, n)
         if check != result:
@@ -100,7 +79,8 @@ def symbolic_power_via_primes(ideal, n):
 
 
 def is_simis(ideal, budget=closure_mod.DEFAULT_BOX_BUDGET):
-    """I^n = I^(n) for all n: normal Rees algebra plus integral Q(I)."""
+    """I^n = I^(n) for all n, equivalently the max-flow min-cut property:
+    normal Rees algebra plus integral Q(I)."""
     _covers(ideal)  # squarefree guard
     rep = closure_mod.rees_representation(ideal)
     if not rep.integral:
@@ -108,17 +88,12 @@ def is_simis(ideal, budget=closure_mod.DEFAULT_BOX_BUDGET):
     return bool(closure_mod.is_normal(ideal, method="hilbert", budget=budget))
 
 
-def has_mfmc(ideal, budget=closure_mod.DEFAULT_BOX_BUDGET):
-    """Max-flow min-cut property; decided through the Simis equivalence."""
-    return is_simis(ideal, budget=budget)
-
-
 def mfmc_spot_check(ideal, max_entry=3):
     """Directly verify integral optima of the LP-duality equation.
 
     For every non-negative alpha with entries <= max_entry, both the
     covering minimum and the packing maximum must be attained integrally.
-    Exponential in s; evidence only, the equivalence test is has_mfmc.
+    Exponential in s; evidence only, the equivalence test is is_simis.
     """
     s = ideal.s
     gens = ideal.gens

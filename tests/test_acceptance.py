@@ -272,7 +272,7 @@ def test_criterion_11_codes():
         threshold = points.regularity_threshold()
         distances = {}
         for d in range(1, threshold + 2):
-            distances[d] = codes.minimum_distance(codes.build_code(points, d))
+            distances[d] = codes.minimum_distance(codes.EvaluationCode(points, d))
         # strictly decreasing until it reaches 1, constant 1 afterwards
         first_one = next(d for d in sorted(distances) if distances[d] == 1)
         for d in range(1, first_one):
@@ -281,12 +281,12 @@ def test_criterion_11_codes():
             assert distances[d] == distances[d + 1] == 1
         assert v == first_one
         # beyond the Hilbert-stabilization degree the weights are trivial
-        code = codes.build_code(points, threshold)
+        code = codes.EvaluationCode(points, threshold)
         for r in range(1, min(3, code.dimension) + 1):
             assert codes.generalized_weight(code, r) == r
         # three-way equality wherever the form enumeration is feasible
         for d in (1, 2):
-            code = codes.build_code(points, d)
+            code = codes.EvaluationCode(points, d)
             for r in (1, 2):
                 if r > code.dimension:
                     continue

@@ -1,4 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from monomials import cli
 
@@ -6,6 +13,12 @@ from monomials import cli
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+def write_bytes(tmp_path, data):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
     return str(path)
 
 
@@ -140,3 +153,98 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["results"]["normal"] is True
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: str(tmp_path / "missing.txt"),
+    lambda tmp_path: str(tmp_path),
+    lambda tmp_path: write_bytes(tmp_path, b"\xff\xfe1 0\n"),
+], ids=["missing", "directory", "undecodable"])
+@pytest.mark.parametrize("argv", [
+    ["normality"], ["graph-analyze"], ["vnumber", "--kind", "points"],
+], ids=["ideal", "graph", "points"])
+def test_unreadable_input_exits_2(tmp_path, capsys, make, argv):
+    code, doc = run_capture(capsys, [argv[0], make(tmp_path)] + argv[1:])
+    assert code == 2
+    assert doc["error"].startswith("cannot read input")
+
+
+def test_empty_range_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "c3.txt", "1 1 0\n0 1 1\n1 0 1\n")
+    code, doc = run_capture(capsys, ["containment", path, "--r", "3..1"])
+    assert code == 2
+    assert "3..1" in doc["error"]
+
+
+def test_graph_over_the_cycle_budget_is_refused_before_it_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Graph built for an over-budget vertex count")
+
+    monkeypatch.setattr(cli, "Graph", refuse)
+    path = write(tmp_path, "big.txt", "20\n1 2\n2 3\n")
+    code, doc = run_capture(capsys, ["graph-analyze", path])
+    assert code == 3
+    assert doc["error"] == "cycle enumeration limited to s <= 14, got 20"
+    assert (doc["needed"], doc["budget"]) == (20, 14)
+
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+
+def small_files(head, width, values):
+    """Arbitrary bytes, or a header line and up to five rows of ``width``
+    tokens drawn from ``values``."""
+    row = st.lists(st.sampled_from(values), min_size=width, max_size=width)
+    rows = st.lists(row.map(b" ".join), max_size=5)
+    return st.one_of(
+        st.binary(max_size=40),
+        rows.map(lambda rs: b"\n".join(head + rs) + b"\n"),
+    )
+
+
+def tokens(low, high):
+    return [str(v).encode() for v in range(low, high + 1)]
+
+
+IDEAL_FILES = st.integers(1, 5).flatmap(lambda s: small_files([], s, tokens(0, 2)))
+GRAPH_FILES = st.integers(1, 7).flatmap(
+    lambda n: small_files([str(n).encode()], 2, tokens(1, n))
+)
+POINT_FILES = st.tuples(st.sampled_from([2, 3, 4]), st.integers(1, 3)).flatmap(
+    lambda qs: small_files([b"%d %d" % qs], qs[1], tokens(0, qs[0] - 1))
+)
+
+
+def run_on_bytes(data, argv):
+    """Exit code and JSON report of ``argv`` run on a file holding ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run([argv[0], path] + argv[1:])
+    return code, json.loads(out.getvalue())
+
+
+@FUZZ
+@given(IDEAL_FILES)
+def test_fuzz_ideal_reader(data):
+    code, doc = run_on_bytes(data, ["symbolic", "--budget-points", "64"])
+    assert code in (0, 2, 3) and doc["command"] == "symbolic"
+
+
+@FUZZ
+@given(GRAPH_FILES)
+def test_fuzz_graph_reader(data):
+    code, doc = run_on_bytes(data, ["graph-analyze", "--budget-cycles", "6"])
+    assert code in (0, 2, 3) and doc["command"] == "graph-analyze"
+
+
+@FUZZ
+@given(POINT_FILES)
+def test_fuzz_points_reader(data):
+    code, doc = run_on_bytes(data, ["vnumber", "--kind", "points"])
+    assert code in (0, 2, 3) and doc["command"] == "vnumber"

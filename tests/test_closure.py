@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from monomials import closure
+from monomials import closure, core, graphs, polyhedra
 from monomials.core import MonomialIdeal, ideal_power
 from monomials.errors import BudgetExceededError, PreconditionError
 from monomials.linalg import solve
@@ -171,3 +171,39 @@ def test_gr_reduced():
         closure.is_gr_reduced(
             MonomialIdeal(3, [(1, 1, 0), (1, 0, 1)])
         )
+
+
+def test_rees_cone_facets_and_hilbert_basis_are_computed_once(monkeypatch):
+    graph = two_disjoint_triangles()
+    ideal = graph.edge_ideal()
+    rc = set(polyhedra.rees_cone(ideal).generators)
+    closure.rees_representation.cache.clear()
+    calls = {"facets": 0, "hilbert": 0}
+    cone_facets, hilbert_basis = polyhedra.cone_facets, polyhedra.hilbert_basis
+
+    def counted_facets(generators):
+        calls["facets"] += {tuple(g) for g in generators} == rc
+        return cone_facets(generators)
+
+    def counted_hilbert(generators, cone=None):
+        calls["hilbert"] += {tuple(g) for g in generators} == rc
+        return hilbert_basis(generators, cone=cone)
+
+    monkeypatch.setattr(polyhedra, "cone_facets", counted_facets)
+    monkeypatch.setattr(polyhedra, "hilbert_basis", counted_hilbert)
+    closure.rees_representation(ideal)
+    assert not closure.is_normal(ideal, method="hilbert").normal
+    assert graphs.rees_closure_generators(graph, cross_validate=True)
+    assert graphs.ehrhart_normality_criterion(graph)[0] is False
+    assert calls == {"facets": 1, "hilbert": 1}
+
+
+def test_rees_representations_are_kept_up_to_the_memo_bound():
+    ideals = [MonomialIdeal(1, [(k,)]) for k in range(1, core.MEMO_SIZE + 6)]
+    first = closure.rees_representation(ideals[0])
+    for ideal in ideals[1:]:
+        closure.rees_representation(ideal)
+    assert len(closure.rees_representation.cache) == core.MEMO_SIZE
+    last = closure.rees_representation(ideals[-1])
+    assert closure.rees_representation(ideals[-1]) is last
+    assert closure.rees_representation(ideals[0]) is not first

@@ -32,16 +32,16 @@ def test_field_tables():
 
 
 def test_build_code_examples():
-    code = codes.build_code(p1_f2(), 1)
+    code = codes.EvaluationCode(p1_f2(), 1)
     assert (code.dimension, code.length) == (2, 3)
     assert codes.minimum_distance(code) == 2
-    code = codes.build_code(p1_f2(), 2)
+    code = codes.EvaluationCode(p1_f2(), 2)
     assert code.dimension == 3
     assert codes.minimum_distance(code) == 1
     affine = codes.PointSetOverFq(
         2, 3, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)], normalize=False
     )
-    assert codes.build_code(affine, 1).dimension == 3
+    assert codes.EvaluationCode(affine, 1).dimension == 3
 
 
 def test_projective_normalization_and_duplicates():
@@ -52,9 +52,9 @@ def test_projective_normalization_and_duplicates():
 
 
 def test_weights_hierarchy():
-    code = codes.build_code(p1_f2(), 2)
+    code = codes.EvaluationCode(p1_f2(), 2)
     assert codes.weight_hierarchy(code) == [1, 2, 3]
-    code = codes.build_code(p1_f2(), 1)
+    code = codes.EvaluationCode(p1_f2(), 1)
     hierarchy = codes.weight_hierarchy(code)
     assert hierarchy == sorted(hierarchy)
     assert len(set(hierarchy)) == len(hierarchy)
@@ -86,7 +86,7 @@ def test_generalized_weight_matches_subspace_enumeration():
     for _ in range(6):
         pts = random_point_set(rng, 2, 3, rng.randint(3, 6))
         for d in (1, 2):
-            code = codes.build_code(pts, d)
+            code = codes.EvaluationCode(pts, d)
             for r in range(1, min(code.dimension, 3) + 1):
                 assert codes.generalized_weight(code, r) == \
                     _subspace_weight_reference(code, r)
@@ -97,20 +97,20 @@ def test_minimum_distance_equals_first_weight():
     for _ in range(8):
         q = rng.choice([2, 3])
         pts = random_point_set(rng, q, 3, rng.randint(3, 7))
-        code = codes.build_code(pts, rng.randint(1, 2))
+        code = codes.EvaluationCode(pts, rng.randint(1, 2))
         assert codes.minimum_distance(code) == codes.generalized_weight(code, 1)
 
 
 def test_gmd_and_vasconcelos():
     assert codes.gmd_and_vasconcelos(p1_f2(), 1, 1) == (2, 2)
     # at the regularity threshold everything collapses to delta = r
-    code = codes.build_code(p1_f2(), 2)
+    code = codes.EvaluationCode(p1_f2(), 2)
     for r in (1, 2, 3):
         d_i, theta = codes.gmd_and_vasconcelos(p1_f2(), 2, r)
         assert d_i == theta == codes.generalized_weight(code, r) == r
     p1f3 = codes.PointSetOverFq(3, 2, [(1, 0), (0, 1), (1, 1), (1, 2)])
     d_i, theta = codes.gmd_and_vasconcelos(p1f3, 1, 2)
-    code = codes.build_code(p1f3, 1)
+    code = codes.EvaluationCode(p1f3, 1)
     assert d_i == theta == codes.generalized_weight(code, 2)
 
 
@@ -124,7 +124,7 @@ def test_v_number_points_examples():
     v = codes.v_number_points(collinear)
     # cross check against the delta threshold
     d = 1
-    while codes.minimum_distance(codes.build_code(collinear, d)) > 1:
+    while codes.minimum_distance(codes.EvaluationCode(collinear, d)) > 1:
         d += 1
     assert v == d == 2
 
@@ -174,7 +174,7 @@ def test_prime_power_field_code():
     f4_points = codes.PointSetOverFq(
         4, 2, [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3)]
     )
-    code = codes.build_code(f4_points, 1)
+    code = codes.EvaluationCode(f4_points, 1)
     assert (code.length, code.dimension) == (5, 2)
     assert codes.minimum_distance(code) == 4  # Reed-Solomon-like: n - k + 1
     # on the projective line the distance is (q+1) - d, reaching 1 at d = q
@@ -182,7 +182,7 @@ def test_prime_power_field_code():
 
 
 def test_weight_report():
-    report = codes.weight_report(p1_f2())
+    report = codes.WeightReport(p1_f2())
     assert report.v_number == 2
     assert report.threshold == 2
     assert report.weights[1] == (2, 3)
@@ -190,7 +190,7 @@ def test_weight_report():
     rng = random.Random(179)
     for _ in range(5):
         pts = random_point_set(rng, rng.choice([2, 3]), 3, rng.randint(3, 7))
-        codes.weight_report(pts)  # raises if any structural law breaks
+        codes.WeightReport(pts)  # raises if any structural law breaks
 
 
 def test_w2():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from monomials import graphs, polyhedra
 from monomials.core import (
     Clutter,
     MonomialIdeal,
@@ -183,13 +184,17 @@ def test_intersection():
 
 
 def test_cover_and_matching_searches_leave_no_reference_cycles():
-    """Only the cyclic collector could free a self-recursive closure."""
+    """Only the cyclic collector could free a self-recursive closure; the
+    pulling triangulation and the induced-cycle search recurse too."""
     q6 = q6_clutter()
+    pyramid = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
     gc.collect()
     gc.disable()
     try:
         assert covering_number(q6) == 2
         assert matching_number(q6) == 1
+        assert len(polyhedra.pulling_triangulation(pyramid)) == 2
+        assert len(graphs.induced_cycles(cycle_graph(5))) == 1
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -137,19 +137,19 @@ def test_covering_vertices_match_generic_enumeration():
     rng = random.Random(47)
     for _ in range(15):
         ideal = random_squarefree_ideal(rng, rng.randint(3, 6))
-        via_rees = polyhedra.covering_vertices(ideal)
+        via_rees = polyhedra.ReesRepresentation(ideal).vertices()
         generic = polyhedra.covering_polyhedron(ideal).vertices()
         assert sorted(via_rees) == sorted(generic)
 
 
 def test_rees_representation_examples():
-    rep = polyhedra.rees_cone_representation(cycle_graph(4).edge_ideal())
+    rep = polyhedra.ReesRepresentation(cycle_graph(4).edge_ideal())
     assert all(d == 1 for _, d in rep.gamma_d)
     assert rep.integral
-    rep = polyhedra.rees_cone_representation(cycle_graph(3).edge_ideal())
+    rep = polyhedra.ReesRepresentation(cycle_graph(3).edge_ideal())
     assert any(d == 2 for _, d in rep.gamma_d)
     assert not rep.integral
-    rep = polyhedra.rees_cone_representation(q6_ideal())
+    rep = polyhedra.ReesRepresentation(q6_ideal())
     assert rep.integral and rep.r == rep.p
     for f in rep.facets:
         assert linalg.primitive(f) == f
@@ -159,7 +159,7 @@ def test_integral_vertex_count_is_r():
     rng = random.Random(53)
     for _ in range(15):
         ideal = random_squarefree_ideal(rng, rng.randint(3, 6))
-        rep = polyhedra.rees_cone_representation(ideal)
+        rep = polyhedra.ReesRepresentation(ideal)
         integral = [
             v for v in rep.vertices() if all(x.denominator == 1 for x in v)
         ]

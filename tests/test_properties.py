@@ -193,3 +193,53 @@ def test_property_power_closure_symbolic_chain(ideal, n):
     closed = closure.closure_of_power(ideal, n)
     assert closed.contains_ideal(core.ideal_power(ideal, n))
     assert symbolic.symbolic_power(ideal, n).contains_ideal(closed)
+
+
+def covering_ideals():
+    """Squarefree ideals in which every variable appears: each missing
+    variable becomes a generator of its own."""
+    def cover(ideal):
+        gens = list(ideal.gens)
+        for i in range(ideal.s):
+            if all(g[i] == 0 for g in gens):
+                gens.append(tuple(int(j == i) for j in range(ideal.s)))
+        return core.MonomialIdeal(ideal.s, gens)
+
+    return squarefree_ideals().map(cover)
+
+
+@settings(SEEDED, max_examples=60)
+@given(covering_ideals())
+def test_property_ic_resurgence_is_self_dual(ideal):
+    dual = core.alexander_dual(ideal)
+    assert symbolic.ic_resurgence(ideal).rho == symbolic.ic_resurgence(dual).rho
+
+
+def full_dimensional_point_sets():
+    """2-7 points in Z^d, d = 1..3, whose affine hull is all of Q^d."""
+    def full(points):
+        base = points[0]
+        diffs = [tuple(x - y for x, y in zip(p, base)) for p in points[1:]]
+        return linalg.rank(diffs) == len(base)
+
+    return st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=7,
+            unique=True,
+        )
+    ).filter(full)
+
+
+@settings(SEEDED, max_examples=100)
+@given(full_dimensional_point_sets())
+def test_property_dd_round_trip_returns_the_extreme_points(points):
+    """Facets from the V-description, then vertices from the facets."""
+    lifted = [p + (1,) for p in points]
+    extreme = sorted(
+        p for p, g in zip(points, lifted)
+        if not lp.in_cone(g, [h for h in lifted if h != g])
+    )
+    eqs, ineqs = polyhedra.inequalities_from_v_description(points)
+    assert eqs == []
+    poly = polyhedra.RationalPolyhedron(len(points[0]), ineqs)
+    assert poly.vertices() == extreme

@@ -77,16 +77,16 @@ def test_graph_law_simis_iff_bipartite():
 
 def test_mfmc():
     c4 = cycle_graph(4).edge_ideal()
-    assert symbolic.has_mfmc(c4)
+    assert symbolic.is_simis(c4)
     assert symbolic.mfmc_spot_check(c4, max_entry=3)
     even6 = cycle_graph(6).edge_ideal()
-    assert symbolic.has_mfmc(even6)
+    assert symbolic.is_simis(even6)
     assert symbolic.mfmc_spot_check(even6, max_entry=2)
     triangle = cycle_graph(3).edge_ideal()
-    assert not symbolic.has_mfmc(triangle)
+    assert not symbolic.is_simis(triangle)
     assert not symbolic.mfmc_spot_check(triangle, max_entry=1)
     # Q6 fails MFMC with an integrality gap already at alpha = (1,...,1)
-    assert not symbolic.has_mfmc(q6_ideal())
+    assert not symbolic.is_simis(q6_ideal())
     assert not symbolic.mfmc_spot_check(q6_ideal(), max_entry=1)
 
 
@@ -96,7 +96,7 @@ def test_mfmc_implies_packing():
     rng = random.Random(131)
     for _ in range(10):
         ideal = random_squarefree_ideal(rng, rng.randint(3, 6))
-        if symbolic.has_mfmc(ideal):
+        if symbolic.is_simis(ideal):
             assert has_packing_property(ideal)
 
 
@@ -194,3 +194,14 @@ def test_symbolic_power_budget_reports_the_box_size():
         symbolic.symbolic_power(bull, 7, budget=100)
     assert info.value.needed == 8**5
     assert info.value.budget == 100
+
+
+def test_warm_symbolic_power_checks_its_budget_like_a_cold_one():
+    c4 = cycle_graph(4).edge_ideal()
+    with pytest.raises(BudgetExceededError) as cold:
+        symbolic.symbolic_power(c4, 3, budget=10)
+    assert len(symbolic.symbolic_power(c4, 3).gens) == 16
+    with pytest.raises(BudgetExceededError) as warm:
+        symbolic.symbolic_power(c4, 3, budget=10)
+    assert warm.value.needed == cold.value.needed == 4**4
+    assert warm.value.budget == 10

@@ -2,8 +2,10 @@
 
 Every run emits one self-describing JSON document: the command, the options
 that influenced it, the canonicalized input, the results, and certificates
-(witness monomials, vertex pairs, Hilbert-basis elements).  Rationals are
-serialized as "p/q" strings; no floating point appears anywhere.
+(witness monomials, vertex pairs, Hilbert-basis elements); an error report
+carries the error instead of the input, results and certificates.
+Rationals are serialized as "p/q" strings; no floating point appears
+anywhere.
 
 Exit codes: 0 success, 2 precondition violation or malformed input,
 3 budget exhaustion (with partial results flagged, and the work needed and
@@ -45,11 +47,7 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
+    if value is None or isinstance(value, (int, str)):
         return value
     return repr(value)
 
@@ -69,9 +67,17 @@ def _read_lines(path):
     ]
 
 
-def read_ideal(path):
+def _rows_text(rows):
+    return "\n".join(" ".join(str(x) for x in row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# readers: each takes the parsed options and returns (value, canonical text)
+# ---------------------------------------------------------------------------
+
+def read_ideal(args):
     rows = []
-    for lineno, line in _read_lines(path):
+    for lineno, line in _read_lines(args.input):
         try:
             rows.append(tuple(int(tok) for tok in line.split()))
         except ValueError:
@@ -81,13 +87,14 @@ def read_ideal(path):
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputError("generator rows have mixed lengths")
-    return MonomialIdeal(widths.pop(), rows)
+    ideal = MonomialIdeal(widths.pop(), rows)
+    return ideal, _rows_text(ideal.gens)
 
 
-def read_graph(path, max_vertices, multigraph=False):
-    """The graph in ``path``; more than ``max_vertices`` vertices raise the
-    cycle budget's error before anything of that size is built."""
-    lines = _read_lines(path)
+def read_graph(args):
+    """The graph in ``args.input``; more than ``--budget-cycles`` vertices
+    raise the cycle budget's error before anything of that size is built."""
+    lines = _read_lines(args.input)
     if not lines:
         raise InputError("empty graph file")
     try:
@@ -103,21 +110,20 @@ def read_graph(path, max_vertices, multigraph=False):
             a, b = int(toks[0]), int(toks[1])
         except ValueError:
             raise InputError(f"bad vertex index in {ln!r}", line=no)
-        if a == b:
-            edges.append((a - 1,))
-        else:
-            edges.append((a - 1, b - 1))
-    graphs_mod.require_cycle_budget(s, max_vertices)
-    return Graph(s, edges, multigraph=multigraph)
+        edges.append((a - 1,) if a == b else (a - 1, b - 1))
+    graphs_mod.require_cycle_budget(s, args.budget_cycles)
+    graph = Graph(s, edges, multigraph=args.multigraph)
+    pairs = [(a + 1, b + 1) for a, b in graph.edges]
+    loops = [(v + 1, v + 1) for v in graph.loops]
+    return graph, _rows_text([(s,)] + pairs + loops)
 
 
-def read_points(path):
-    lines = _read_lines(path)
+def read_points(args):
+    lines = _read_lines(args.input)
     if not lines:
         raise InputError("empty point file")
-    head = lines[0][1].split()
     try:
-        q, s = map(int, head)
+        q, s = map(int, lines[0][1].split())
     except ValueError:
         raise InputError("first line must be 'q s'", line=lines[0][0])
     pts = []
@@ -126,24 +132,13 @@ def read_points(path):
             pts.append(tuple(int(x) for x in ln.split()))
         except ValueError:
             raise InputError(f"bad point {ln!r}", line=no)
-    return codes_mod.PointSetOverFq(q, s, pts)
+    points = codes_mod.PointSetOverFq(q, s, pts)
+    return points, _rows_text([(q, s)] + list(points.points))
 
 
-def canonical_ideal_text(ideal):
-    return "\n".join(" ".join(str(x) for x in g) for g in ideal.gens)
-
-
-def canonical_graph_text(graph):
-    lines = [str(graph.s)]
-    lines += [f"{a + 1} {b + 1}" for a, b in graph.edges]
-    lines += [f"{v + 1} {v + 1}" for v in graph.loops]
-    return "\n".join(lines)
-
-
-def canonical_points_text(points):
-    lines = [f"{points.q} {points.s}"]
-    lines += [" ".join(str(x) for x in p) for p in points.points]
-    return "\n".join(lines)
+def _read_kind(args):
+    """``--kind`` names the reader."""
+    return (read_points if args.kind == "points" else read_ideal)(args)
 
 
 def _parse_range(text):
@@ -158,30 +153,22 @@ def _parse_range(text):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results dict, certificates dict)
+# handlers: each takes the value read and the options, and returns
+# (results dict, certificates dict)
 # ---------------------------------------------------------------------------
 
-def cmd_normality(args):
-    ideal = read_ideal(args.input)
-    report = closure_mod.is_normal(
-        ideal, method=args.method, budget=args.budget_points
-    )
-    results = {
-        "normal": report.normal,
-        "method": "+".join(report.methods),
-    }
+def cmd_normality(ideal, args):
+    report = closure_mod.is_normal(ideal, method=args.method, budget=args.budget_points)
+    results = {"normal": report.normal, "method": "+".join(report.methods)}
     certs = {}
     if not report.normal:
         certs["witness_power"] = report.witness_power
         certs["witness_monomial"] = report.witness_monomial
-    return canonical_ideal_text(ideal), results, certs
+    return results, certs
 
 
-def cmd_closure(args):
-    ideal = read_ideal(args.input)
-    closed = closure_mod.closure_of_power(
-        ideal, args.power, budget=args.budget_points
-    )
+def cmd_closure(ideal, args):
+    closed = closure_mod.closure_of_power(ideal, args.power, budget=args.budget_points)
     power = ideal_power(ideal, args.power)
     gained = [g for g in closed.gens if not power.contains_monomial(g)]
     results = {
@@ -189,11 +176,10 @@ def cmd_closure(args):
         "closure_generators": closed.gens,
         "already_closed": not gained,
     }
-    return canonical_ideal_text(ideal), results, {"new_generators": gained}
+    return results, {"new_generators": gained}
 
 
-def cmd_symbolic(args):
-    ideal = read_ideal(args.input)
+def cmd_symbolic(ideal, args):
     sym = symbolic_mod.symbolic_power(
         ideal, args.power, verify=args.verify, budget=args.budget_points
     )
@@ -204,11 +190,10 @@ def cmd_symbolic(args):
         "equals_ordinary": sym == power,
     }
     gap = [g for g in sym.gens if not power.contains_monomial(g)]
-    return canonical_ideal_text(ideal), results, {"symbolic_minus_ordinary": gap}
+    return results, {"symbolic_minus_ordinary": gap}
 
 
-def cmd_resurgence(args):
-    ideal = read_ideal(args.input)
+def cmd_resurgence(ideal, args):
     report = symbolic_mod.ic_resurgence(ideal)
     rho_one = symbolic_mod.resurgence_one_test(ideal, budget=args.budget_points)
     results = {
@@ -218,26 +203,18 @@ def cmd_resurgence(args):
         "q_dual_integral": report.q_dual_integral,
         "resurgence_is_one": rho_one,
     }
-    certs = {"minimizing_pair": report.pair}
-    return canonical_ideal_text(ideal), results, certs
+    return results, {"minimizing_pair": report.pair}
 
 
-def cmd_containment(args):
-    ideal = read_ideal(args.input)
-    table = {}
-    for r in _parse_range(args.r):
-        table[r] = symbolic_mod.containment_function(
-            ideal, r, budget=args.budget_points
-        )
-    return (
-        canonical_ideal_text(ideal),
-        {"containment_function": table},
-        {},
-    )
+def cmd_containment(ideal, args):
+    table = {
+        r: symbolic_mod.containment_function(ideal, r, budget=args.budget_points)
+        for r in _parse_range(args.r)
+    }
+    return {"containment_function": table}, {}
 
 
-def cmd_graph_analyze(args):
-    graph = read_graph(args.input, args.budget_cycles, multigraph=args.multigraph)
+def cmd_graph_analyze(graph, args):
     ideal = graph.edge_ideal()
     clutter = graph.clutter()
     configs = graphs_mod.hochster_configurations(graph, budget=args.budget_cycles)
@@ -274,14 +251,12 @@ def cmd_graph_analyze(args):
             graph, budget=args.budget_cycles
         ),
     }
-    return canonical_graph_text(graph), results, certs
+    return results, certs
 
 
-def cmd_invariants(args):
-    ideal = read_ideal(args.input)
-    e = invariants_mod.multiplicity(ideal)
+def cmd_invariants(ideal, args):
     results = {
-        "multiplicity": e,
+        "multiplicity": invariants_mod.multiplicity(ideal),
         "normalization_hilbert_function": {
             n: invariants_mod.normalization_hilbert_function(ideal, n)
             for n in range(0, 4)
@@ -290,59 +265,83 @@ def cmd_invariants(args):
             ideal, budget=args.budget_points
         ),
     }
-    return canonical_ideal_text(ideal), results, {}
+    return results, {}
 
 
-def cmd_mfull(args):
-    ideal = read_ideal(args.input)
-    results = {"m_full": invariants_mod.is_m_full_2var(ideal)}
-    return canonical_ideal_text(ideal), results, {}
+def cmd_mfull(ideal, args):
+    return {"m_full": invariants_mod.is_m_full_2var(ideal)}, {}
 
 
-def cmd_cremona(args):
-    ideal = read_ideal(args.input)
-    results = {"cremona": invariants_mod.is_cremona_monomial(list(ideal.gens))}
-    return canonical_ideal_text(ideal), results, {}
+def cmd_cremona(ideal, args):
+    return {"cremona": invariants_mod.is_cremona_monomial(list(ideal.gens))}, {}
 
 
-def cmd_code_weights(args):
-    points = read_points(args.input)
+def cmd_code_weights(points, args):
+    if args.r is not None and args.r < 1:
+        raise InputError(f"bad --r {args.r}: r must be at least 1")
     code = codes_mod.EvaluationCode(points, args.degree)
-    hierarchy = {}
     top = min(args.r or code.dimension, code.dimension)
-    for r in range(1, top + 1):
-        hierarchy[r] = codes_mod.generalized_weight(code, r)
+    hierarchy = {r: codes_mod.generalized_weight(code, r) for r in range(1, top + 1)}
     results = {
         "length": code.length,
         "dimension": code.dimension,
         "minimum_distance": codes_mod.minimum_distance(code),
         "generalized_weights": hierarchy,
     }
-    return canonical_points_text(points), results, {}
+    return results, {}
 
 
-def cmd_vnumber(args):
+def cmd_vnumber(value, args):
     if args.kind == "points":
-        points = read_points(args.input)
-        v = codes_mod.v_number_points(points)
-        return canonical_points_text(points), {"v_number": v}, {}
-    ideal = read_ideal(args.input)
-    v = codes_mod.v_number_monomial(ideal, degree_cap=args.degree_cap)
-    return canonical_ideal_text(ideal), {"v_number": v}, {}
+        return {"v_number": codes_mod.v_number_points(value)}, {}
+    v = codes_mod.v_number_monomial(value, degree_cap=args.degree_cap)
+    return {"v_number": v}, {}
 
+
+# ---------------------------------------------------------------------------
+# the subcommands: name -> (help, reader, handler, extra options), where an
+# option is (flag, keyword arguments of add_argument); every subcommand also
+# takes the options in _COMMON
+# ---------------------------------------------------------------------------
+
+_COMMON = [
+    ("input", {"help": "input file"}),
+    ("--out", {"help": "write the JSON report here"}),
+    ("--budget-points", {"type": int, "default": closure_mod.DEFAULT_BOX_BUDGET,
+                         "help": "cap on enumerated lattice points"}),
+    ("--budget-cycles", {"type": int, "default": 14,
+                         "help": "cap on vertices for cycle enumeration"}),
+]
+_POWER = ("--power", {"type": int, "default": 1})
 
 _COMMANDS = {
-    "normality": cmd_normality,
-    "closure": cmd_closure,
-    "symbolic": cmd_symbolic,
-    "resurgence": cmd_resurgence,
-    "containment": cmd_containment,
-    "graph-analyze": cmd_graph_analyze,
-    "invariants": cmd_invariants,
-    "mfull": cmd_mfull,
-    "cremona": cmd_cremona,
-    "code-weights": cmd_code_weights,
-    "vnumber": cmd_vnumber,
+    "normality": ("is the ideal normal?", read_ideal, cmd_normality, [
+        ("--method", {"choices": ["hilbert", "powers", "both"], "default": "both"}),
+    ]),
+    "closure": ("integral closure of a power", read_ideal, cmd_closure, [_POWER]),
+    "symbolic": ("symbolic power of a squarefree ideal", read_ideal, cmd_symbolic, [
+        _POWER,
+        ("--verify", {"action": "store_true",
+                      "help": "cross-check against the prime-power intersection"}),
+    ]),
+    "resurgence": ("ic-resurgence report", read_ideal, cmd_resurgence, []),
+    "containment": ("Schenzel containment function", read_ideal, cmd_containment, [
+        ("--r", {"default": "1..3", "help": "range of r, e.g. 1..6"}),
+    ]),
+    "graph-analyze": ("graph-theoretic criteria", read_graph, cmd_graph_analyze, [
+        ("--multigraph", {"action": "store_true"}),
+    ]),
+    "invariants": ("multiplicity and Hilbert data", read_ideal, cmd_invariants, []),
+    "mfull": ("m-fullness in two variables", read_ideal, cmd_mfull, []),
+    "cremona": ("monomial Cremona determinant test", read_ideal, cmd_cremona, []),
+    "code-weights": ("evaluation code weights", read_points, cmd_code_weights, [
+        ("--degree", {"type": int, "default": 1}),
+        ("--r", {"type": int, "help": "compute generalized weights up to this r"}),
+    ]),
+    "vnumber": ("v-number of an ideal or point set", _read_kind, cmd_vnumber, [
+        ("--kind", {"choices": ["ideal", "points"], "default": "ideal"}),
+        ("--degree-cap", {"type": int}),
+    ]),
 }
 
 
@@ -352,80 +351,28 @@ def build_parser():
         description="Exact computations with monomial ideals and their blowup algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("input", help="input file")
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument(
-            "--budget-points",
-            type=int,
-            default=closure_mod.DEFAULT_BOX_BUDGET,
-            help="cap on enumerated lattice points",
-        )
-        p.add_argument(
-            "--budget-cycles",
-            type=int,
-            default=14,
-            help="cap on vertices for cycle enumeration",
-        )
-
-    p = sub.add_parser("normality", help="is the ideal normal?")
-    common(p)
-    p.add_argument(
-        "--method",
-        choices=["hilbert", "powers", "both"],
-        default="both",
-    )
-    p = sub.add_parser("closure", help="integral closure of a power")
-    common(p)
-    p.add_argument("--power", type=int, default=1)
-    p = sub.add_parser("symbolic", help="symbolic power of a squarefree ideal")
-    common(p)
-    p.add_argument("--power", type=int, default=1)
-    p.add_argument("--verify", action="store_true",
-                   help="cross-check against the prime-power intersection")
-    p = sub.add_parser("resurgence", help="ic-resurgence report")
-    common(p)
-    p = sub.add_parser("containment", help="Schenzel containment function")
-    common(p)
-    p.add_argument("--r", default="1..3", help="range of r, e.g. 1..6")
-    p = sub.add_parser("graph-analyze", help="graph-theoretic criteria")
-    common(p)
-    p.add_argument("--multigraph", action="store_true")
-    p = sub.add_parser("invariants", help="multiplicity and Hilbert data")
-    common(p)
-    p = sub.add_parser("mfull", help="m-fullness in two variables")
-    common(p)
-    p = sub.add_parser("cremona", help="monomial Cremona determinant test")
-    common(p)
-    p = sub.add_parser("code-weights", help="evaluation code weights")
-    common(p)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--r", type=int, default=None,
-                   help="compute generalized weights up to this r")
-    p = sub.add_parser("vnumber", help="v-number of an ideal or point set")
-    common(p)
-    p.add_argument("--kind", choices=["ideal", "points"], default="ideal")
-    p.add_argument("--degree-cap", type=int, default=None)
+    for name, (help_text, _, _, extra) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in _COMMON + extra:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     options = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("command", "input", "out") and v is not None
     }
     document = {
-        "command": args.command,
-        "options": _jsonable(options),
-        "partial": False,
+        "command": args.command, "options": _jsonable(options), "partial": False
     }
+    _, reader, handler, _ = _COMMANDS[args.command]
     code = 0
     try:
-        canonical, results, certs = _COMMANDS[args.command](args)
+        value, canonical = reader(args)
+        results, certs = handler(value, args)
         document["input"] = canonical
         document["results"] = _jsonable(results)
         document["certificates"] = _jsonable(certs)
@@ -441,7 +388,7 @@ def run(argv):
         document["partial"] = True
         code = 3
     text = json.dumps(document, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:

@@ -116,18 +116,14 @@ def gf_rank(field, rows):
 
 
 def monomial_basis(s, d):
-    """Exponent vectors of the degree-d monomials, lexicographic."""
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == s - 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for x in range(left, -1, -1):
-            rec(prefix + [x], left - x)
-
-    rec([], d)
-    return out
+    """Exponent vectors of the degree-d monomials, lexicographically
+    decreasing: the order of the sorted index multisets they count."""
+    if d < 0:
+        return []
+    return [
+        tuple(c.count(i) for i in range(s))
+        for c in itertools.combinations_with_replacement(range(s), d)
+    ]
 
 
 class PointSetOverFq:
@@ -214,19 +210,23 @@ class EvaluationCode:
         self.dimension = len(basis)
 
 
+def _combination(code, coeffs):
+    """The codeword sum of c * row over the basis rows, as a list."""
+    f = code.field
+    word = [0] * code.length
+    for c, row in zip(coeffs, code.basis):
+        if c:
+            for i, x in enumerate(row):
+                word[i] = f.add[word[i]][f.mul[c][x]]
+    return word
+
+
 def _codewords_projective(code):
     """One codeword per scalar class (first non-zero coefficient 1)."""
-    f = code.field
     k = code.dimension
     for lead in range(k):
         for tail in itertools.product(range(code.field.q), repeat=k - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            word = [0] * code.length
-            for c, row in zip(coeffs, code.basis):
-                if c:
-                    for i, x in enumerate(row):
-                        word[i] = f.add[word[i]][f.mul[c][x]]
-            yield tuple(word)
+            yield tuple(_combination(code, (0,) * lead + (1,) + tail))
 
 
 def minimum_distance(code):
@@ -315,14 +315,7 @@ def gmd_and_vasconcelos(points, d, r, budget=200_000):
     best_delta = None
     best_theta = None
     for mat in _r_subspaces(f, k, r):
-        rows = []
-        for coeffs in mat:
-            word = [0] * m
-            for c, row in zip(coeffs, code.basis):
-                if c:
-                    for i, x in enumerate(row):
-                        word[i] = f.add[word[i]][f.mul[c][x]]
-            rows.append(word)
+        rows = [_combination(code, coeffs) for coeffs in mat]
         zero_positions = sum(
             1 for i in range(m) if all(row[i] == 0 for row in rows)
         )

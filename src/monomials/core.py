@@ -510,8 +510,10 @@ class Graph:
         return len(self._adj[v])
 
     def clutter(self):
-        edges = list(self.edges) + [(v,) for v in self.loops]
-        return Clutter(self.s, edges)
+        """The clutter of minimal supports of I(G): the support {v} of a
+        loop's x_v^2 lies in that of every edge through v, so those drop."""
+        edges = [e for e in self.edges if not set(e) & set(self.loops)]
+        return Clutter(self.s, edges + [(v,) for v in self.loops])
 
     def edge_ideal(self):
         gens = []
@@ -588,18 +590,7 @@ class Graph:
     def maximal_stable_sets(self):
         """All maximal independent sets (exact, for well-coveredness tests)."""
         sets = []
-
-        def extend(candidates, current):
-            if not candidates:
-                if not any(current < set(m) for m in sets):
-                    sets.append(set(current))
-                return
-            v = min(candidates)
-            extend(candidates - {v} - self._adj[v], current | {v})
-            # skip v only if some neighbor can still justify maximality
-            extend(candidates - {v}, current)
-
-        extend(set(range(self.s)), set())
+        _extend_stable(self._adj, set(range(self.s)), set(), sets)
         # drop non-maximal duplicates picked up by the skip branch
         out = []
         for m in sets:
@@ -610,3 +601,16 @@ class Graph:
     def is_well_covered(self):
         sizes = {len(m) for m in self.maximal_stable_sets()}
         return len(sizes) == 1
+
+
+def _extend_stable(adj, candidates, current, sets):
+    """Append to ``sets`` each stable set that grows ``current`` by
+    ``candidates`` as far as it goes, unless a set found earlier contains it."""
+    if not candidates:
+        if not any(current < m for m in sets):
+            sets.append(set(current))
+        return
+    v = min(candidates)
+    _extend_stable(adj, candidates - {v} - adj[v], current | {v}, sets)
+    # skip v only if some neighbor can still justify maximality
+    _extend_stable(adj, candidates - {v}, current, sets)

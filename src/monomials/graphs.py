@@ -452,23 +452,24 @@ def _perfect_matchings(graph, left, right):
     """All perfect matchings as tuples of (left vertex, right vertex)."""
     if len(left) != len(right):
         return
-    right = list(right)
+    yield from _match_from(graph, left, set(right), set(), [])
 
-    def rec(i, used, acc):
-        if i == len(left):
-            yield tuple(acc)
-            return
-        x = left[i]
-        for y in graph.neighbors(x):
-            if y in used or y not in set(right):
-                continue
-            acc.append((x, y))
-            used.add(y)
-            yield from rec(i + 1, used, acc)
-            used.discard(y)
-            acc.pop()
 
-    yield from rec(0, set(), [])
+def _match_from(graph, left, right, used, acc):
+    """Perfect matchings that extend ``acc``, which matches the first
+    len(acc) left vertices to the ``used`` right ones."""
+    if len(acc) == len(left):
+        yield tuple(acc)
+        return
+    x = left[len(acc)]
+    for y in graph.neighbors(x):
+        if y in used or y not in right:
+            continue
+        acc.append((x, y))
+        used.add(y)
+        yield from _match_from(graph, left, right, used, acc)
+        used.discard(y)
+        acc.pop()
 
 
 def unmixed_bipartite_check(graph):
@@ -538,26 +539,7 @@ def cm_bipartite(graph):
                 for b in range(g):
                     if a != b and graph.adjacent(xs[a], ys[b]):
                         succ[a].add(b)
-
-            def linear_extensions(prefix, placed):
-                if len(prefix) == g:
-                    yield tuple(prefix)
-                    return
-                for a in range(g):
-                    if a in placed:
-                        continue
-                    # a may be placed next if no unplaced b must precede it
-                    if any(
-                        b not in placed and a in succ[b] for b in range(g)
-                    ):
-                        continue
-                    prefix.append(a)
-                    placed.add(a)
-                    yield from linear_extensions(prefix, placed)
-                    placed.discard(a)
-                    prefix.pop()
-
-            for order in linear_extensions([], set()):
+            for order in _linear_extensions(succ, [], set()):
                 ox = [xs[a] for a in order]
                 oy = [ys[a] for a in order]
                 ok = True
@@ -578,6 +560,26 @@ def cm_bipartite(graph):
                 if ok:
                     return True
     return False
+
+
+def _linear_extensions(succ, prefix, placed):
+    """Orders of range(len(succ)) extending ``prefix`` (whose members are
+    ``placed``) in which every a precedes each b in succ[a]."""
+    g = len(succ)
+    if len(prefix) == g:
+        yield tuple(prefix)
+        return
+    for a in range(g):
+        if a in placed:
+            continue
+        # a may be placed next if no unplaced b must precede it
+        if any(b not in placed and a in succ[b] for b in range(g)):
+            continue
+        prefix.append(a)
+        placed.add(a)
+        yield from _linear_extensions(succ, prefix, placed)
+        placed.discard(a)
+        prefix.pop()
 
 
 def is_tree(graph):

@@ -173,27 +173,16 @@ def veronese_canonical_generators(s, k, degree_cap):
     if not (s >= 2 * k >= 4):
         raise PreconditionError("canonical generator description needs s >= 2k >= 4")
     out = []
-    max_entry = max(degree_cap - (s - 1), 1)
-
-    def rec(prefix, total):
-        i = len(prefix)
-        if total > degree_cap:
-            return
-        if i == s:
-            a = tuple(prefix)
-            if sum(a) % k:
-                return
-            if sum(1 for x in a if x >= 2) > k - 1:
-                return
-            for j in range(s):
-                if (k - 1) * a[j] > -1 + sum(a) - a[j]:
-                    return
-            out.append(a)
-            return
-        for x in range(1, max_entry + 1):
-            rec(prefix + [x], total + x)
-
-    rec([], 0)
+    for total in range(s, degree_cap + 1):
+        if total % k:
+            continue
+        # the compositions of total into s positive parts
+        for cuts in itertools.combinations(range(1, total), s - 1):
+            a = tuple(y - x for x, y in zip((0,) + cuts, cuts + (total,)))
+            if sum(1 for x in a if x >= 2) <= k - 1 and all(
+                (k - 1) * x <= total - 1 - x for x in a
+            ):
+                out.append(a)
     return sorted(out)
 
 

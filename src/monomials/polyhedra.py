@@ -363,23 +363,26 @@ def monoid_decompose(point, basis, max_terms=64):
     point = tuple(point)
     basis = [tuple(b) for b in basis]
     orthant = all(x >= 0 for b in basis for x in b)
-    dead = set()
+    return _decompose(point, basis, orthant, max_terms, set())
 
-    def search(p, depth):
-        if not any(p):
-            return []
-        if depth >= max_terms or p in dead:
-            return None
-        for b in basis:
-            if orthant and not all(x <= y for x, y in zip(b, p)):
-                continue
-            sub = search(tuple(x - y for x, y in zip(p, b)), depth + 1)
-            if sub is not None:
-                return [b] + sub
-        dead.add(p)
+
+def _decompose(p, basis, orthant, terms_left, dead):
+    """Summands of ``p`` from ``basis``, or None; ``dead`` collects points
+    known to have no decomposition."""
+    if not any(p):
+        return []
+    if terms_left <= 0 or p in dead:
         return None
-
-    return search(point, 0)
+    for b in basis:
+        if orthant and not all(x <= y for x, y in zip(b, p)):
+            continue
+        sub = _decompose(
+            tuple(x - y for x, y in zip(p, b)), basis, orthant, terms_left - 1, dead
+        )
+        if sub is not None:
+            return [b] + sub
+    dead.add(p)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -608,54 +611,46 @@ def lattice_points_system(eqs, ineqs, lo, hi, collect=True,
             c = vals.pop()
             if c > 0:
                 return _count_box_sum(lo, hi, c, rhs)
-    cons = [(c, r, True) for c, r in eqs] + [(c, r, False) for c, r in ineqs]
-    # suffix extremes per constraint per depth
-    suffix_min = []
-    suffix_max = []
-    for coeffs, _, _ in cons:
-        mins = [0] * (n + 1)
-        maxs = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            c = coeffs[i]
-            lo_c = min(c * lo[i], c * hi[i])
-            hi_c = max(c * lo[i], c * hi[i])
-            mins[i] = mins[i + 1] + lo_c
-            maxs[i] = maxs[i + 1] + hi_c
-        suffix_min.append(mins)
-        suffix_max.append(maxs)
+    # each constraint with its suffix extremes per depth
+    cons = []
+    for is_eq, system in ((True, eqs), (False, ineqs)):
+        for coeffs, rhs in system:
+            mins = [0] * (n + 1)
+            maxs = [0] * (n + 1)
+            for i in range(n - 1, -1, -1):
+                c = coeffs[i]
+                mins[i] = mins[i + 1] + min(c * lo[i], c * hi[i])
+                maxs[i] = maxs[i + 1] + max(c * lo[i], c * hi[i])
+            cons.append((coeffs, rhs, is_eq, mins, maxs))
+    found = [] if collect else None
+    tally = [0, 0]
+    _lattice_walk(cons, lo, hi, budget, tally, found, [0] * len(cons), [])
+    return found if collect else tally[1]
 
-    found = []
-    counter = [0]
-    visited = [0]
 
-    def rec(depth, partials, prefix):
-        visited[0] += 1
-        if visited[0] > budget:
-            raise BudgetExceededError(
-                "lattice point enumeration exceeded budget", budget=budget
-            )
-        for ci, (coeffs, rhs, is_eq) in enumerate(cons):
-            p = partials[ci]
-            if p + suffix_max[ci][depth] < rhs:
-                return
-            if is_eq and p + suffix_min[ci][depth] > rhs:
-                return
-        if depth == n:
-            if collect:
-                found.append(tuple(prefix))
-            else:
-                counter[0] += 1
+def _lattice_walk(cons, lo, hi, budget, tally, found, partials, prefix):
+    """Visit the box points extending ``prefix`` that can still meet
+    ``cons``; ``tally`` holds the visits and the points found, and ``found``,
+    unless None, the points themselves."""
+    tally[0] += 1
+    if tally[0] > budget:
+        raise BudgetExceededError(
+            "lattice point enumeration exceeded budget", budget=budget
+        )
+    depth = len(prefix)
+    for p, (_, rhs, is_eq, mins, maxs) in zip(partials, cons):
+        if p + maxs[depth] < rhs or (is_eq and p + mins[depth] > rhs):
             return
-        for v in range(lo[depth], hi[depth] + 1):
-            nxt = [
-                p + cons[ci][0][depth] * v for ci, p in enumerate(partials)
-            ]
-            prefix.append(v)
-            rec(depth + 1, nxt, prefix)
-            prefix.pop()
-
-    rec(0, [0] * len(cons), [])
-    return found if collect else counter[0]
+    if depth == len(lo):
+        tally[1] += 1
+        if found is not None:
+            found.append(tuple(prefix))
+        return
+    for v in range(lo[depth], hi[depth] + 1):
+        nxt = [p + con[0][depth] * v for p, con in zip(partials, cons)]
+        prefix.append(v)
+        _lattice_walk(cons, lo, hi, budget, tally, found, nxt, prefix)
+        prefix.pop()
 
 
 def _special_count(verts, dilation):

@@ -133,6 +133,23 @@ def test_code_weights_and_vnumber(tmp_path, capsys):
     assert doc["results"]["v_number"] == 1
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_code_weights_r_below_one_exits_2(tmp_path, capsys, r):
+    path = write(tmp_path, "p1f2.txt", "2 2\n1 0\n0 1\n1 1\n")
+    code, doc = run_capture(capsys, ["code-weights", path, "--r", r])
+    assert code == 2
+    assert doc["error"] == f"bad --r {r}: r must be at least 1"
+
+
+def test_multigraph_loop_next_to_an_edge(tmp_path, capsys):
+    path = write(tmp_path, "loop.txt", "3\n1 1\n1 2\n2 3\n")
+    code, doc = run_capture(capsys, ["graph-analyze", path, "--multigraph"])
+    assert code == 0
+    res = doc["results"]
+    assert (res["covering_number"], res["matching_number"]) == (2, 2)
+    assert res["konig"] is True
+
+
 def test_invariants_and_mfull_and_cremona(tmp_path, capsys):
     path = write(tmp_path, "paper.txt", "6 0\n0 5\n2 2\n3 1\n")
     code, doc = run_capture(capsys, ["invariants", path])
@@ -248,3 +265,86 @@ def test_fuzz_graph_reader(data):
 def test_fuzz_points_reader(data):
     code, doc = run_on_bytes(data, ["vnumber", "--kind", "points"])
     assert code in (0, 2, 3) and doc["command"] == "vnumber"
+
+
+BUDGETS = {"budget_cycles": 14, "budget_points": 2000000}
+C3 = "1 1 0\n0 1 1\n1 0 1\n"
+C3_TEXT = "0 1 1\n1 0 1\n1 1 0"
+C4 = "1 1 0 0\n0 1 1 0\n0 0 1 1\n1 0 0 1\n"
+C4_TEXT = "0 0 1 1\n0 1 1 0\n1 0 0 1\n1 1 0 0"
+
+
+def report(command, options, text, results, certificates):
+    return {
+        "command": command, "options": {**BUDGETS, **options}, "partial": False,
+        "input": text, "results": results, "certificates": certificates,
+    }
+
+
+WHOLE_REPORTS = [
+    (["normality"], C4, 0, report(
+        "normality", {"method": "both"}, C4_TEXT,
+        {"method": "hilbert+powers", "normal": True}, {})),
+    (["closure", "--power", "2"], "2 0\n0 2\n", 0, report(
+        "closure", {"power": 2}, "0 2\n2 0",
+        {"already_closed": False, "power": 2,
+         "closure_generators": [[0, 4], [1, 3], [2, 2], [3, 1], [4, 0]]},
+        {"new_generators": [[1, 3], [3, 1]]})),
+    (["symbolic", "--power", "2"], C3, 0, report(
+        "symbolic", {"power": 2, "verify": False}, C3_TEXT,
+        {"equals_ordinary": False, "power": 2,
+         "symbolic_generators": [[0, 2, 2], [1, 1, 1], [2, 0, 2], [2, 2, 0]]},
+        {"symbolic_minus_ordinary": [[1, 1, 1]]})),
+    (["resurgence"], C3, 0, report(
+        "resurgence", {}, C3_TEXT,
+        {"ceiling": 2, "q_dual_integral": False, "q_integral": False,
+         "resurgence_is_one": False, "rho_ic": "4/3"},
+        {"minimizing_pair": [["1/2"] * 3, ["1/2"] * 3]})),
+    (["containment", "--r", "1..2"], C3, 0, report(
+        "containment", {"r": "1..2"}, C3_TEXT,
+        {"containment_function": {"1": 1, "2": 3}}, {})),
+    (["graph-analyze"], "4\n1 2\n2 3\n3 4\n", 0, report(
+        "graph-analyze", {"multigraph": False}, "4\n1 2\n2 3\n3 4",
+        {"bipartite": True, "covering_number": 2, "edge_ideal_normal": True,
+         "edge_subring_dimension": 3, "edge_subring_normal": True, "edges": 3,
+         "hochster_configurations": 0, "konig": True, "matching_number": 2,
+         "odd_cycle_condition": True, "odd_girth": None, "packing": True,
+         "simis_failure_degree": None, "unmixed": True, "vertices": 4},
+        {"hochster_monomials": [],
+         "subring_closure_generators": [[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]]})),
+    (["invariants"], "2 0\n1 1\n0 3\n", 0, report(
+        "invariants", {}, "0 3\n1 1\n2 0",
+        {"multiplicity": 5, "normalization_index": 0,
+         "normalization_hilbert_function": {"0": 0, "1": 4, "2": 13, "3": 27}},
+        {})),
+    (["mfull"], "3 0\n1 1\n0 3\n", 0, report(
+        "mfull", {}, "0 3\n1 1\n3 0", {"m_full": True}, {})),
+    (["cremona"], C3, 0, report(
+        "cremona", {}, C3_TEXT, {"cremona": True}, {})),
+    (["code-weights"], "2 2\n1 0\n0 1\n1 1\n", 0, report(
+        "code-weights", {"degree": 1}, "2 2\n1 0\n0 1\n1 1",
+        {"dimension": 2, "generalized_weights": {"1": 2, "2": 3}, "length": 3,
+         "minimum_distance": 2}, {})),
+    (["vnumber"], C4, 0, report(
+        "vnumber", {"kind": "ideal"}, C4_TEXT, {"v_number": 1}, {})),
+    (["normality"], "1 1\nx y\n", 2, {
+        "command": "normality", "options": {**BUDGETS, "method": "both"},
+        "partial": False, "error": "bad exponent row: 'x y'", "error_line": 2}),
+    (["symbolic", "--power", "3", "--budget-points", "10"], C3, 3, {
+        "command": "symbolic",
+        "options": {"budget_cycles": 14, "budget_points": 10, "power": 3,
+                    "verify": False},
+        "partial": True, "error": "symbolic power box has 64 points",
+        "needed": 64, "budget": 10}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, document", WHOLE_REPORTS,
+    ids=[f"{argv[0]}-exit{code}" for argv, _, code, _ in WHOLE_REPORTS],
+)
+def test_whole_report(tmp_path, capsys, argv, text, code, document):
+    """Every key of the report, options and canonical input included; error
+    reports carry no input, results or certificates."""
+    path = write(tmp_path, "input.txt", text)
+    assert run_capture(capsys, [argv[0], path] + argv[1:]) == (code, document)

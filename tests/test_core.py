@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from monomials import graphs, polyhedra
+from monomials import codes, graphs, invariants, polyhedra
 from monomials.core import (
     Clutter,
+    Graph,
     MonomialIdeal,
     UNIT,
     ZERO,
@@ -26,6 +27,7 @@ from monomials.errors import BudgetExceededError, PreconditionError
 
 from helpers import (
     cycle_graph,
+    path_graph,
     q6_clutter,
     q6_ideal,
     random_bipartite_graph,
@@ -185,9 +187,12 @@ def test_intersection():
 
 def test_cover_and_matching_searches_leave_no_reference_cycles():
     """Only the cyclic collector could free a self-recursive closure; the
-    pulling triangulation and the induced-cycle search recurse too."""
+    pulling triangulation, the induced-cycle search and the other recursive
+    enumerations below recurse too."""
     q6 = q6_clutter()
     pyramid = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    p4 = path_graph(4)
+    zigzag = Graph(4, [(0, 1), (2, 3), (0, 3)])
     gc.collect()
     gc.disable()
     try:
@@ -195,6 +200,17 @@ def test_cover_and_matching_searches_leave_no_reference_cycles():
         assert matching_number(q6) == 1
         assert len(polyhedra.pulling_triangulation(pyramid)) == 2
         assert len(graphs.induced_cycles(cycle_graph(5))) == 1
+        triangle = [(0, 0), (2, 0), (0, 2)]
+        assert len(polyhedra.lattice_points(triangle, dilation=3)) == 28
+        assert len(codes.monomial_basis(3, 2)) == 6
+        assert polyhedra.monoid_decompose((2, 2), [(1, 0), (0, 1)]) == [
+            (1, 0), (1, 0), (0, 1), (0, 1)
+        ]
+        assert p4.maximal_stable_sets() == [(0, 2), (0, 3), (1, 3)]
+        assert invariants.veronese_canonical_generators(4, 2, 6) == [(1, 1, 1, 1)]
+        matchings = graphs._perfect_matchings(zigzag, (0, 2), (1, 3))
+        assert list(matchings) == [((0, 1), (2, 3))]
+        assert graphs.cm_bipartite(zigzag)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -371,6 +371,11 @@ def run(argv):
     _, reader, handler, _ = _COMMANDS[args.command]
     code = 0
     try:
+        for name in ("budget_points", "budget_cycles", "degree_cap"):
+            cap = getattr(args, name, None)
+            if cap is not None and cap < 0:
+                flag = "--" + name.replace("_", "-")
+                raise InputError(f"bad {flag} {cap}: must not be negative")
         value, canonical = reader(args)
         results, certs = handler(value, args)
         document["input"] = canonical

@@ -494,7 +494,9 @@ def v_number_monomial(ideal, degree_cap=None):
         if quot is not UNIT and _is_variable_prime(quot):
             return sum(m)
     raise BudgetExceededError(
-        f"no v-number witness of degree <= {degree_cap}", budget=degree_cap
+        f"no v-number witness of degree <= {degree_cap}",
+        needed=degree_cap + 1,
+        budget=degree_cap,
     )
 
 

@@ -1,11 +1,18 @@
 """Exact rational polyhedral kernel.
 
 Provides the linear programming entry points, cone machinery (double
-description; pointedness and extreme rays from ranks of facet normals, with
-no LP; pulling triangulation, fundamental-parallelepiped lattice points,
-Hilbert bases), vertex enumeration for polyhedra, lattice-point counting
-with pruning, Ehrhart interpolation, and Smith invariants.  Ranks, inverses
-and solutions come from the integer elimination of :mod:`monomials.linalg`.
+description; pointedness from the rank of the facet normals and extreme
+rays from tight-facet sets, with no LP; pulling triangulation,
+fundamental-parallelepiped lattice points, Hilbert bases), vertex
+enumeration for polyhedra, lattice-point counting with pruning, Ehrhart
+interpolation, and Smith invariants.  Ranks, inverses and solutions come
+from the integer elimination of :mod:`monomials.linalg`.
+
+Facets are computed for the top cone only: the pulling triangulation
+recurses on the ray bitmasks of faces (the facets of a face F are the
+maximal proper sets F & S_j, with S_j the rays on a facet of the top cone;
+Ziegler, Lectures on Polytopes, Lecture 2), and a simplex of determinant
++-1 needs no Smith form, since the origin is its only parallelepiped point.
 
 Currently everything is sequential; operations are pure, so callers may
 parallelize over independent inputs if they wish.
@@ -189,78 +196,100 @@ def is_pointed(generators):
 def extreme_ray_generators(generators, description=None):
     """The subset of (primitivized) generators spanning extreme rays.
 
-    The cone must be pointed.  A generator g spans an extreme ray iff the
-    equations and the facets tight at g have rank n - 1.  ``description``
-    is the cone's (equations, facets) pair when the caller already has it.
+    The cone must be pointed.  A generator g spans an extreme ray iff no
+    other generator is tight at every facet tight at g (else the face those
+    facets cut out holds it too).  ``description`` is the cone's
+    (equations, facets) pair when the caller already has it.
     """
     prim = sorted({primitive(g) for g in generators if any(g)})
     if not prim:
         return []
-    eqs, facets = description or cone_facets(prim)
-    n = len(prim[0])
+    _, facets = description or cone_facets(prim)
+    tight = [_incidence(g, facets) for g in prim]
     return [
-        g for g in prim
-        if linalg.rank(eqs + [f for f in facets if vec_dot(f, g) == 0]) == n - 1
+        g for i, (g, t) in enumerate(zip(prim, tight))
+        if not any(u & t == t for j, u in enumerate(tight) if j != i)
     ]
+
+
+def _incidence(vector, rows):
+    """Bitmask of the rows orthogonal to ``vector``."""
+    return sum(1 << j for j, row in enumerate(rows) if vec_dot(row, vector) == 0)
 
 
 # ---------------------------------------------------------------------------
 # triangulation and parallelepiped points
 # ---------------------------------------------------------------------------
 
-def pulling_triangulation(rays, facets=None):
+def pulling_triangulation(rays, description=None):
     """Split cone(rays) into simplicial cones on subsets of the rays.
 
-    Rays must be the extreme rays.  Recursively joins the first ray to the
-    triangulated facets that do not contain it.  ``facets`` are the cone's
-    facet normals when the caller already has them.
+    Rays must be the extreme rays of a pointed cone, and ``description`` its
+    (equations, facets) pair when the caller already has it.  Recursively
+    joins the first ray to the triangulated facets that do not contain it;
+    every face is the bitmask of its rays, and its facets come from the
+    incidence masks of this cone's facets.  Simplices keep the ray order.
     """
-    return _pull(tuple(tuple(r) for r in rays), {}, facets)
+    rays = tuple(tuple(r) for r in rays)
+    eqs, facets = description or cone_facets(rays)
+    masks = [_incidence(f, rays) for f in facets]
+    top = (1 << len(rays)) - 1
+    return [
+        tuple(r for k, r in enumerate(rays) if simplex >> k & 1)
+        for simplex in _pull(top, len(rays[0]) - len(eqs), masks, {})
+    ]
 
 
-def _pull(rs, done, facets=None):
-    """Triangulation of cone(rs), kept in ``done`` per sub-tuple of rays."""
-    if rs in done:
-        return done[rs]
-    if len(rs) == linalg.rank(rs):
-        out = [rs]
+def _pull(face, dim, masks, done):
+    """Simplices, as ray bitmasks, triangulating the face with ray bitmask
+    ``face`` and dimension ``dim``; ``done`` keeps them per face."""
+    if face in done:
+        return done[face]
+    if face.bit_count() == dim:
+        out = [face]
     else:
-        if facets is None:
-            _, facets = cone_facets(rs)
-        apex = rs[0]
+        apex = face & -face
+        subs = [sub for sub in dict.fromkeys(face & s for s in masks) if sub != face]
         out = []
-        for f in facets:
-            if vec_dot(f, apex) == 0:
+        for sub in subs:
+            if sub & apex or any(sub & o == sub and sub != o for o in subs):
                 continue
-            sub = tuple(g for g in rs if vec_dot(f, g) == 0)
-            for simp in _pull(sub, done):
-                out.append((apex,) + simp)
-    done[rs] = out
+            out.extend(apex | simplex for simplex in _pull(sub, dim - 1, masks, done))
+    done[face] = out
     return out
 
 
 def parallelepiped_points(rays):
-    """Lattice points of {sum c_i r_i : 0 <= c_i < 1} for independent rays."""
+    """Lattice points of {sum c_i r_i : 0 <= c_i < 1} for independent rays.
+
+    That is the origin alone when the rays, read on d independent
+    coordinates, have determinant +-1 (a unimodular simplex)."""
     rays = [tuple(map(int, r)) for r in rays]
     d = len(rays)
     n = len(rays[0])
-    if linalg.rank(rays) != d:
+    # d coordinates on which independent rays stay independent
+    columns = range(n) if d == n else linalg.row_echelon(rays)[1]
+    minor = len(columns) == d and linalg.det([[r[c] for c in columns] for r in rays])
+    if not minor:
         raise PreconditionError("parallelepiped rays must be independent")
-    if d < n:
-        sat = linalg.saturation_basis(rays)
-        coords = [linalg.coordinates_in_basis(r, sat) for r in rays]
-        inner = parallelepiped_points(coords)
-        out = []
-        for c in inner:
-            pt = tuple(
-                sum(c[i] * sat[i][j] for i in range(d)) for j in range(n)
-            )
-            out.append(pt)
-        return out
+    if abs(minor) == 1:
+        return [(0,) * n]
+    if d == n:
+        return _smith_points(rays)
+    sat = linalg.saturation_basis(rays)
+    coords = [linalg.coordinates_in_basis(r, sat) for r in rays]
+    return [
+        tuple(sum(c[i] * sat[i][j] for i in range(d)) for j in range(n))
+        for c in parallelepiped_points(coords)
+    ]
+
+
+def _smith_points(rays):
+    """Parallelepiped points of n independent rays in Z^n, one per element
+    of Z^n / (ray lattice), read off the Smith form of the ray matrix."""
+    n = len(rays)
     cols = [tuple(r[i] for r in rays) for i in range(n)]  # matrix with ray columns
     u, _, _, factors = linalg.smith_normal_form(cols)
-    if any(f == 0 for f in factors):
-        raise PreconditionError("rays are dependent")
     uinv = [[int(x) for x in row] for row in linalg.invert(u)]
     rinv = linalg.invert(cols)
     # den * cols^-1 is integral; den * (fractional part of a coefficient) is
@@ -314,10 +343,11 @@ class RationalCone:
 def hilbert_basis(generators, cone=None):
     """Minimal Hilbert basis of the pointed cone spanned by the generators.
 
-    Normaliz-style pipeline: compute the facets, from them pointedness and
-    the extreme rays, triangulate the extreme rays (pulling order), collect
-    fundamental-parallelepiped lattice points of each simplicial piece,
-    then discard every reducible candidate.
+    Normaliz-style pipeline: compute the facets once, from them pointedness
+    and the extreme rays, triangulate the extreme rays (pulling order, on
+    ray bitmasks below the top cone), collect the fundamental-parallelepiped
+    lattice points of each simplicial piece (the origin alone, with no Smith
+    form, when its determinant is +-1), then discard reducible candidates.
     """
     gens = sorted({tuple(int(x) for x in g) for g in generators if any(g)})
     if not gens:
@@ -329,7 +359,7 @@ def hilbert_basis(generators, cone=None):
     eqs, facets = cone.facet_description()
     rays = extreme_ray_generators(gens, (eqs, facets))
     candidates = set(gens) | set(rays)
-    for simplex in pulling_triangulation(rays, facets):
+    for simplex in pulling_triangulation(rays, (eqs, facets)):
         for pt in parallelepiped_points(simplex):
             if any(pt):
                 candidates.add(pt)
@@ -635,7 +665,9 @@ def _lattice_walk(cons, lo, hi, budget, tally, found, partials, prefix):
     tally[0] += 1
     if tally[0] > budget:
         raise BudgetExceededError(
-            "lattice point enumeration exceeded budget", budget=budget
+            "lattice point enumeration exceeded budget",
+            needed=budget + 1,
+            budget=budget,
         )
     depth = len(prefix)
     for p, (_, rhs, is_eq, mins, maxs) in zip(partials, cons):
@@ -818,11 +850,12 @@ def polytope_volume(points):
     pts = [tuple(int(x) for x in p) for p in points]
     n = len(pts[0])
     lifted = [p + (1,) for p in pts]
-    if linalg.rank(lifted) < n + 1:
+    description = cone_facets(lifted)
+    if description[0]:  # an equation: conv(points) is lower-dimensional
         return Fraction(0)
-    rays = extreme_ray_generators(lifted)  # (v, 1) is already primitive
+    rays = extreme_ray_generators(lifted, description)  # (v, 1) is primitive
     total = Fraction(0)
-    for simplex in pulling_triangulation(tuple(rays)):
+    for simplex in pulling_triangulation(rays, description):
         total += abs(linalg.det(list(simplex)))
     return total / factorial(n)
 

@@ -120,6 +120,30 @@ def test_budget_exits_3(tmp_path, capsys):
     assert doc["budget"] == 10
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("normality", "--budget-points"),
+    ("graph-analyze", "--budget-cycles"),
+    ("vnumber", "--degree-cap"),
+])
+@pytest.mark.parametrize("value", ["-1", "-5"])
+def test_negative_cap_exits_2_before_reading(tmp_path, capsys, command, flag, value):
+    """The input file does not exist: the cap is refused first."""
+    missing = str(tmp_path / "missing.txt")
+    code, doc = run_capture(capsys, [command, missing, flag, value])
+    assert code == 2
+    assert doc["error"] == f"bad {flag} {value}: must not be negative"
+    assert doc["options"][flag[2:].replace("-", "_")] == int(value)
+    assert "results" not in doc and doc["partial"] is False
+
+
+def test_degree_cap_budget_reports_the_degree_needed(tmp_path, capsys):
+    path = write(tmp_path, "c4.txt", C4)
+    code, doc = run_capture(capsys, ["vnumber", path, "--degree-cap", "0"])
+    assert code == 3
+    assert (doc["needed"], doc["budget"]) == (1, 0)
+    assert doc["error"] == "no v-number witness of degree <= 0"
+
+
 def test_code_weights_and_vnumber(tmp_path, capsys):
     path = write(tmp_path, "p1f2.txt", "2 2\n1 0\n0 1\n1 1\n")
     code, doc = run_capture(capsys, ["code-weights", path, "--degree", "2"])

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from monomials import closure, core, graphs, polyhedra
+from monomials import closure, core, graphs, linalg, polyhedra
 from monomials.core import MonomialIdeal, ideal_power
 from monomials.errors import BudgetExceededError, PreconditionError
 from monomials.linalg import solve
@@ -196,6 +196,29 @@ def test_rees_cone_facets_and_hilbert_basis_are_computed_once(monkeypatch):
     assert graphs.rees_closure_generators(graph, cross_validate=True)
     assert graphs.ehrhart_normality_criterion(graph)[0] is False
     assert calls == {"facets": 1, "hilbert": 1}
+
+
+def test_hilbert_basis_of_a_rees_cone_needs_its_facets_once(monkeypatch):
+    """Below RC(I) the triangulation works on ray bitmasks, and unimodular
+    simplices get their one parallelepiped point without a Smith form."""
+    gens = polyhedra.rees_cone(cycle_graph(5).edge_ideal()).generators
+    facet_calls = []
+    smith_dets = []
+    cone_facets, smith_normal_form = polyhedra.cone_facets, linalg.smith_normal_form
+
+    def counted_facets(generators):
+        facet_calls.append(generators)
+        return cone_facets(generators)
+
+    def counted_smith(matrix):
+        smith_dets.append(abs(linalg.det(matrix)))
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(polyhedra, "cone_facets", counted_facets)
+    monkeypatch.setattr(linalg, "smith_normal_form", counted_smith)
+    assert polyhedra.hilbert_basis(gens) == tuple(sorted(gens))
+    assert len(facet_calls) == 1
+    assert 1 not in smith_dets
 
 
 def test_rees_representations_are_kept_up_to_the_memo_bound():

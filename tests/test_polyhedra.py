@@ -6,7 +6,11 @@ import pytest
 
 from monomials import linalg, polyhedra
 from monomials.core import MonomialIdeal
-from monomials.errors import NonPointedConeError, PreconditionError
+from monomials.errors import (
+    BudgetExceededError,
+    NonPointedConeError,
+    PreconditionError,
+)
 from monomials.linalg import vec_dot
 
 from helpers import cycle_graph, q6_ideal, random_squarefree_ideal
@@ -198,6 +202,13 @@ def test_lattice_points_examples():
     p0 = [(6, 0), (0, 5), (2, 2), (3, 1)]
     direct = polyhedra.lattice_points(p0, 1, collect=True)
     assert len(direct) == polyhedra.lattice_points(p0, 1, collect=False)
+
+
+def test_lattice_point_budget_reports_the_visit_it_stopped_at():
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    with pytest.raises(BudgetExceededError) as info:
+        polyhedra.lattice_points(square, 2, budget=3)
+    assert (info.value.needed, info.value.budget) == (4, 3)
 
 
 def test_lattice_points_of_rational_polyhedron():

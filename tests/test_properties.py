@@ -5,6 +5,7 @@ the same examples, and no example database is kept.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -243,3 +244,139 @@ def test_property_dd_round_trip_returns_the_extreme_points(points):
     assert eqs == []
     poly = polyhedra.RationalPolyhedron(len(points[0]), ineqs)
     assert poly.vertices() == extreme
+
+
+def geometric_pull(rs, done):
+    """The pulling triangulation by geometry, the oracle of the bitmask
+    recursion: every sub-cone gets its own facets from ``cone_facets`` and
+    is a simplex when its rays have full rank."""
+    if rs in done:
+        return done[rs]
+    if len(rs) == linalg.rank(rs):
+        out = [rs]
+    else:
+        _, facets = polyhedra.cone_facets(rs)
+        apex = rs[0]
+        out = []
+        for f in facets:
+            if linalg.vec_dot(f, apex) != 0:
+                sub = tuple(g for g in rs if linalg.vec_dot(f, g) == 0)
+                out.extend((apex,) + simplex for simplex in geometric_pull(sub, done))
+    done[rs] = out
+    return out
+
+
+def rank_extreme_rays(gens):
+    """Primitive generators whose equations and tight facets have rank n - 1."""
+    prim = sorted({linalg.primitive(g) for g in gens})
+    eqs, facets = polyhedra.cone_facets(prim)
+    return [
+        g for g in prim
+        if linalg.rank(eqs + [f for f in facets if linalg.vec_dot(f, g) == 0])
+        == len(g) - 1
+    ]
+
+
+def pointed_cones():
+    """Generators with a positive last coordinate, so the cone is pointed;
+    half of them gain a coordinate that depends on the others, which keeps
+    the cone out of full dimension."""
+    full = generator_sets(st.integers(-2, 3)).map(
+        lambda gs: [g[:-1] + (abs(g[-1]) + 1,) for g in gs]
+    )
+    flat = full.map(lambda gs: [g + (g[0] - g[-1],) for g in gs])
+    return st.one_of(full, flat)
+
+
+def graph_rees_cones():
+    """Generators of RC(I(G)) for graphs G on 3-6 vertices."""
+    return st.integers(3, 6).flatmap(
+        lambda s: st.lists(
+            st.lists(st.integers(0, s - 1), min_size=2, max_size=2, unique=True),
+            min_size=1, max_size=8,
+        ).map(
+            lambda edges: polyhedra.rees_cone(core.MonomialIdeal(
+                s, [tuple(int(i in e) for i in range(s)) for e in edges]
+            )).generators
+        )
+    )
+
+
+@settings(SEEDED, max_examples=120)
+@given(st.one_of(pointed_cones(), graph_rees_cones()))
+def test_property_bitmask_pulling_matches_the_geometric_oracle(gens):
+    description = polyhedra.cone_facets(gens)
+    rays = polyhedra.extreme_ray_generators(gens, description)
+    expected = sorted(geometric_pull(tuple(rays), {}))
+    assert sorted(polyhedra.pulling_triangulation(rays)) == expected
+    assert sorted(polyhedra.pulling_triangulation(rays, description)) == expected
+
+
+@settings(SEEDED, max_examples=120)
+@given(pointed_cones())
+def test_property_tight_facet_extreme_rays_match_the_rank_criterion(gens):
+    assert polyhedra.extreme_ray_generators(gens) == rank_extreme_rays(gens)
+
+
+def unimodular(n):
+    """L * U with triangular factors whose diagonals are +-1."""
+    def triangle(lower):
+        return st.tuples(*[
+            st.tuples(*[
+                st.sampled_from([-1, 1]) if i == j
+                else st.integers(-2, 2) if (j < i) == lower else st.just(0)
+                for j in range(n)
+            ])
+            for i in range(n)
+        ])
+
+    return st.tuples(triangle(True), triangle(False)).map(
+        lambda lu: linalg.mat_mul(*lu)
+    )
+
+
+SIMPLICES = st.integers(1, 4).flatmap(
+    lambda n: st.one_of(
+        unimodular(n),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n),
+    )
+).filter(lambda rays: linalg.det(rays) != 0)
+
+
+@SEEDED
+@given(SIMPLICES)
+def test_property_unimodular_shortcut_matches_the_smith_path(rays):
+    points = polyhedra.parallelepiped_points(rays)
+    assert sorted(points) == sorted(polyhedra._smith_points(rays))
+    assert len(points) == abs(linalg.det(rays))
+
+
+def gcd_of_maximal_minors(rays):
+    d = len(rays)
+    return math.gcd(*(
+        int(linalg.det([[r[c] for c in cols] for r in rays]))
+        for cols in itertools.combinations(range(len(rays[0])), d)
+    ))
+
+
+@SEEDED
+@given(st.tuples(SIMPLICES, st.integers(1, 2), st.data()))
+def test_property_lower_dimensional_parallelepipeds_hold_one_point_per_class(case):
+    """Given dependent coordinates too, in any order, the half-open
+    parallelepiped holds one point per class of (span ∩ Z^n) / (ray
+    lattice): as many as the gcd of the maximal minors, each with
+    coefficients in [0, 1)."""
+    simplex, extra, data = case
+    weights = [
+        [data.draw(st.integers(-2, 2)) for _ in simplex[0]] for _ in range(extra)
+    ]
+    order = data.draw(st.permutations(range(len(simplex) + extra)))
+    rays = [
+        tuple((tuple(r) + tuple(linalg.vec_dot(w, r) for w in weights))[i] for i in order)
+        for r in simplex
+    ]
+    points = polyhedra.parallelepiped_points(rays)
+    assert len(set(points)) == len(points) == gcd_of_maximal_minors(rays)
+    columns = list(zip(*rays))
+    for p in points:
+        assert all(0 <= c < 1 for c in linalg.solve(columns, p))

@@ -28,7 +28,6 @@ from monomials.core import (
     covering_number,
     has_packing_property,
     ideal_power,
-    is_konig,
     matching_number,
 )
 from monomials.errors import BudgetExceededError, PreconditionError
@@ -218,6 +217,7 @@ def cmd_graph_analyze(graph, args):
     ideal = graph.edge_ideal()
     clutter = graph.clutter()
     configs = graphs_mod.hochster_configurations(graph, budget=args.budget_cycles)
+    tau, nu = covering_number(clutter), matching_number(clutter)
     results = {
         "vertices": graph.s,
         "edges": len(graph.edges) + len(graph.loops),
@@ -226,9 +226,9 @@ def cmd_graph_analyze(graph, args):
             None if graph.is_bipartite() else graphs_mod.odd_girth(graph)
         ),
         "simis_failure_degree": graphs_mod.simis_failure_degree(graph),
-        "covering_number": covering_number(clutter),
-        "matching_number": matching_number(clutter),
-        "konig": is_konig(clutter),
+        "covering_number": tau,
+        "matching_number": nu,
+        "konig": tau == nu,
         "edge_ideal_normal": not configs,
         "hochster_configurations": len(configs),
         "odd_cycle_condition": graphs_mod.odd_cycle_condition(
@@ -390,6 +390,7 @@ def run(argv):
         document["error"] = str(exc)
         document["needed"] = exc.needed
         document["budget"] = exc.budget
+        document["stage"] = exc.stage
         document["partial"] = True
         code = 3
     text = json.dumps(document, indent=2, sort_keys=True)

@@ -94,7 +94,10 @@ def closure_of_power(ideal, n, budget=DEFAULT_BOX_BUDGET):
         size *= b + 1
     if size > budget:
         raise BudgetExceededError(
-            f"closure candidate box has {size} points", needed=size, budget=budget
+            f"closure candidate box has {size} points",
+            needed=size,
+            budget=budget,
+            stage="closure_of_power",
         )
     kept = staircase(bounds, lambda a: rep.newton_polyhedron_contains(a, n))
     if not kept:

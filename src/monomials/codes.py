@@ -311,6 +311,7 @@ def gmd_and_vasconcelos(points, d, r, budget=200_000):
             f"subspace enumeration needs {count} subspaces (k={k}, r={r})",
             needed=count,
             budget=budget,
+            stage="gmd_and_vasconcelos",
         )
     best_delta = None
     best_theta = None
@@ -497,6 +498,7 @@ def v_number_monomial(ideal, degree_cap=None):
         f"no v-number witness of degree <= {degree_cap}",
         needed=degree_cap + 1,
         budget=degree_cap,
+        stage="v_number_monomial",
     )
 
 

@@ -176,16 +176,21 @@ class MonomialIdeal:
         """The clutter of supports; only meaningful for squarefree ideals."""
         if not self.is_squarefree():
             raise PreconditionError("clutter view requires a squarefree ideal")
-        return Clutter(self.s, [support(g) for g in self.gens])
+        return self._support_clutter()
+
+    def _support_clutter(self):
+        """The inclusion-minimal supports of the generators: sqrt(I) is
+        generated by them, and I has the same minimal primes."""
+        masks = _minimal_masks(_mask(support(g)) for g in self.gens)
+        return Clutter(self.s, [_members(m) for m in masks])
 
     def height(self):
         """ht(I) = covering number of the support clutter."""
-        return covering_number(Clutter(self.s, [support(g) for g in self.gens]))
+        return covering_number(self._support_clutter())
 
     def minimal_primes(self):
         """Minimal vertex covers of the support clutter, as index tuples."""
-        cl = Clutter(self.s, [support(g) for g in self.gens])
-        return cl.minimal_covers()
+        return self._support_clutter().minimal_covers()
 
     def big_height(self):
         """Largest cardinality of a minimal prime (squarefree ideals)."""
@@ -381,45 +386,82 @@ class Clutter:
         return Clutter(self.s, self.minimal_covers())
 
 
+def _mask(indices):
+    """The distinct vertices ``indices`` as an int with bit v set for each v."""
+    return sum(1 << v for v in indices)
+
+
+def _bits(mask):
+    """The one-bit masks of ``mask``, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
+def _members(mask):
+    """The vertices of a bitmask, in increasing order."""
+    return tuple(bit.bit_length() - 1 for bit in _bits(mask))
+
+
+def _mask_union(masks):
+    union = 0
+    for m in masks:
+        union |= m
+    return union
+
+
+def _minimal_masks(masks):
+    """The inclusion-minimal sets among bitmasks: sorted by size, a set can
+    only contain an earlier one."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return frozenset(kept)
+
+
+def _require_size(stage, s, limit):
+    if s > limit:
+        raise BudgetExceededError(
+            f"{stage} limited to s <= {limit}, got {s}",
+            needed=s,
+            budget=limit,
+            stage=stage,
+        )
+
+
 def covering_number(clutter, limit=20):
     """Exact minimum vertex cover size, by branch and bound."""
-    if clutter.s > limit:
-        raise BudgetExceededError(
-            f"covering_number limited to s <= {limit}, got {clutter.s}",
-            needed=clutter.s,
-            budget=limit,
-        )
-    edges = [set(e) for e in clutter.edges]
+    _require_size("covering_number", clutter.s, limit)
+    edges = [_mask(e) for e in clutter.edges]
     if not edges:
         return 0
-    return _least_cover(edges, 0, min(len(set().union(*edges)), clutter.s))
+    return _least_cover(edges, 0, min(_mask_union(edges).bit_count(), clutter.s))
 
 
 def _least_cover(remaining, size, best):
+    """min(best, size + the least cover of the bitmask edges ``remaining``):
+    some vertex of a smallest edge is in every cover."""
     if size >= best or not remaining:
         return min(size, best)
-    e = min(remaining, key=lambda x: (len(x), sorted(x)))
-    for v in sorted(e):
-        best = _least_cover([f for f in remaining if v not in f], size + 1, best)
+    for bit in _bits(min(remaining, key=int.bit_count)):
+        best = _least_cover([f for f in remaining if not f & bit], size + 1, best)
     return best
 
 
 def matching_number(clutter, limit=20):
     """Maximum number of pairwise disjoint edges, by branch and bound."""
-    if clutter.s > limit:
-        raise BudgetExceededError(
-            f"matching_number limited to s <= {limit}, got {clutter.s}",
-            needed=clutter.s,
-            budget=limit,
-        )
-    edges = [set(e) for e in clutter.edges]
-    return _largest_matching(edges, 0, set(), 0, 0)
+    _require_size("matching_number", clutter.s, limit)
+    return _largest_matching([_mask(e) for e in clutter.edges], 0, 0, 0, 0)
 
 
 def _largest_matching(edges, idx, used, size, best):
+    """max(best, size + the most pairwise disjoint bitmask edges among
+    ``edges[idx:]`` that avoid the vertices ``used``)."""
     if size + (len(edges) - idx) <= best or idx == len(edges):
         return max(size, best)
-    if not (edges[idx] & used):
+    if not edges[idx] & used:
         best = _largest_matching(edges, idx + 1, used | edges[idx], size + 1, best)
     return _largest_matching(edges, idx + 1, used, size, best)
 
@@ -428,34 +470,51 @@ def is_konig(clutter, limit=20):
     return covering_number(clutter, limit) == matching_number(clutter, limit)
 
 
+def _is_konig_family(family):
+    """tau == nu for a family of bitmask edges.  As tau >= nu, the cover
+    search need only look for a cover of size nu."""
+    nu = _largest_matching(sorted(family), 0, 0, 0, 0)
+    return _least_cover(list(family), 0, nu + 1) == nu
+
+
+def _minor_children(family):
+    """The deletion and the contraction of each vertex of a bitmask clutter,
+    except those that are no minor: a contraction turning an edge empty (the
+    unit ideal) and a deletion removing every edge (the zero ideal)."""
+    for bit in _bits(_mask_union(family)):
+        deleted = frozenset(e for e in family if not e & bit)
+        if deleted:
+            yield deleted
+        if bit not in family:
+            yield _minimal_masks(e & ~bit for e in family)
+
+
 def has_packing_property(ideal, limit=12):
     """All minors (including the ideal itself) satisfy the Koenig property.
 
-    Minors are enumerated lexicographically over assignment vectors in
-    {keep, 0, 1}^s; assignments collapsing to the unit or zero ideal are not
-    minors and are skipped.  Duplicate minors are deduplicated.
+    The minors are walked on bitmask edges from the support clutter: each
+    step deletes a vertex (substitutes 0: drops the edges through it) or
+    contracts it (substitutes 1: clears its bit and keeps the minimal edges),
+    and every distinct family is tested once.  Deletions and contractions
+    commute with each other and with minimalization, so the families reached
+    are the minors by the substitutions of {keep, 0, 1}^s, up to isolated
+    vertices, which change neither tau nor nu.  A substitution collapsing to
+    the unit or zero ideal gives no minor and is not walked through.
     """
     if not ideal.is_squarefree():
         raise PreconditionError("packing property requires a squarefree ideal")
-    if ideal.s > limit:
-        raise BudgetExceededError(
-            f"has_packing_property limited to s <= {limit}, got {ideal.s}",
-            needed=ideal.s,
-            budget=limit,
-        )
-    seen = set()
-    for pattern in itertools.product((None, 0, 1), repeat=ideal.s):
-        assignment = {i: v for i, v in enumerate(pattern) if v is not None}
-        result = minor(ideal, assignment)
-        if result is UNIT or result is ZERO:
-            continue
-        keep = tuple(i for i in range(ideal.s) if i not in assignment)
-        key = (keep, result.gens)
-        if key in seen:
-            continue
-        seen.add(key)
-        if not is_konig(result.clutter()):
+    _require_size("has_packing_property", ideal.s, limit)
+    start = frozenset(_mask(support(g)) for g in ideal.gens)
+    seen = {start}
+    stack = [start]
+    while stack:
+        family = stack.pop()
+        if not _is_konig_family(family):
             return False
+        for child in _minor_children(family):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
     return True
 
 

@@ -6,12 +6,15 @@ class PreconditionError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exact enumeration would exceed the configured budget."""
+    """An exact enumeration would exceed the configured budget.
 
-    def __init__(self, message, needed=None, budget=None):
+    ``stage`` names the library function that refused the work."""
+
+    def __init__(self, message, needed=None, budget=None, stage=None):
         super().__init__(message)
         self.needed = needed
         self.budget = budget
+        self.stage = stage
 
 
 class NonPointedConeError(PreconditionError):

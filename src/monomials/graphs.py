@@ -50,6 +50,7 @@ def require_cycle_budget(s, budget):
             f"cycle enumeration limited to s <= {budget}, got {s}",
             needed=s,
             budget=budget,
+            stage="require_cycle_budget",
         )
 
 

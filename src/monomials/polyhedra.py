@@ -446,6 +446,7 @@ class RationalPolyhedron:
                 f"vertex enumeration needs {comb(m, n)} subsystems",
                 needed=comb(m, n),
                 budget=budget,
+                stage="RationalPolyhedron.vertices",
             )
         verts = set()
         for subset in itertools.combinations(range(m), n):
@@ -668,6 +669,7 @@ def _lattice_walk(cons, lo, hi, budget, tally, found, partials, prefix):
             "lattice point enumeration exceeded budget",
             needed=budget + 1,
             budget=budget,
+            stage="lattice_points_system",
         )
     depth = len(prefix)
     for p, (_, rhs, is_eq, mins, maxs) in zip(partials, cons):

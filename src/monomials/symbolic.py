@@ -56,7 +56,10 @@ def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET
     needed = (n + 1) ** ideal.s
     if needed > budget:
         raise BudgetExceededError(
-            f"symbolic power box has {needed} points", needed=needed, budget=budget
+            f"symbolic power box has {needed} points",
+            needed=needed,
+            budget=budget,
+            stage="symbolic_power",
         )
     result = _symbolic_staircase(ideal, n)
     if verify:

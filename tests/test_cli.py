@@ -118,6 +118,7 @@ def test_budget_exits_3(tmp_path, capsys):
     assert doc["partial"] is True
     assert doc["needed"] == 7**6
     assert doc["budget"] == 10
+    assert doc["stage"] == "symbolic_power"
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -140,7 +141,7 @@ def test_degree_cap_budget_reports_the_degree_needed(tmp_path, capsys):
     path = write(tmp_path, "c4.txt", C4)
     code, doc = run_capture(capsys, ["vnumber", path, "--degree-cap", "0"])
     assert code == 3
-    assert (doc["needed"], doc["budget"]) == (1, 0)
+    assert (doc["needed"], doc["budget"], doc["stage"]) == (1, 0, "v_number_monomial")
     assert doc["error"] == "no v-number witness of degree <= 0"
 
 
@@ -229,6 +230,7 @@ def test_graph_over_the_cycle_budget_is_refused_before_it_is_built(
     assert code == 3
     assert doc["error"] == "cycle enumeration limited to s <= 14, got 20"
     assert (doc["needed"], doc["budget"]) == (20, 14)
+    assert doc["stage"] == "require_cycle_budget"
 
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -275,6 +277,7 @@ def run_on_bytes(data, argv):
 def test_fuzz_ideal_reader(data):
     code, doc = run_on_bytes(data, ["symbolic", "--budget-points", "64"])
     assert code in (0, 2, 3) and doc["command"] == "symbolic"
+    assert code != 3 or doc["stage"] == "symbolic_power"
 
 
 @FUZZ
@@ -282,6 +285,7 @@ def test_fuzz_ideal_reader(data):
 def test_fuzz_graph_reader(data):
     code, doc = run_on_bytes(data, ["graph-analyze", "--budget-cycles", "6"])
     assert code in (0, 2, 3) and doc["command"] == "graph-analyze"
+    assert code != 3 or doc["stage"] == "require_cycle_budget"
 
 
 @FUZZ
@@ -359,7 +363,7 @@ WHOLE_REPORTS = [
         "options": {"budget_cycles": 14, "budget_points": 10, "power": 3,
                     "verify": False},
         "partial": True, "error": "symbolic power box has 64 points",
-        "needed": 64, "budget": 10}),
+        "needed": 64, "budget": 10, "stage": "symbolic_power"}),
 ]
 
 

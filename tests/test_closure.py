@@ -158,6 +158,7 @@ def test_closure_report_budget_overrun_at_the_top_power():
             closure.closure_report(ideal, method=method, budget=30)
         assert info.value.needed == direct.value.needed == 64
         assert info.value.budget == 30
+        assert info.value.stage == "closure_of_power"
 
 
 def test_gr_reduced():

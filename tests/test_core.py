@@ -198,6 +198,8 @@ def test_cover_and_matching_searches_leave_no_reference_cycles():
     try:
         assert covering_number(q6) == 2
         assert matching_number(q6) == 1
+        assert not has_packing_property(q6_ideal())
+        assert has_packing_property(cycle_graph(4).edge_ideal())
         assert len(polyhedra.pulling_triangulation(pyramid)) == 2
         assert len(graphs.induced_cycles(cycle_graph(5))) == 1
         triangle = [(0, 0), (2, 0), (0, 2)]
@@ -232,7 +234,24 @@ def test_ideal_power_matches_the_n_fold_sums():
 
 def test_size_limits_raise_budget_errors():
     big = Clutter(25, [(i, i + 1) for i in range(24)])
-    with pytest.raises(BudgetExceededError):
-        covering_number(big)
-    with pytest.raises(BudgetExceededError):
-        matching_number(big)
+    for search in (covering_number, matching_number):
+        with pytest.raises(BudgetExceededError) as info:
+            search(big)
+        assert (info.value.needed, info.value.budget) == (25, 20)
+        assert info.value.stage == search.__name__
+    with pytest.raises(BudgetExceededError) as info:
+        has_packing_property(path_graph(13).edge_ideal())
+    assert (info.value.needed, info.value.budget) == (13, 12)
+    assert info.value.stage == "has_packing_property"
+    with pytest.raises(PreconditionError):
+        has_packing_property(MonomialIdeal(2, [(2, 0), (0, 1)]))
+
+
+def test_height_and_primes_of_a_non_squarefree_ideal_use_minimal_supports():
+    """The supports {0} of x^2 and {0, 1} of xy nest; sqrt(I) = (x)."""
+    ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
+    assert ideal.height() == 1
+    assert ideal.minimal_primes() == [(0,)]
+    mixed = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 1), (1, 0, 1)])
+    assert mixed.height() == 2
+    assert mixed.minimal_primes() == [(0, 1), (0, 2)]

@@ -209,6 +209,7 @@ def test_lattice_point_budget_reports_the_visit_it_stopped_at():
     with pytest.raises(BudgetExceededError) as info:
         polyhedra.lattice_points(square, 2, budget=3)
     assert (info.value.needed, info.value.budget) == (4, 3)
+    assert info.value.stage == "lattice_points_system"
 
 
 def test_lattice_points_of_rational_polyhedron():

@@ -9,10 +9,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monomials import closure, core, linalg, lp, polyhedra, symbolic
 from monomials.errors import PreconditionError
+
+from helpers import cycle_graph, q6_ideal
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 ENTRIES = st.one_of(
@@ -178,11 +180,12 @@ def test_staircase_edge_cases(bounds):
     assert core.staircase_count(bounds, lambda a: a == top) == size - 1
 
 
-def squarefree_ideals():
-    """Clutters on 2-5 vertices, as squarefree monomial ideals."""
-    return st.integers(2, 5).flatmap(
+def squarefree_ideals(max_s=5, max_gens=5):
+    """Clutters on 2 to ``max_s`` vertices, as squarefree monomial ideals."""
+    return st.integers(2, max_s).flatmap(
         lambda s: st.lists(
-            st.tuples(*[st.integers(0, 1)] * s).filter(any), min_size=1, max_size=5
+            st.tuples(*[st.integers(0, 1)] * s).filter(any),
+            min_size=1, max_size=max_gens,
         ).map(lambda gens: core.MonomialIdeal(len(gens[0]), gens))
     )
 
@@ -380,3 +383,47 @@ def test_property_lower_dimensional_parallelepipeds_hold_one_point_per_class(cas
     columns = list(zip(*rays))
     for p in points:
         assert all(0 <= c < 1 for c in linalg.solve(columns, p))
+
+
+def packs_by_every_substitution(ideal):
+    """The packing property by its definition: every assignment in
+    {keep, 0, 1}^s, through ``minor``, gives a Koenig clutter or no minor."""
+    minors = {
+        core.minor(ideal, {i: v for i, v in enumerate(p) if v is not None})
+        for p in itertools.product((None, 0, 1), repeat=ideal.s)
+    }
+    return all(
+        core.is_konig(m.clutter()) for m in minors - {core.UNIT, core.ZERO}
+    )
+
+
+@SEEDED
+@given(squarefree_ideals(max_s=7, max_gens=8))
+@example(q6_ideal())
+@example(cycle_graph(3).edge_ideal())
+@example(cycle_graph(5).edge_ideal())
+@example(cycle_graph(7).edge_ideal())
+def test_property_minor_walk_matches_every_substitution(ideal):
+    assert core.has_packing_property(ideal) == packs_by_every_substitution(ideal)
+
+
+@SEEDED
+@given(squarefree_ideals(max_s=7, max_gens=8))
+def test_property_bitmask_tau_and_nu_match_brute_force(ideal):
+    clutter = ideal.clutter()
+    edges = [set(e) for e in clutter.edges]
+    tau = min(
+        len(c)
+        for k in range(ideal.s + 1)
+        for c in itertools.combinations(range(ideal.s), k)
+        if all(e & set(c) for e in edges)
+    )
+    nu = max(
+        k
+        for k in range(len(edges) + 1)
+        for m in itertools.combinations(edges, k)
+        if sum(map(len, m)) == len(set().union(*m))
+    )
+    assert (core.covering_number(clutter), core.matching_number(clutter)) == (tau, nu)
+    family = frozenset(core._mask(e) for e in edges)
+    assert core._is_konig_family(family) == (tau == nu)

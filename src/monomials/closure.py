@@ -1,10 +1,12 @@
 """Integral closures of powers of monomial ideals.
 
 Membership in the closure of I^n is the linear condition that the lifted
-exponent vector lies in the Rees cone, so after computing the Rees cone
-facets once per ideal, a closure's minimal generators are read off by a
-threshold walk (:func:`monomials.core.staircase`) over a candidate box.
-The LP membership test is kept alongside for its rational witnesses.
+exponent vector lies in the Rees cone: f[:-1].a >= -n f[-1] for every facet
+f, with f[:-1] >= 0 as the cone holds each e_i.  So after computing the
+Rees cone facets once per ideal, a closure's minimal generators are read
+off that system by :func:`monomials.core.staircase` over a candidate box,
+each column's threshold in closed form.  The LP membership test is kept
+alongside for its rational witnesses.
 """
 
 from fractions import Fraction
@@ -80,10 +82,10 @@ def closure_of_power(ideal, n, budget=DEFAULT_BOX_BUDGET):
     """Minimal generators of the integral closure of I^n.
 
     Candidates live in the box prod [0, n*max_i v_i[j]]; anything outside
-    has a slack coordinate and cannot be a minimal generator.  The walk
-    keeps each column's least last coordinate passing the facet test,
-    stepping down from the lower neighbours' values, and a point is a
-    generator when its value lies below all of theirs.
+    has a slack coordinate and cannot be a minimal generator.  The
+    staircase of the facet system {f[:-1].a >= -n f[-1]} reads off each
+    column's least last coordinate in closed form, and a point is a
+    generator when its value lies below those of all lower neighbours.
     """
     if n < 1:
         raise PreconditionError("power must be >= 1")
@@ -99,10 +101,10 @@ def closure_of_power(ideal, n, budget=DEFAULT_BOX_BUDGET):
             budget=budget,
             stage="closure_of_power",
         )
-    kept = staircase(bounds, lambda a: rep.newton_polyhedron_contains(a, n))
+    kept = staircase(bounds, rep.newton_rows(n))
     if not kept:
         raise InternalConsistencyError("closure of a proper power came out empty")
-    return MonomialIdeal(ideal.s, kept)
+    return MonomialIdeal._from_minimal(ideal.s, kept)
 
 
 def _closures(ideal, top, budget):

@@ -11,6 +11,7 @@ import itertools
 from collections import OrderedDict
 from functools import wraps
 from math import prod
+from operator import add, floordiv
 
 from monomials.errors import BudgetExceededError, PreconditionError
 
@@ -111,6 +112,16 @@ class MonomialIdeal:
             raise PreconditionError("the unit ideal is not represented")
         self.s = s
         self.gens = tuple(_minimalize(gens))
+
+    @classmethod
+    def _from_minimal(cls, s, gens):
+        """The ideal of ``gens``, which must already be non-empty,
+        divisibility-minimal and in lexicographic order, as a staircase
+        emits them; nothing is checked, minimalized or sorted."""
+        ideal = cls.__new__(cls)
+        ideal.s = s
+        ideal.gens = tuple(gens)
+        return ideal
 
     # -- structural ---------------------------------------------------------
 
@@ -236,36 +247,72 @@ def ideal_power(ideal, n):
     return power
 
 
-def _columns(bounds, member):
-    """(p, t, u) for each p of the box of the first s-1 coordinates, in lex order.
+def _columns(bounds, rows):
+    """The threshold t of each column p of the box of the first s-1
+    coordinates, in lex order: the least last coordinate with (p, t) in
+    {a : w.a >= c for (w, c) in rows}, or last + 1 for none.
 
-    t is the least last coordinate with (p, t) a member and u the least t
-    over the lower neighbours p - e_i, either being last + 1 for none.  As
-    (p, u) lies above a member, the walk steps down from u; a column with
-    no finite neighbour value is first tested at its top.
+    Each row keeps its slack q = w_head.p - c, one list addition per
+    coordinate the odometer advances.  A row with w_last > 0 asks for
+    w_last * t >= -q, i.e. t >= -(q // w_last); a row with w_last = 0 holds
+    on the whole column when q >= 0 and nowhere on it otherwise.
+    Non-negative weights make the set upward closed, so these bounds are
+    exact.
     """
+    *head, last = bounds
+    rows = [(tuple(w), c) for w, c in rows]
+    for w, _ in rows:
+        if len(w) != len(bounds) or any(x < 0 for x in w):
+            raise PreconditionError(
+                f"staircase weights {w} must be {len(bounds)} non-negative integers"
+            )
+    # a row with c <= 0 holds on the whole box; the rows with w_last > 0 first
+    rows = sorted((r for r in rows if r[1] > 0), key=lambda r: r[0][-1] == 0)
+    steps = [w[-1] for w, _ in rows if w[-1]]
+    rising = len(steps)
+    weights = [[w[i] for w, _ in rows] for i in range(len(head))]  # by coordinate
+    none = last + 1
+    p = [0] * len(head)
+    # level[k]: the slacks at p with the coordinates from k on set to 0
+    level = [[-c for _, c in rows]] * (len(head) + 1)
+    while True:
+        q = level[-1]
+        if min(q[rising:], default=0) < 0:
+            yield none
+        else:
+            yield min(none, max(0, -min(map(floordiv, q, steps), default=0)))
+        i = len(head) - 1
+        while i >= 0 and p[i] == head[i]:
+            p[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        p[i] += 1
+        level[i + 1:] = [list(map(add, level[i + 1], weights[i]))] * (len(head) - i)
+
+
+def staircase(bounds, rows):
+    """Minimal points, in lexicographic order, of {a : w.a >= c for (w, c) in
+    rows} with every w >= 0 in the box prod [0, b_i]: the (p, t) whose column
+    threshold t lies below u, the least threshold over the lower neighbours
+    p - e_i (last + 1 for none).  Nothing is sorted or rescanned."""
     *head, last = bounds
     strides = [prod(b + 1 for b in head[i + 1:]) for i in range(len(head))]
     seen = []
-    for p in itertools.product(*[range(b + 1) for b in head]):
+    kept = []
+    box = itertools.product(*[range(b + 1) for b in head])
+    for p, t in zip(box, _columns(bounds, rows)):
         u = min([seen[-k] for x, k in zip(p, strides) if x], default=last + 1)
-        t = last if u > last and member(p + (last,)) else u
-        while 0 < t <= last and member(p + (t - 1,)):
-            t -= 1
+        if t < u:
+            kept.append(p + (t,))
         seen.append(t)
-        yield p, t, u
+    return kept
 
 
-def staircase(bounds, member):
-    """Minimal points, in lexicographic order, of an upward-closed ``member``
-    in the box prod [0, b_i]: the (p, t) whose column threshold t lies
-    below those of all lower neighbours.  Nothing is sorted or rescanned."""
-    return [p + (t,) for p, t, u in _columns(bounds, member) if t < u]
-
-
-def staircase_count(bounds, member):
-    """Number of box points outside the upward-closed set ``member``."""
-    return sum(t for _, t, _ in _columns(bounds, member))
+def staircase_count(bounds, rows):
+    """Number of box points outside {a : w.a >= c for (w, c) in rows}, w >= 0:
+    the sum of the column thresholds."""
+    return sum(_columns(bounds, rows))
 
 
 def colon_monomial(ideal, a):
@@ -500,11 +547,13 @@ def has_packing_property(ideal, limit=12):
     are the minors by the substitutions of {keep, 0, 1}^s, up to isolated
     vertices, which change neither tau nor nu.  A substitution collapsing to
     the unit or zero ideal gives no minor and is not walked through.
+    ``limit`` caps the number of variables that occur in some generator,
+    which is what the walk's cost follows.
     """
     if not ideal.is_squarefree():
         raise PreconditionError("packing property requires a squarefree ideal")
-    _require_size("has_packing_property", ideal.s, limit)
     start = frozenset(_mask(support(g)) for g in ideal.gens)
+    _require_size("has_packing_property", _mask_union(start).bit_count(), limit)
     seen = {start}
     stack = [start]
     while stack:

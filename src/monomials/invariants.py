@@ -101,7 +101,7 @@ def normalization_hilbert_function(ideal, n, verify=True):
     region = MultiplicityRegion(ideal)
     rep = closure_mod.rees_representation(ideal)
     bounds = [n * a for a in region.pure_degrees]
-    count = staircase_count(bounds, lambda a: rep.newton_polyhedron_contains(a, n))
+    count = staircase_count(bounds, rep.newton_rows(n))
     if verify:
         e_delta = polyhedra.lattice_points(
             region.delta_vertices, n, collect=False

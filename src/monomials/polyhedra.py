@@ -560,6 +560,12 @@ class ReesRepresentation:
         lifted = tuple(point) + (level,)
         return all(vec_dot(f, lifted) >= 0 for f in self.facets)
 
+    def newton_rows(self, level=1):
+        """level * NP(I) as the rows (w, c) of {a : w.a >= c}: one per facet
+        f, (f[:-1], -level * f[-1]).  Every w is non-negative, as RC(I)
+        holds each (e_i, 0)."""
+        return [(f[:-1], -level * f[-1]) for f in self.facets]
+
 
 # ---------------------------------------------------------------------------
 # lattice point enumeration

@@ -2,9 +2,11 @@
 
 For a squarefree monomial ideal the n-th symbolic power is cut out by the
 minimal vertex covers: t^a lies in I^(n) exactly when every cover collects
-total degree at least n from a, an upward-closed set whose minimal
-generators a threshold walk over [0, n]^s reads off.  That makes symbolic
-powers, containments and the Schenzel function finite computations.
+total degree at least n from a.  That is the linear system {m.a >= n} over
+the cover indicator vectors m, whose minimal points
+:func:`monomials.core.staircase` reads off over [0, n]^s, each column's
+threshold in closed form.  That makes symbolic powers, containments and
+the Schenzel function finite computations.
 """
 
 import itertools
@@ -35,19 +37,18 @@ def _masks(s, covers):
 
 @memo
 def _symbolic_staircase(ideal, n):
-    masks = _masks(ideal.s, _covers(ideal))
-    kept = staircase((n,) * ideal.s, lambda a: all(vec_dot(m, a) >= n for m in masks))
-    return MonomialIdeal(ideal.s, kept)
+    rows = [(m, n) for m in _masks(ideal.s, _covers(ideal))]
+    return MonomialIdeal._from_minimal(ideal.s, staircase((n,) * ideal.s, rows))
 
 
 def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET):
     """Minimal generators of I^(n), via the covering polyhedron of the dual.
 
-    Candidates live in [0, n]^s (larger entries can be reduced).  The walk
-    keeps each column's least last coordinate at which every cover collects
-    degree n, stepping down from the lower neighbours' values, and a point
-    is a generator when its value lies below all of theirs.  The box budget
-    is checked on every call, before the walk's memo is consulted.  With
+    Candidates live in [0, n]^s (larger entries can be reduced).  The
+    staircase of the cover system {m.a >= n} reads off each column's least
+    last coordinate in closed form, and a point is a generator when its
+    value lies below those of all lower neighbours.  The box budget
+    is checked on every call, before the staircase memo is consulted.  With
     ``verify`` the result is recomputed by intersecting cover-prime powers.
     """
     if n < 1:

@@ -247,6 +247,15 @@ def test_size_limits_raise_budget_errors():
         has_packing_property(MonomialIdeal(2, [(2, 0), (0, 1)]))
 
 
+def test_packing_limit_counts_only_the_variables_that_occur():
+    """One edge among 13 variables walks two vertices, not 13."""
+    edge = MonomialIdeal(13, [(1, 1) + (0,) * 11])
+    assert has_packing_property(edge)
+    with pytest.raises(BudgetExceededError) as info:
+        has_packing_property(edge, limit=1)
+    assert (info.value.needed, info.value.budget) == (2, 1)
+
+
 def test_height_and_primes_of_a_non_squarefree_ideal_use_minimal_supports():
     """The supports {0} of x^2 and {0, 1} of xy nest; sqrt(I) = (x)."""
     ideal = MonomialIdeal(2, [(2, 0), (1, 1)])

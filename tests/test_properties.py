@@ -9,9 +9,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from monomials import closure, core, linalg, lp, polyhedra, symbolic
+from monomials import closure, core, invariants, linalg, lp, polyhedra, symbolic
 from monomials.errors import PreconditionError
 
 from helpers import cycle_graph, q6_ideal
@@ -140,44 +140,114 @@ def brute_staircase(bounds, member):
     return sorted(kept), outside
 
 
-def upward_closed_sets(bounds):
-    """Multiples of a random generator set, or a random facet system."""
-    s = len(bounds)
-    points = st.tuples(*[st.integers(0, b + 1) for b in bounds])
-    multiples = st.lists(points, max_size=5).map(
-        lambda gens: lambda a: any(core.divides(g, a) for g in gens)
-    )
-    weights = st.tuples(*[st.integers(0, 3)] * s)
-    facets = st.lists(st.tuples(weights, st.integers(0, 8)), max_size=4).map(
-        lambda rows: lambda a: all(linalg.vec_dot(w, a) >= c for w, c in rows)
-    )
-    return st.one_of(multiples, facets)
+def predicate_staircase(bounds, member):
+    """The staircase by probing an upward-closed ``member`` point by point:
+    each column's threshold steps down from u, the least threshold over the
+    lower neighbours p - e_i (last + 1 for none), as long as the point below
+    is a member; a column with no finite neighbour value is first tested at
+    its top.  Returns the minimal points and the count outside."""
+    *head, last = bounds
+    strides = [math.prod(b + 1 for b in head[i + 1:]) for i in range(len(head))]
+    seen = []
+    kept = []
+    for p in itertools.product(*[range(b + 1) for b in head]):
+        u = min([seen[-k] for x, k in zip(p, strides) if x], default=last + 1)
+        t = last if u > last and member(p + (last,)) else u
+        while 0 < t <= last and member(p + (t - 1,)):
+            t -= 1
+        seen.append(t)
+        if t < u:
+            kept.append(p + (t,))
+    return kept, sum(seen)
+
+
+def satisfies(rows):
+    return lambda a: all(linalg.vec_dot(w, a) >= c for w, c in rows)
 
 
 BOXES = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple)
 
 
+def row_systems(bounds):
+    """0-5 rows (w, c) with weights 0-3, so all-zero rows occur, and
+    c in [-3, 9]."""
+    weights = st.tuples(*[st.integers(0, 3)] * len(bounds))
+    return st.lists(st.tuples(weights, st.integers(-3, 9)), max_size=5)
+
+
+def multiples(bounds):
+    """Multiples of a random generator set: upward closed, but no single
+    linear system."""
+    points = st.tuples(*[st.integers(0, b + 1) for b in bounds])
+    return st.lists(points, max_size=5).map(
+        lambda gens: lambda a: any(core.divides(g, a) for g in gens)
+    )
+
+
+BOXED_SYSTEMS = BOXES.flatmap(lambda b: st.tuples(st.just(b), row_systems(b)))
+
+
 @SEEDED
-@given(BOXES.flatmap(lambda b: st.tuples(st.just(b), upward_closed_sets(b))))
+@given(BOXED_SYSTEMS)
+@example(((3,), []))
+@example(((2, 0, 3), [((0, 0, 0), 1)]))
+@example(((2, 3), [((0, 0), -2), ((1, 0), 2)]))
+@example(((4, 2), [((1, 2), -3), ((0, 1), 0)]))
 def test_property_staircase_matches_a_sorted_box_scan(case):
+    bounds, rows = case
+    expected = brute_staircase(bounds, satisfies(rows))
+    assert predicate_staircase(bounds, satisfies(rows)) == expected
+    assert core.staircase(bounds, rows) == expected[0]
+    assert core.staircase_count(bounds, rows) == expected[1]
+
+
+@SEEDED
+@given(BOXES.flatmap(lambda b: st.tuples(st.just(b), multiples(b))))
+def test_property_predicate_oracle_matches_a_sorted_box_scan(case):
     bounds, member = case
-    kept, outside = brute_staircase(bounds, member)
-    assert core.staircase(bounds, member) == kept
-    assert core.staircase_count(bounds, member) == outside
+    assert predicate_staircase(bounds, member) == brute_staircase(bounds, member)
 
 
 @pytest.mark.parametrize("bounds", [(3,), (0,), (0, 0, 0), (2, 0, 3)])
 def test_staircase_edge_cases(bounds):
-    size = 1
-    for b in bounds:
-        size *= b + 1
-    assert core.staircase(bounds, lambda a: False) == []
-    assert core.staircase_count(bounds, lambda a: False) == size
-    assert core.staircase(bounds, lambda a: True) == [(0,) * len(bounds)]
-    assert core.staircase_count(bounds, lambda a: True) == 0
+    size = math.prod(b + 1 for b in bounds)
+    never = [((0,) * len(bounds), 1)]
+    assert core.staircase(bounds, never) == []
+    assert core.staircase_count(bounds, never) == size
+    assert core.staircase(bounds, []) == [(0,) * len(bounds)]
+    assert core.staircase_count(bounds, []) == 0
     top = tuple(bounds)
-    assert core.staircase(bounds, lambda a: a == top) == [top]
-    assert core.staircase_count(bounds, lambda a: a == top) == size - 1
+    only_top = [
+        (tuple(int(i == j) for j in range(len(bounds))), b)
+        for i, b in enumerate(bounds)
+    ]
+    assert core.staircase(bounds, only_top) == [top]
+    assert core.staircase_count(bounds, only_top) == size - 1
+
+
+def test_staircase_refuses_negative_weights():
+    """A negative weight breaks upward closure, on which the closed-form
+    thresholds rest; a weight vector of the wrong length is refused too."""
+    for rows in ([((1, -1), 0)], [((0, 0), 0), ((-1, 2), 1)], [((1,), 0)]):
+        with pytest.raises(PreconditionError):
+            core.staircase((2, 2), rows)
+        with pytest.raises(PreconditionError):
+            core.staircase_count((2, 2), rows)
+
+
+@SEEDED
+@given(BOXED_SYSTEMS)
+def test_property_staircase_output_needs_no_minimalization(case):
+    """The staircase emits a minimal generating set in lex order, so the
+    unchecked constructor agrees with the canonicalizing one."""
+    bounds, rows = case
+    kept = core.staircase(bounds, rows)
+    assume(kept and any(kept[0]))  # the zero and unit ideals are not represented
+    fast = core.MonomialIdeal._from_minimal(len(bounds), kept)
+    slow = core.MonomialIdeal(len(bounds), kept)
+    assert fast.gens == slow.gens
+    assert fast == slow and slow == fast
+    assert hash(fast) == hash(slow)
 
 
 def squarefree_ideals(max_s=5, max_gens=5):
@@ -197,6 +267,41 @@ def test_property_power_closure_symbolic_chain(ideal, n):
     closed = closure.closure_of_power(ideal, n)
     assert closed.contains_ideal(core.ideal_power(ideal, n))
     assert symbolic.symbolic_power(ideal, n).contains_ideal(closed)
+
+
+@settings(SEEDED, max_examples=60)
+@given(squarefree_ideals(), st.integers(1, 3))
+def test_property_closure_generators_pass_the_lp_route(ideal, n):
+    """Every generator of closure(I^n), read off the facet system, is in
+    the closure by the LP optimum too, checked against the facet test."""
+    for g in closure.closure_of_power(ideal, n).gens:
+        assert closure.membership(g, ideal, n, witness=False, verify=True)
+
+
+def zero_dimensional_ideals():
+    """Ideals in 2-3 variables with a pure power (exponent 1-3) of every
+    variable and up to three more generators with exponents <= 3."""
+    def ideal(s):
+        pure = st.tuples(*[st.integers(1, 3)] * s).map(
+            lambda degrees: [
+                tuple(d * (i == j) for j in range(s)) for i, d in enumerate(degrees)
+            ]
+        )
+        extra = st.lists(st.tuples(*[st.integers(0, 3)] * s).filter(any), max_size=3)
+        return st.tuples(pure, extra).map(
+            lambda gens: core.MonomialIdeal(s, gens[0] + gens[1])
+        )
+
+    return st.integers(2, 3).flatmap(ideal)
+
+
+@settings(SEEDED, max_examples=40)
+@given(zero_dimensional_ideals(), st.integers(1, 3))
+def test_property_staircase_count_matches_the_ehrhart_difference(ideal, n):
+    """``verify`` compares the count under the staircase of n * NP(I) with
+    E_Delta(n) - E_P0(n) and raises on a difference."""
+    count = invariants.normalization_hilbert_function(ideal, n, verify=True)
+    assert 0 < count <= math.prod(n * d for d in ideal.max_exponents())
 
 
 def covering_ideals():

@@ -255,15 +255,14 @@ def cmd_graph_analyze(graph, args):
 
 
 def cmd_invariants(ideal, args):
+    budget = args.budget_points
     results = {
-        "multiplicity": invariants_mod.multiplicity(ideal),
+        "multiplicity": invariants_mod.multiplicity(ideal, budget=budget),
         "normalization_hilbert_function": {
-            n: invariants_mod.normalization_hilbert_function(ideal, n)
+            n: invariants_mod.normalization_hilbert_function(ideal, n, budget=budget)
             for n in range(0, 4)
         },
-        "normalization_index": closure_mod.normalization_index(
-            ideal, budget=args.budget_points
-        ),
+        "normalization_index": closure_mod.normalization_index(ideal, budget=budget),
     }
     return results, {}
 

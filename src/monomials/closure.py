@@ -13,7 +13,14 @@ from fractions import Fraction
 from math import lcm
 
 from monomials import polyhedra
-from monomials.core import MonomialIdeal, ideal_power, ideal_product, memo, staircase
+from monomials.core import (
+    MonomialIdeal,
+    ideal_power,
+    ideal_product,
+    memo,
+    require_box,
+    staircase,
+)
 from monomials.errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -91,16 +98,7 @@ def closure_of_power(ideal, n, budget=DEFAULT_BOX_BUDGET):
         raise PreconditionError("power must be >= 1")
     rep = rees_representation(ideal)
     bounds = tuple(n * m for m in ideal.max_exponents())
-    size = 1
-    for b in bounds:
-        size *= b + 1
-    if size > budget:
-        raise BudgetExceededError(
-            f"closure candidate box has {size} points",
-            needed=size,
-            budget=budget,
-            stage="closure_of_power",
-        )
+    require_box(bounds, budget, "closure_of_power", "closure candidate")
     kept = staircase(bounds, rep.newton_rows(n))
     if not kept:
         raise InternalConsistencyError("closure of a proper power came out empty")
@@ -149,9 +147,11 @@ def _normal_by_hilbert(ideal):
 
 
 def _normal_by_powers(ideal, closures):
+    power = ideal
     for n in range(1, ideal.s):
         closed = closures[n]
-        power = ideal_power(ideal, n)
+        if n > 1:
+            power = ideal_product(ideal, power)
         if closed != power:
             gap = [g for g in closed.gens if not power.contains_monomial(g)]
             return False, n, gap[0]
@@ -243,8 +243,11 @@ class ClosureReport:
         self.normality = normality
         self.normalization_index = index
         if normality.normal:
-            for n, closed in closures.items():
-                if closed != ideal_power(ideal, n):
+            power, k = ideal, 1
+            for n, closed in sorted(closures.items()):
+                while k < n:
+                    power, k = ideal_product(ideal, power), k + 1
+                if closed != power:
                     raise InternalConsistencyError(
                         f"normal verdict but closure gap at power {n}"
                     )

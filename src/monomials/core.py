@@ -309,6 +309,16 @@ def staircase(bounds, rows):
     return kept
 
 
+def require_box(bounds, budget, stage, label):
+    """Refuse the box prod [0, b_i] before any walk when it holds more than
+    ``budget`` points; ``label`` names the box in the message."""
+    size = prod(b + 1 for b in bounds)
+    if size > budget:
+        raise BudgetExceededError(
+            f"{label} box has {size} points", needed=size, budget=budget, stage=stage
+        )
+
+
 def staircase_count(bounds, rows):
     """Number of box points outside {a : w.a >= c for (w, c) in rows}, w >= 0:
     the sum of the column thresholds."""

@@ -17,7 +17,7 @@ from monomials.errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from monomials.linalg import rank as mat_rank
+from monomials.linalg import integer_row_basis, rank as mat_rank
 
 
 class CycleRecord:
@@ -249,26 +249,10 @@ def edge_subring_closure_via_hilbert(graph):
     ring is the integral closure of K[G].  Cross-validates the bowtie
     description.
     """
-    from monomials import linalg
-
-    ideal = graph.edge_ideal()
-    gens = [tuple(g) for g in ideal.gens]
-    lattice = linalg.integer_row_basis(gens)
-    coords = []
-    for g in gens:
-        c = linalg.coordinates_in_basis(g, lattice)
-        if c is None:
-            raise InternalConsistencyError("edge vector escapes its own lattice")
-        coords.append(c)
-    basis = polyhedra.hilbert_basis(coords)
-    out = []
-    for h in basis:
-        amb = tuple(
-            sum(h[i] * lattice[i][j] for i in range(len(lattice)))
-            for j in range(graph.s)
-        )
-        out.append(amb)
-    return sorted(out)
+    gens = graph.edge_ideal().gens
+    return sorted(
+        polyhedra.hilbert_basis_in_lattice(gens, integer_row_basis(gens))
+    )
 
 
 def odd_cycle_condition(graph, budget=14):

@@ -13,7 +13,7 @@ from math import ceil, factorial
 
 from monomials import closure as closure_mod
 from monomials import polyhedra
-from monomials.core import MonomialIdeal, staircase_count
+from monomials.core import MonomialIdeal, divides, require_box, staircase_count
 from monomials.errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -67,11 +67,12 @@ class MultiplicityRegion:
         return self.vol_delta - self.vol_p0
 
 
-def multiplicity(ideal, verify=True):
+def multiplicity(ideal, verify=True, budget=polyhedra.DEFAULT_POINT_BUDGET):
     """e(I) = s! vol(Delta \\ P0) = prod a_i - s! vol(P0), exactly.
 
     With ``verify``, the volume of P0 is cross-checked against the leading
-    coefficient of its Ehrhart polynomial.
+    coefficient of its Ehrhart polynomial, whose lattice-point counts may
+    visit at most ``budget`` points each.
     """
     region = MultiplicityRegion(ideal)
     s = ideal.s
@@ -79,7 +80,7 @@ def multiplicity(ideal, verify=True):
     if value.denominator != 1 or value <= 0:
         raise InternalConsistencyError(f"multiplicity came out as {value}")
     if verify:
-        ehr = polyhedra.ehrhart_polynomial(region.p0_vertices)
+        ehr = polyhedra.ehrhart_polynomial(region.p0_vertices, budget=budget)
         lead = ehr.relative_volume if ehr.dim == s else Fraction(0)
         if lead != region.vol_p0:
             raise InternalConsistencyError(
@@ -88,11 +89,13 @@ def multiplicity(ideal, verify=True):
     return int(value)
 
 
-def normalization_hilbert_function(ideal, n, verify=True):
+def normalization_hilbert_function(ideal, n, verify=True,
+                                   budget=polyhedra.DEFAULT_POINT_BUDGET):
     """Length of S/closure(I^n): lattice points outside n * NP(I).
 
-    Counted directly under the staircase; with ``verify`` compared against
-    the Ehrhart difference E_Delta(n) - E_P0(n).
+    Counted directly under the staircase of the box prod [0, n a_i], which
+    may hold at most ``budget`` points; with ``verify`` compared against the
+    Ehrhart difference E_Delta(n) - E_P0(n).
     """
     if n < 0:
         raise PreconditionError("dilation must be non-negative")
@@ -101,12 +104,15 @@ def normalization_hilbert_function(ideal, n, verify=True):
     region = MultiplicityRegion(ideal)
     rep = closure_mod.rees_representation(ideal)
     bounds = [n * a for a in region.pure_degrees]
+    require_box(bounds, budget, "normalization_hilbert_function", "staircase")
     count = staircase_count(bounds, rep.newton_rows(n))
     if verify:
         e_delta = polyhedra.lattice_points(
-            region.delta_vertices, n, collect=False
+            region.delta_vertices, n, collect=False, budget=budget
         )
-        e_p0 = polyhedra.lattice_points(region.p0_vertices, n, collect=False)
+        e_p0 = polyhedra.lattice_points(
+            region.p0_vertices, n, collect=False, budget=budget
+        )
         if count != e_delta - e_p0:
             raise InternalConsistencyError(
                 f"staircase count {count} != Ehrhart difference {e_delta - e_p0}"
@@ -300,24 +306,18 @@ def is_m_full_2var(ideal):
     return False
 
 
-def monomials_in_box(bounds):
-    return itertools.product(*[range(bb + 1) for bb in bounds])
-
-
 def mu_maximality_sweep(ideal):
     """Necessary condition for m-fullness: no one-monomial enlargement of I
-    inside the staircase bounding box has more minimal generators."""
-    mu = ideal.num_generators
-    bounds = ideal.max_exponents()
-    for m in monomials_in_box(bounds):
-        if not any(m):
-            continue
-        if ideal.contains_monomial(m):
-            continue
-        bigger = MonomialIdeal(ideal.s, list(ideal.gens) + [m])
-        if bigger.num_generators > mu:
-            return False
-    return True
+    inside the staircase bounding box has more minimal generators.
+
+    For m outside I the enlargement is generated by m and the generators m
+    does not divide, so it has more generators exactly when m divides none.
+    """
+    box = itertools.product(*[range(b + 1) for b in ideal.max_exponents()])
+    return all(
+        ideal.contains_monomial(m) or any(divides(m, g) for g in ideal.gens)
+        for m in box
+    )
 
 
 # ---------------------------------------------------------------------------

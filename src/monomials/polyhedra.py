@@ -8,6 +8,10 @@ enumeration for polyhedra, lattice-point counting with pruning, Ehrhart
 interpolation, and Smith invariants.  Ranks, inverses and solutions come
 from the integer elimination of :mod:`monomials.linalg`.
 
+A Hilbert basis is computed for a full-dimensional cone only: a cone that
+spans less than R^n is moved once into coordinates of a basis of the
+lattice it spans (Bruns and Ichim, J. Algebra 324 (2010)), so every cone
+and simplex below :func:`hilbert_basis` has n independent rays in Z^n.
 Facets are computed for the top cone only: the pulling triangulation
 recurses on the ray bitmasks of faces (the facets of a face F are the
 maximal proper sets F & S_j, with S_j the rays on a facet of the top cone;
@@ -165,13 +169,7 @@ def cone_facets(generators):
     if not equations:
         return [], extreme_rays_of_inequalities(gens)
     sat = linalg.saturation_basis(gens)
-    coords = []
-    for g in gens:
-        c = linalg.coordinates_in_basis(g, sat)
-        if c is None:
-            raise InternalConsistencyError("saturation basis does not span generator")
-        coords.append(c)
-    inner = extreme_rays_of_inequalities(coords)
+    inner = extreme_rays_of_inequalities(_lattice_coordinates(gens, sat))
     facets = []
     for f in inner:
         amb = linalg.solve(sat, f)
@@ -179,6 +177,14 @@ def cone_facets(generators):
             raise InternalConsistencyError("cannot lift facet normal to ambient space")
         facets.append(clear_denominators(amb))
     return sorted(equations), sorted(facets)
+
+
+def _lattice_coordinates(vectors, basis):
+    """Integer coordinates of each vector in the lattice basis."""
+    coords = [linalg.coordinates_in_basis(v, basis) for v in vectors]
+    if None in coords:
+        raise InternalConsistencyError("a generator lies outside the lattice")
+    return coords
 
 
 def cone_contains(point, equations, facets):
@@ -193,18 +199,18 @@ def is_pointed(generators):
     return not gens or RationalCone(gens).is_pointed()
 
 
-def extreme_ray_generators(generators, description=None):
+def extreme_ray_generators(generators, description):
     """The subset of (primitivized) generators spanning extreme rays.
 
-    The cone must be pointed.  A generator g spans an extreme ray iff no
-    other generator is tight at every facet tight at g (else the face those
-    facets cut out holds it too).  ``description`` is the cone's
-    (equations, facets) pair when the caller already has it.
+    The cone must be pointed, and ``description`` is its (equations,
+    facets) pair.  A generator g spans an extreme ray iff no other generator
+    is tight at every facet tight at g (else the face those facets cut out
+    holds it too).
     """
     prim = sorted({primitive(g) for g in generators if any(g)})
     if not prim:
         return []
-    _, facets = description or cone_facets(prim)
+    _, facets = description
     tight = [_incidence(g, facets) for g in prim]
     return [
         g for i, (g, t) in enumerate(zip(prim, tight))
@@ -221,17 +227,17 @@ def _incidence(vector, rows):
 # triangulation and parallelepiped points
 # ---------------------------------------------------------------------------
 
-def pulling_triangulation(rays, description=None):
+def pulling_triangulation(rays, description):
     """Split cone(rays) into simplicial cones on subsets of the rays.
 
     Rays must be the extreme rays of a pointed cone, and ``description`` its
-    (equations, facets) pair when the caller already has it.  Recursively
+    (equations, facets) pair.  Recursively
     joins the first ray to the triangulated facets that do not contain it;
     every face is the bitmask of its rays, and its facets come from the
     incidence masks of this cone's facets.  Simplices keep the ray order.
     """
     rays = tuple(tuple(r) for r in rays)
-    eqs, facets = description or cone_facets(rays)
+    eqs, facets = description
     masks = [_incidence(f, rays) for f in facets]
     top = (1 << len(rays)) - 1
     return [
@@ -260,28 +266,18 @@ def _pull(face, dim, masks, done):
 
 
 def parallelepiped_points(rays):
-    """Lattice points of {sum c_i r_i : 0 <= c_i < 1} for independent rays.
-
-    That is the origin alone when the rays, read on d independent
-    coordinates, have determinant +-1 (a unimodular simplex)."""
+    """Lattice points of {sum c_i r_i : 0 <= c_i < 1} for n independent rays
+    in Z^n, one per element of Z^n / (ray lattice): the origin alone when the
+    determinant is +-1.  :func:`hilbert_basis` moves a flat cone into its own
+    lattice first, so no caller passes fewer rays than coordinates."""
     rays = [tuple(map(int, r)) for r in rays]
-    d = len(rays)
     n = len(rays[0])
-    # d coordinates on which independent rays stay independent
-    columns = range(n) if d == n else linalg.row_echelon(rays)[1]
-    minor = len(columns) == d and linalg.det([[r[c] for c in columns] for r in rays])
+    minor = len(rays) == n and linalg.det(rays)
     if not minor:
-        raise PreconditionError("parallelepiped rays must be independent")
+        raise PreconditionError("parallelepiped needs n independent rays in Z^n")
     if abs(minor) == 1:
         return [(0,) * n]
-    if d == n:
-        return _smith_points(rays)
-    sat = linalg.saturation_basis(rays)
-    coords = [linalg.coordinates_in_basis(r, sat) for r in rays]
-    return [
-        tuple(sum(c[i] * sat[i][j] for i in range(d)) for j in range(n))
-        for c in parallelepiped_points(coords)
-    ]
+    return _smith_points(rays)
 
 
 def _smith_points(rays):
@@ -343,15 +339,22 @@ class RationalCone:
 def hilbert_basis(generators, cone=None):
     """Minimal Hilbert basis of the pointed cone spanned by the generators.
 
-    Normaliz-style pipeline: compute the facets once, from them pointedness
-    and the extreme rays, triangulate the extreme rays (pulling order, on
-    ray bitmasks below the top cone), collect the fundamental-parallelepiped
-    lattice points of each simplicial piece (the origin alone, with no Smith
-    form, when its determinant is +-1), then discard reducible candidates.
+    Normaliz-style pipeline.  A cone that spans less than R^n is first moved
+    into coordinates of a basis of its span intersected with Z^n (one Smith
+    form, through :func:`hilbert_basis_in_lattice`), so everything below
+    sees a full-dimensional cone: compute the facets once, from them
+    pointedness and the extreme rays, triangulate the extreme rays (pulling
+    order, on ray bitmasks below the top cone), collect the
+    fundamental-parallelepiped lattice points of each simplicial piece (the
+    origin alone, with no Smith form, when its determinant is +-1), then
+    discard the candidates that another one reduces.
+    ``cone`` is the RationalCone of the generators when the caller has it.
     """
     gens = sorted({tuple(int(x) for x in g) for g in generators if any(g)})
     if not gens:
         return ()
+    if linalg.rank(gens) < len(gens[0]):
+        return hilbert_basis_in_lattice(gens, linalg.saturation_basis(gens))
     if cone is None:
         cone = RationalCone(gens)
     if not cone.is_pointed():
@@ -363,25 +366,31 @@ def hilbert_basis(generators, cone=None):
         for pt in parallelepiped_points(simplex):
             if any(pt):
                 candidates.add(pt)
-    orthant = all(x >= 0 for g in gens for x in g)
-    cands = sorted(candidates, key=lambda v: (sum(v), v))
-    basis = []
-    for h in cands:
-        reducible = False
-        for g in cands:
-            if g == h:
-                continue
-            if orthant and not all(x <= y for x, y in zip(g, h)):
-                continue
-            diff = tuple(x - y for x, y in zip(h, g))
-            if not any(diff):
-                continue
-            if cone_contains(diff, eqs, facets):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(h)
-    return tuple(sorted(basis))
+    # h - g lies in the cone iff no facet value of g exceeds that of h
+    values = {h: tuple(vec_dot(f, h) for f in facets) for h in candidates}
+    return tuple(sorted(
+        h for h in candidates
+        if not any(
+            g != h and all(x <= y for x, y in zip(values[g], values[h]))
+            for g in candidates
+        )
+    ))
+
+
+def hilbert_basis_in_lattice(generators, basis):
+    """Minimal Hilbert basis of the monoid of points of cone(generators) in
+    the lattice L spanned by the rows of ``basis``, which must hold every
+    generator.
+
+    The generators are written once in coordinates of the basis, where
+    their cone is full-dimensional when the basis has their rank; the
+    Hilbert basis found there is mapped back to Z^n.
+    """
+    coords = _lattice_coordinates(generators, basis)
+    columns = list(zip(*basis))
+    return tuple(sorted(
+        tuple(vec_dot(h, col) for col in columns) for h in hilbert_basis(coords)
+    ))
 
 
 def monoid_decompose(point, basis, max_terms=64):

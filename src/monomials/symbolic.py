@@ -15,12 +15,8 @@ from math import ceil
 
 from monomials import closure as closure_mod
 from monomials import polyhedra
-from monomials.core import MonomialIdeal, ideal_power, memo, staircase
-from monomials.errors import (
-    BudgetExceededError,
-    InternalConsistencyError,
-    PreconditionError,
-)
+from monomials.core import MonomialIdeal, ideal_power, memo, require_box, staircase
+from monomials.errors import InternalConsistencyError, PreconditionError
 from monomials.linalg import vec_dot
 
 
@@ -54,14 +50,7 @@ def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET
     if n < 1:
         raise PreconditionError("symbolic power needs n >= 1")
     _covers(ideal)  # squarefree guard
-    needed = (n + 1) ** ideal.s
-    if needed > budget:
-        raise BudgetExceededError(
-            f"symbolic power box has {needed} points",
-            needed=needed,
-            budget=budget,
-            stage="symbolic_power",
-        )
+    require_box((n,) * ideal.s, budget, "symbolic_power", "symbolic power")
     result = _symbolic_staircase(ideal, n)
     if verify:
         check = symbolic_power_via_primes(ideal, n)

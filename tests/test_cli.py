@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,22 @@ def test_budget_exits_3(tmp_path, capsys):
     assert doc["needed"] == 7**6
     assert doc["budget"] == 10
     assert doc["stage"] == "symbolic_power"
+
+
+def test_invariants_honours_the_point_budget(tmp_path, capsys):
+    """The Ehrhart check of the multiplicity counts lattice points under
+    --budget-points, and stops at once when the cap is small."""
+    path = write(
+        tmp_path, "artinian.txt",
+        "30 0 0 0\n0 30 0 0\n0 0 30 0\n0 0 0 30\n1 1 1 1\n",
+    )
+    start = time.perf_counter()
+    code, doc = run_capture(capsys, ["invariants", path, "--budget-points", "10"])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert doc["partial"] is True
+    assert (doc["needed"], doc["budget"]) == (11, 10)
+    assert doc["stage"] == "lattice_points_system"
 
 
 @pytest.mark.parametrize("command, flag", [

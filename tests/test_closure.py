@@ -10,6 +10,7 @@ from monomials.errors import BudgetExceededError, PreconditionError
 from monomials.linalg import solve
 
 from helpers import (
+    complete_graph,
     cycle_graph,
     q6_ideal,
     random_ideal,
@@ -220,6 +221,22 @@ def test_hilbert_basis_of_a_rees_cone_needs_its_facets_once(monkeypatch):
     assert polyhedra.hilbert_basis(gens) == tuple(sorted(gens))
     assert len(facet_calls) == 1
     assert 1 not in smith_dets
+
+
+def test_a_flat_hilbert_basis_needs_one_smith_form(monkeypatch):
+    """The cone over K5's lifted edge vectors lies in sum(x) = 2 t; it is
+    moved into its own lattice once, and nothing below needs a Smith form."""
+    cols = [g + (1,) for g in complete_graph(5).edge_ideal().gens]
+    smith_calls = []
+    smith_normal_form = linalg.smith_normal_form
+
+    def counted_smith(matrix):
+        smith_calls.append(matrix)
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted_smith)
+    assert polyhedra.hilbert_basis(cols) == tuple(sorted(cols))
+    assert len(smith_calls) == 1
 
 
 def test_rees_representations_are_kept_up_to_the_memo_bound():

@@ -4,7 +4,7 @@ import pytest
 
 from monomials import closure, invariants
 from monomials.core import MonomialIdeal
-from monomials.errors import PreconditionError
+from monomials.errors import BudgetExceededError, PreconditionError
 
 from helpers import (
     complete_graph,
@@ -82,6 +82,22 @@ def test_normalization_hilbert_function():
     # verify=True inside compares the direct count with E_Delta - E_P0
     invariants.normalization_hilbert_function(ideal, 1)
     invariants.normalization_hilbert_function(ideal, 2)
+
+
+def test_normalization_hilbert_function_checks_its_box_first():
+    """The staircase box of 2 * NP(I) is [0, 12] x [0, 10]."""
+    ideal = paper_multiplicity_ideal()
+    count = invariants.normalization_hilbert_function(ideal, 2)
+    assert invariants.normalization_hilbert_function(
+        ideal, 2, verify=False, budget=13 * 11
+    ) == count
+    with pytest.raises(BudgetExceededError) as caught:
+        invariants.normalization_hilbert_function(
+            ideal, 2, verify=False, budget=13 * 11 - 1
+        )
+    error = caught.value
+    assert (error.needed, error.budget) == (13 * 11, 13 * 11 - 1)
+    assert error.stage == "normalization_hilbert_function"
 
 
 def test_veronese_formulas():

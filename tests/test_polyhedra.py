@@ -113,6 +113,10 @@ def test_parallelepiped_counts_index():
     assert sorted(pts) == [(0, 0), (1, 1)]
     pts = polyhedra.parallelepiped_points([(2, 1), (1, 2)])
     assert len(pts) == 3  # |det| = 3
+    # a flat simplex is moved into its own lattice before it gets here
+    for rays in ([(1, 1, 0), (0, 1, 1)], [(1, 2), (2, 4)]):
+        with pytest.raises(PreconditionError):
+            polyhedra.parallelepiped_points(rays)
 
 
 def test_cone_facets_lower_dimensional():

@@ -124,7 +124,8 @@ def test_property_extreme_rays_match_the_lp_oracle(gens):
     expected = [
         g for g in prim if not lp.in_cone(g, [h for h in prim if h != g])
     ]
-    assert polyhedra.extreme_ray_generators(gens) == expected
+    description = polyhedra.cone_facets(gens)
+    assert polyhedra.extreme_ray_generators(gens, description) == expected
 
 
 def brute_staircase(bounds, member):
@@ -396,17 +397,20 @@ def pointed_cones():
     return st.one_of(full, flat)
 
 
-def graph_rees_cones():
-    """Generators of RC(I(G)) for graphs G on 3-6 vertices."""
+def edge_vectors():
+    """The 0/1 vectors e_i + e_j of the edges of graphs on 3-6 vertices."""
     return st.integers(3, 6).flatmap(
         lambda s: st.lists(
             st.lists(st.integers(0, s - 1), min_size=2, max_size=2, unique=True),
             min_size=1, max_size=8,
-        ).map(
-            lambda edges: polyhedra.rees_cone(core.MonomialIdeal(
-                s, [tuple(int(i in e) for i in range(s)) for e in edges]
-            )).generators
-        )
+        ).map(lambda edges: [tuple(int(i in e) for i in range(s)) for e in edges])
+    )
+
+
+def graph_rees_cones():
+    """Generators of RC(I(G)) for graphs G on 3-6 vertices."""
+    return edge_vectors().map(
+        lambda vs: polyhedra.rees_cone(core.MonomialIdeal(len(vs[0]), vs)).generators
     )
 
 
@@ -416,14 +420,14 @@ def test_property_bitmask_pulling_matches_the_geometric_oracle(gens):
     description = polyhedra.cone_facets(gens)
     rays = polyhedra.extreme_ray_generators(gens, description)
     expected = sorted(geometric_pull(tuple(rays), {}))
-    assert sorted(polyhedra.pulling_triangulation(rays)) == expected
     assert sorted(polyhedra.pulling_triangulation(rays, description)) == expected
 
 
 @settings(SEEDED, max_examples=120)
 @given(pointed_cones())
 def test_property_tight_facet_extreme_rays_match_the_rank_criterion(gens):
-    assert polyhedra.extreme_ray_generators(gens) == rank_extreme_rays(gens)
+    description = polyhedra.cone_facets(gens)
+    assert polyhedra.extreme_ray_generators(gens, description) == rank_extreme_rays(gens)
 
 
 def unimodular(n):
@@ -459,6 +463,23 @@ def test_property_unimodular_shortcut_matches_the_smith_path(rays):
     assert len(points) == abs(linalg.det(rays))
 
 
+def saturated_parallelepiped_points(rays):
+    """Parallelepiped points of d independent rays in Z^n, d <= n, counted
+    in span ∩ Z^n: the rays are written in a saturated basis of their span,
+    and the points found there are mapped back.  The oracle of the move of
+    flat cones into their own lattice in ``hilbert_basis``."""
+    rays = [tuple(map(int, r)) for r in rays]
+    d, n = len(rays), len(rays[0])
+    if d == n:
+        return polyhedra.parallelepiped_points(rays)
+    sat = linalg.saturation_basis(rays)
+    coords = [linalg.coordinates_in_basis(r, sat) for r in rays]
+    return [
+        tuple(sum(c[i] * sat[i][j] for i in range(d)) for j in range(n))
+        for c in saturated_parallelepiped_points(coords)
+    ]
+
+
 def gcd_of_maximal_minors(rays):
     d = len(rays)
     return math.gcd(*(
@@ -483,11 +504,73 @@ def test_property_lower_dimensional_parallelepipeds_hold_one_point_per_class(cas
         tuple((tuple(r) + tuple(linalg.vec_dot(w, r) for w in weights))[i] for i in order)
         for r in simplex
     ]
-    points = polyhedra.parallelepiped_points(rays)
+    points = saturated_parallelepiped_points(rays)
     assert len(set(points)) == len(points) == gcd_of_maximal_minors(rays)
     columns = list(zip(*rays))
     for p in points:
         assert all(0 <= c < 1 for c in linalg.solve(columns, p))
+
+
+def ambient_hilbert_basis(gens):
+    """The Hilbert basis of a pointed cone computed in Z^n, whatever its
+    dimension: facets, extreme rays and pulling triangulation of the cone
+    itself, parallelepiped points of its simplices counted in the lattice
+    of their span, and every candidate reduced against every other."""
+    gens = sorted({tuple(g) for g in gens if any(g)})
+    description = polyhedra.cone_facets(gens)
+    rays = polyhedra.extreme_ray_generators(gens, description)
+    candidates = set(gens) | set(rays)
+    for simplex in polyhedra.pulling_triangulation(rays, description):
+        candidates.update(p for p in saturated_parallelepiped_points(simplex) if any(p))
+    return tuple(sorted(
+        h for h in candidates
+        if not any(
+            g != h and polyhedra.cone_contains(
+                tuple(x - y for x, y in zip(h, g)), *description
+            )
+            for g in candidates
+        )
+    ))
+
+
+@settings(SEEDED, max_examples=120)
+@given(st.one_of(
+    pointed_cones().filter(lambda gens: linalg.rank(gens) < len(gens[0])),
+    edge_vectors().map(lambda vs: [v + (1,) for v in vs]),
+))
+def test_property_flat_hilbert_bases_match_the_ambient_pipeline(gens):
+    """Moving a flat cone into its own lattice keeps its Hilbert basis; the
+    lifted edge vectors (e_i + e_j, 1) lie in the hyperplane sum(x) = 2 t."""
+    expected = ambient_hilbert_basis(gens)
+    assert polyhedra.hilbert_basis(gens) == expected
+    assert polyhedra.RationalCone(gens).hilbert_basis() == expected
+
+
+def mu_grows_by_construction(ideal):
+    """Some one-monomial enlargement of I inside its bounding box has more
+    minimal generators, found by building each enlargement."""
+    box = itertools.product(*[range(b + 1) for b in ideal.max_exponents()])
+    return any(
+        any(m) and not ideal.contains_monomial(m)
+        and core.MonomialIdeal(ideal.s, list(ideal.gens) + [m]).num_generators
+        > ideal.num_generators
+        for m in box
+    )
+
+
+def small_ideals():
+    """Ideals in 1-4 variables with 1-4 generators, exponents at most 3."""
+    return st.integers(1, 4).flatmap(
+        lambda s: st.lists(
+            st.tuples(*[st.integers(0, 3)] * s).filter(any), min_size=1, max_size=4
+        ).map(lambda gens: core.MonomialIdeal(s, gens))
+    )
+
+
+@settings(SEEDED, max_examples=300)
+@given(small_ideals())
+def test_property_mu_sweep_matches_the_enlargement_oracle(ideal):
+    assert invariants.mu_maximality_sweep(ideal) == (not mu_grows_by_construction(ideal))
 
 
 def packs_by_every_substitution(ideal):

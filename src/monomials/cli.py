@@ -15,6 +15,7 @@ the budget it exceeded).
 import argparse
 import json
 import sys
+from contextlib import suppress
 from fractions import Fraction
 
 from monomials import closure as closure_mod
@@ -237,7 +238,7 @@ def cmd_graph_analyze(graph, args):
         "edge_subring_dimension": graphs_mod.edge_subring_dimension(graph),
         "unmixed": graphs_mod.is_unmixed(clutter),
     }
-    if graph.s <= 12 and not graph.loops:
+    with suppress(BudgetExceededError, PreconditionError):  # loops, or too large
         results["packing"] = has_packing_property(ideal)
     if graph.is_connected():
         results["edge_subring_normal"] = graphs_mod.edge_subring_normal(

@@ -306,20 +306,22 @@ def integer_row_basis(rows):
 def saturation_basis(rows):
     """Basis of (Q-row-span of rows) intersected with Z^n.
 
-    Uses the Smith normal form: with U*A*V = D, the saturation is spanned by
-    the first rank rows of V^{-1}; those are rows of a unimodular matrix,
-    hence a saturated basis.
+    The saturation is the integer kernel of the span's equations E: an
+    echelon basis of the rows (column i of E, e_i) ends in the rows whose
+    first len(E) entries are 0, and these rows without those entries are a
+    basis of the kernel.
     """
     rows = [tuple(map(int, r)) for r in rows if any(r)]
     if not rows:
         return []
-    _, d, v, factors = smith_normal_form(rows)
-    r = sum(1 for f in factors if f != 0)
-    vinv = invert(v)
-    basis = []
-    for i in range(r):
-        basis.append(tuple(int(x) for x in vinv[i]))
-    return basis
+    n = len(rows[0])
+    eqs = [clear_denominators(v) for v in nullspace(rows)]
+    k = len(eqs)
+    lifted = [
+        tuple(e[i] for e in eqs) + tuple(int(i == j) for j in range(n))
+        for i in range(n)
+    ]
+    return [b[k:] for b in integer_row_basis(lifted) if not any(b[:k])]
 
 
 def coordinates_in_basis(vector, basis):

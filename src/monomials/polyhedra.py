@@ -9,14 +9,14 @@ interpolation, and Smith invariants.  Ranks, inverses and solutions come
 from the integer elimination of :mod:`monomials.linalg`.
 
 A Hilbert basis is computed for a full-dimensional cone only: a cone that
-spans less than R^n is moved once into coordinates of a basis of the
-lattice it spans (Bruns and Ichim, J. Algebra 324 (2010)), so every cone
-and simplex below :func:`hilbert_basis` has n independent rays in Z^n.
-Facets are computed for the top cone only: the pulling triangulation
-recurses on the ray bitmasks of faces (the facets of a face F are the
-maximal proper sets F & S_j, with S_j the rays on a facet of the top cone;
-Ziegler, Lectures on Polytopes, Lecture 2), and a simplex of determinant
-+-1 needs no Smith form, since the origin is its only parallelepiped point.
+spans less than R^n is moved once into coordinates of an echelon basis of
+its span's integer points (Bruns and Ichim, J. Algebra 324 (2010)), so
+every cone and simplex below :func:`hilbert_basis` has n independent rays
+in Z^n; a flat cone's facets come from its pivot coordinates.  Facets are
+computed for the top cone only: the pulling triangulation recurses on the
+ray bitmasks of faces (the facets of a face F are the maximal proper sets
+F & S_j, with S_j the rays on a facet of the top cone; Ziegler, Lectures
+on Polytopes, Lecture 2).  No Smith form runs outside :func:`smith_invariant`.
 
 Currently everything is sequential; operations are pure, so callers may
 parallelize over independent inputs if they wish.
@@ -168,14 +168,13 @@ def cone_facets(generators):
     ]
     if not equations:
         return [], extreme_rays_of_inequalities(gens)
-    sat = linalg.saturation_basis(gens)
-    inner = extreme_rays_of_inequalities(_lattice_coordinates(gens, sat))
+    # the span maps isomorphically onto its pivot coordinates, so each facet
+    # has one primitive normal supported on them
+    _, pivots = linalg.row_echelon(gens)
     facets = []
-    for f in inner:
-        amb = linalg.solve(sat, f)
-        if amb is None:
-            raise InternalConsistencyError("cannot lift facet normal to ambient space")
-        facets.append(clear_denominators(amb))
+    for f in extreme_rays_of_inequalities([[g[c] for c in pivots] for g in gens]):
+        on_pivots = dict(zip(pivots, f))
+        facets.append(tuple(on_pivots.get(c, 0) for c in range(n)))
     return sorted(equations), sorted(facets)
 
 
@@ -268,8 +267,10 @@ def _pull(face, dim, masks, done):
 def parallelepiped_points(rays):
     """Lattice points of {sum c_i r_i : 0 <= c_i < 1} for n independent rays
     in Z^n, one per element of Z^n / (ray lattice): the origin alone when the
-    determinant is +-1.  :func:`hilbert_basis` moves a flat cone into its own
-    lattice first, so no caller passes fewer rays than coordinates."""
+    determinant is +-1, else one per point of the box prod [0, h_i), h the
+    positive diagonal of the triangular echelon basis of the ray lattice.
+    :func:`hilbert_basis` moves a flat cone into its own lattice first, so no
+    caller passes fewer rays than coordinates."""
     rays = [tuple(map(int, r)) for r in rays]
     n = len(rays[0])
     minor = len(rays) == n and linalg.det(rays)
@@ -277,24 +278,15 @@ def parallelepiped_points(rays):
         raise PreconditionError("parallelepiped needs n independent rays in Z^n")
     if abs(minor) == 1:
         return [(0,) * n]
-    return _smith_points(rays)
-
-
-def _smith_points(rays):
-    """Parallelepiped points of n independent rays in Z^n, one per element
-    of Z^n / (ray lattice), read off the Smith form of the ray matrix."""
-    n = len(rays)
     cols = [tuple(r[i] for r in rays) for i in range(n)]  # matrix with ray columns
-    u, _, _, factors = linalg.smith_normal_form(cols)
-    uinv = [[int(x) for x in row] for row in linalg.invert(u)]
     rinv = linalg.invert(cols)
     # den * cols^-1 is integral; den * (fractional part of a coefficient) is
     # the integral coefficient mod den
     den = lcm(*(x.denominator for row in rinv for x in row))
     radj = [[int(x * den) for x in row] for row in rinv]
+    diagonal = [b[i] for i, b in enumerate(linalg.integer_row_basis(rays))]
     pts = []
-    for c in itertools.product(*[range(f) for f in factors]):
-        x = [vec_dot(row, c) for row in uinv]
+    for x in itertools.product(*[range(h) for h in diagonal]):
         lam = [vec_dot(row, x) % den for row in radj]
         pts.append(tuple(vec_dot(row, lam) // den for row in cols))
     return pts
@@ -340,14 +332,14 @@ def hilbert_basis(generators, cone=None):
     """Minimal Hilbert basis of the pointed cone spanned by the generators.
 
     Normaliz-style pipeline.  A cone that spans less than R^n is first moved
-    into coordinates of a basis of its span intersected with Z^n (one Smith
-    form, through :func:`hilbert_basis_in_lattice`), so everything below
-    sees a full-dimensional cone: compute the facets once, from them
+    into coordinates of a basis of its span intersected with Z^n (an
+    echelon basis, through :func:`hilbert_basis_in_lattice`), so everything
+    below sees a full-dimensional cone: compute the facets once, from them
     pointedness and the extreme rays, triangulate the extreme rays (pulling
     order, on ray bitmasks below the top cone), collect the
     fundamental-parallelepiped lattice points of each simplicial piece (the
-    origin alone, with no Smith form, when its determinant is +-1), then
-    discard the candidates that another one reduces.
+    origin alone when its determinant is +-1), then discard the candidates
+    that another one reduces.
     ``cone`` is the RationalCone of the generators when the caller has it.
     """
     gens = sorted({tuple(int(x) for x in g) for g in generators if any(g)})

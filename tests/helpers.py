@@ -3,6 +3,10 @@
 Random generators are all seeded, so every run sees the same corpus.
 """
 
+import itertools
+import math
+
+from monomials import linalg
 from monomials.core import Clutter, Graph, MonomialIdeal
 
 
@@ -179,3 +183,20 @@ def connected_atlas_graphs(max_nodes=6):
         edges = [(mapping[a], mapping[b]) for a, b in g.edges()]
         out.append(Graph(n, edges))
     return out
+
+
+def gcd_of_maximal_minors(rays):
+    d = len(rays)
+    return math.gcd(*(
+        int(linalg.det([[r[c] for c in cols] for r in rays]))
+        for cols in itertools.combinations(range(len(rays[0])), d)
+    ))
+
+
+def refuse_smith_forms(monkeypatch):
+    """Make ``linalg.smith_normal_form`` raise, so a test fails at once
+    where a Smith form would run."""
+    def refuse(matrix):
+        raise AssertionError("a Smith normal form was computed")
+
+    monkeypatch.setattr(linalg, "smith_normal_form", refuse)

@@ -77,6 +77,17 @@ def test_graph_analyze(tmp_path, capsys):
     ]
 
 
+def test_graph_analyze_tests_packing_on_13_vertices_one_isolated(tmp_path, capsys):
+    """The packing limit counts the vertices on edges: the path on 12
+    vertices plus an isolated 13th gets its packing verdict."""
+    edges = "".join(f"{i} {i + 1}\n" for i in range(1, 12))
+    path = write(tmp_path, "path12.txt", "13\n" + edges)
+    code, doc = run_capture(capsys, ["graph-analyze", path])
+    assert code == 0
+    assert doc["results"]["vertices"] == 13
+    assert doc["results"]["packing"] is True
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "1 1\nx y\n")
     code, doc = run_capture(capsys, ["normality", path])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,13 @@ from monomials.errors import (
 )
 from monomials.linalg import vec_dot
 
-from helpers import cycle_graph, q6_ideal, random_squarefree_ideal
+from helpers import (
+    cycle_graph,
+    gcd_of_maximal_minors,
+    q6_ideal,
+    random_squarefree_ideal,
+    refuse_smith_forms,
+)
 
 
 def test_hilbert_basis_examples():
@@ -125,6 +132,91 @@ def test_cone_facets_lower_dimensional():
     for g in [(1, 1, 0), (0, 1, 1), (1, 2, 1)]:
         assert polyhedra.cone_contains(g, eqs, facets)
     assert not polyhedra.cone_contains((1, 0, 0), eqs, facets)
+
+
+# Linearly independent generators whose saturation and parallelepiped
+# points took a naive Smith form past 20 s through coefficient growth.
+MIXED_SIGN_SPAN = [
+    (2, -1, 5, 14, 6, 4, -11), (0, -1, 2, 2, 10, 12, -10),
+    (-1, -4, 3, 14, 6, 0, -6), (1, -4, 0, 0, 6, 0, -12),
+    (3, -3, 5, 12, 4, 12, -12), (7, -1, 4, 0, 4, 0, -1),
+]
+NONNEGATIVE_SPAN = [
+    (5, 6, 6, 10, 7, 9), (1, 0, 2, 7, 11, 16), (0, 6, 0, 7, 5, 9),
+    (6, 6, 1, 3, 10, 3), (3, 0, 2, 10, 10, 9),
+]
+
+
+def certify_simplicial_hilbert_basis(gens, basis):
+    """Check the Hilbert basis of the cone over linearly independent
+    generators without the cone pipeline, on the coefficients of points in
+    the generators.  Every element is a lattice point of the cone and no
+    sum of two elements.  Every generator is a sum of elements, and so is
+    every lattice point in the unit box of coefficients: that box holds
+    one point per class of (span ∩ Z^n) / (generator lattice), as many as
+    the gcd of the maximal minors, and all of them are reached by adding
+    elements modulo the generators."""
+    assert linalg.rank(gens) == len(gens)
+    columns = list(zip(*gens))
+
+    def coefficients(p):
+        lam = linalg.solve(columns, p)
+        assert lam is not None and min(lam) >= 0
+        return lam
+
+    def unit_box(lam):
+        return tuple(c - math.floor(c) for c in lam)
+
+    lams = [coefficients(h) for h in basis]
+    assert all(any(h) for h in basis)
+    zero = (Fraction(0),) * len(gens)
+    box, frontier = {zero}, [zero]
+    while frontier:
+        lam = frontier.pop()
+        for h in lams:
+            step = unit_box([a + b for a, b in zip(lam, h)])
+            if step not in box:
+                box.add(step)
+                frontier.append(step)
+    assert len(box) == gcd_of_maximal_minors(gens)
+    # scaled to integers, the coefficients of cone points lie in N^d
+    scale = math.lcm(*(c.denominator for lam in lams for c in lam))
+    elements = [tuple(int(c * scale) for c in lam) for lam in lams]
+    for lam in list(box) + [coefficients(g) for g in gens]:
+        point = tuple(int(c * scale) for c in lam)
+        assert polyhedra.monoid_decompose(point, elements) is not None
+    sums = {
+        tuple(x + y for x, y in zip(a, b))
+        for a, b in itertools.combinations_with_replacement(basis, 2)
+    }
+    assert not sums & set(basis)
+
+
+def test_a_mixed_sign_flat_cone_needs_no_smith_form(monkeypatch):
+    refuse_smith_forms(monkeypatch)
+    gens = MIXED_SIGN_SPAN
+    eqs, facets = polyhedra.cone_facets(gens)
+    assert len(eqs) == 1 and all(vec_dot(eqs[0], g) == 0 for g in gens)
+    # simplicial: each facet is positive on exactly one generator
+    assert len(facets) == len(gens)
+    for f in facets:
+        assert f == linalg.primitive(f) and f[-1] == 0  # on the pivot columns
+        assert sorted(vec_dot(f, g) > 0 for g in gens) == [False] * 5 + [True]
+        assert min(vec_dot(f, g) for g in gens) == 0
+    basis = linalg.saturation_basis(gens)
+    assert len(basis) == len(gens)
+    assert all(linalg.coordinates_in_basis(g, basis) is not None for g in gens)
+    assert gcd_of_maximal_minors(basis) == 1
+    hilbert = polyhedra.RationalCone(gens).hilbert_basis()
+    assert len(hilbert) == 16
+    certify_simplicial_hilbert_basis(gens, hilbert)
+
+
+def test_a_nonnegative_flat_hilbert_basis_needs_no_smith_form(monkeypatch):
+    refuse_smith_forms(monkeypatch)
+    hilbert = polyhedra.hilbert_basis(NONNEGATIVE_SPAN)
+    assert len(hilbert) == 22
+    certify_simplicial_hilbert_basis(NONNEGATIVE_SPAN, hilbert)
 
 
 def test_covering_polyhedron_vertices():

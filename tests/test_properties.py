@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from monomials import closure, core, invariants, linalg, lp, polyhedra, symbolic
 from monomials.errors import PreconditionError
 
-from helpers import cycle_graph, q6_ideal
+from helpers import cycle_graph, gcd_of_maximal_minors, q6_ideal
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 ENTRIES = st.one_of(
@@ -414,6 +414,45 @@ def graph_rees_cones():
     )
 
 
+def lattice_cone_facets(generators):
+    """The facet description by the lattice route: a flat cone's generators
+    are written in a saturated basis of their span, and each facet normal
+    found there is lifted back by ``solve``.  The oracle of the facets on
+    pivot coordinates in ``cone_facets``."""
+    gens = [tuple(g) for g in generators if any(g)]
+    equations = [
+        linalg.clear_denominators(v) for v in linalg.nullspace(gens, ncols=len(gens[0]))
+    ]
+    if not equations:
+        return [], polyhedra.extreme_rays_of_inequalities(gens)
+    sat = linalg.saturation_basis(gens)
+    coords = [linalg.coordinates_in_basis(g, sat) for g in gens]
+    return sorted(equations), sorted(
+        linalg.clear_denominators(linalg.solve(sat, f))
+        for f in polyhedra.extreme_rays_of_inequalities(coords)
+    )
+
+
+def lifted_point_sets():
+    """(p, 1) for 1-6 points p in Z^d, d = 1..4, in any position, so the
+    cone is flat whenever the points lie on a hyperplane."""
+    return st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=6, unique=True
+        )
+    ).map(lambda points: [p + (1,) for p in points])
+
+
+@settings(SEEDED, max_examples=200)
+@given(st.one_of(
+    pointed_cones(),
+    edge_vectors().map(lambda vs: [v + (1,) for v in vs]),
+    lifted_point_sets(),
+))
+def test_property_pivot_facets_match_the_lattice_route(gens):
+    assert polyhedra.cone_facets(gens) == lattice_cone_facets(gens)
+
+
 @settings(SEEDED, max_examples=120)
 @given(st.one_of(pointed_cones(), graph_rees_cones()))
 def test_property_bitmask_pulling_matches_the_geometric_oracle(gens):
@@ -455,11 +494,31 @@ SIMPLICES = st.integers(1, 4).flatmap(
 ).filter(lambda rays: linalg.det(rays) != 0)
 
 
+def smith_parallelepiped_points(rays):
+    """Parallelepiped points of n independent rays in Z^n, one per element
+    of Z^n / (ray lattice), read off the Smith form U * A * V = D of the
+    ray matrix A: the classes are U^-1 c for c in the box prod [0, d_i).
+    The oracle of the echelon box of ``parallelepiped_points``."""
+    n = len(rays)
+    cols = [tuple(r[i] for r in rays) for i in range(n)]  # matrix with ray columns
+    u, _, _, factors = linalg.smith_normal_form(cols)
+    uinv = [[int(x) for x in row] for row in linalg.invert(u)]
+    rinv = linalg.invert(cols)
+    den = math.lcm(*(x.denominator for row in rinv for x in row))
+    radj = [[int(x * den) for x in row] for row in rinv]
+    pts = []
+    for c in itertools.product(*[range(f) for f in factors]):
+        x = [linalg.vec_dot(row, c) for row in uinv]
+        lam = [linalg.vec_dot(row, x) % den for row in radj]
+        pts.append(tuple(linalg.vec_dot(row, lam) // den for row in cols))
+    return pts
+
+
 @SEEDED
 @given(SIMPLICES)
 def test_property_unimodular_shortcut_matches_the_smith_path(rays):
     points = polyhedra.parallelepiped_points(rays)
-    assert sorted(points) == sorted(polyhedra._smith_points(rays))
+    assert sorted(points) == sorted(smith_parallelepiped_points(rays))
     assert len(points) == abs(linalg.det(rays))
 
 
@@ -480,12 +539,26 @@ def saturated_parallelepiped_points(rays):
     ]
 
 
-def gcd_of_maximal_minors(rays):
-    d = len(rays)
-    return math.gcd(*(
-        int(linalg.det([[r[c] for c in cols] for r in rays]))
-        for cols in itertools.combinations(range(len(rays[0])), d)
-    ))
+def mixed_sign_spans():
+    """1 to n - 1 rows in Z^n, n = 2..7, with entries of both signs up to
+    14: a flat span whose equations have large coefficients."""
+    return st.integers(2, 7).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(-12, 14)] * n).filter(any),
+            min_size=1, max_size=n - 1,
+        )
+    )
+
+
+@settings(SEEDED, deadline=2000)
+@given(mixed_sign_spans())
+def test_property_saturation_basis_is_a_saturated_basis_of_the_span(rows):
+    """The deadline fails a blow-up of the basis entries instead of
+    stalling the suite."""
+    basis = linalg.saturation_basis(rows)
+    assert len(basis) == linalg.rank(rows)
+    assert all(linalg.coordinates_in_basis(r, basis) is not None for r in rows)
+    assert gcd_of_maximal_minors(basis) == 1
 
 
 @SEEDED

@@ -6,14 +6,15 @@ Gauss-Jordan elimination (after Bareiss, Math. Comp. 22 (1968), but each
 changed row is divided by the gcd of its entries); rational rows are first
 scaled by their own denominators, and :class:`fractions.Fraction` appears
 only in the values returned.  The reduced echelon form is unique, so these
-values are those of rational Gauss-Jordan.  Integer normal forms (Smith,
-Hermite) use plain ints, so everything stays exact at any size.
+values are those of rational Gauss-Jordan.  Integer lattices (echelon
+bases, saturations, invariant factors) use plain ints, so everything stays
+exact at any size.
 """
 
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from monomials.errors import PreconditionError
+from monomials.errors import InternalConsistencyError, PreconditionError
 
 
 def vec_dot(a, b):
@@ -162,110 +163,6 @@ def invert(rows):
     return [tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(mat)]
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [tuple(vec_dot(ra, cb) for cb in bt) for ra in a]
-
-
-def smith_normal_form(matrix):
-    """Smith normal form with transforms: U * A * V = D.
-
-    Returns (U, D, V, invariant_factors) with U, V unimodular integer
-    matrices and D diagonal with d_1 | d_2 | ... >= 0.
-    """
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find a non-zero pivot in the trailing block
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0:
-                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t] % a[t][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    swap_rows(t, i)
-                    done = False
-                elif a[i][t] != 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-            for j in range(t + 1, n):
-                if a[t][j] % a[t][t] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    swap_cols(t, j)
-                    done = False
-                elif a[t][j] != 0:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-            if done:
-                break
-        # make every trailing entry divisible by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue  # redo the clearing with the fattened row
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    factors = [a[i][i] for i in range(min(m, n))]
-    return (
-        [tuple(r) for r in u],
-        [tuple(r) for r in a],
-        [tuple(r) for r in v],
-        factors,
-    )
-
-
-def invariant_factors(matrix):
-    return smith_normal_form(matrix)[3]
-
-
 def integer_row_basis(rows):
     """Echelon basis of the integer lattice spanned by the rows.
 
@@ -301,6 +198,38 @@ def integer_row_basis(rows):
         basis.append(tuple(p))
         mat = zz
     return basis
+
+
+def invariant_factors(matrix):
+    """Invariant factors d_1 | d_2 | ... of an integer matrix, padded with
+    zeros to min(m, n) entries.
+
+    :func:`integer_row_basis` runs on the rows, then on the columns, and so
+    on (unimodular steps that drop zero lines) until the matrix is diagonal;
+    a gcd/lcm pass then makes the divisibility chain.  Termination: after
+    the first column pass the matrix is r x r triangular and its pivots
+    multiply to Delta_r, which every pass keeps.  The first pivot p_k not
+    alone in its row and column is replaced by the gcd of its row (or
+    column): p_k becomes alone or drops to a proper divisor, at most
+    Omega(Delta_r) < bit_length(Delta_r) times.  The last pivot is alone
+    once the others are, so r + 1 + (r - 1) * bit_length(Delta_r) passes
+    suffice; more is an error.
+    """
+    size = min(len(matrix), len(matrix[0])) if matrix else 0
+    mat = integer_row_basis(list(zip(*integer_row_basis(matrix))))
+    r = len(mat)
+    bound = r + 1 + (r - 1) * prod(mat[k][k] for k in range(r)).bit_length()
+    for _ in range(bound + 1):
+        if all(sum(1 for x in row if x) == 1 for row in mat):
+            break
+        mat = integer_row_basis(list(zip(*mat)))
+    else:
+        raise InternalConsistencyError(f"invariant factors: over {bound} passes")
+    d = sorted(row[k] for k, row in enumerate(mat))
+    for i in range(r):
+        for j in range(i + 1, r):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d + [0] * (size - r)
 
 
 def saturation_basis(rows):

@@ -5,8 +5,9 @@ description; pointedness from the rank of the facet normals and extreme
 rays from tight-facet sets, with no LP; pulling triangulation,
 fundamental-parallelepiped lattice points, Hilbert bases), vertex
 enumeration for polyhedra, lattice-point counting with pruning, Ehrhart
-interpolation, and Smith invariants.  Ranks, inverses and solutions come
-from the integer elimination of :mod:`monomials.linalg`.
+interpolation, and the minor gcds Delta_r.  Ranks, inverses, solutions,
+echelon lattice bases and invariant factors come from the integer
+elimination of :mod:`monomials.linalg`.
 
 A Hilbert basis is computed for a full-dimensional cone only: a cone that
 spans less than R^n is moved once into coordinates of an echelon basis of
@@ -16,7 +17,8 @@ in Z^n; a flat cone's facets come from its pivot coordinates.  Facets are
 computed for the top cone only: the pulling triangulation recurses on the
 ray bitmasks of faces (the facets of a face F are the maximal proper sets
 F & S_j, with S_j the rays on a facet of the top cone; Ziegler, Lectures
-on Polytopes, Lecture 2).  No Smith form runs outside :func:`smith_invariant`.
+on Polytopes, Lecture 2).  No Smith normal form runs anywhere: lattices
+are read off echelon bases.
 
 Currently everything is sequential; operations are pure, so callers may
 parallelize over independent inputs if they wish.
@@ -24,7 +26,7 @@ parallelize over independent inputs if they wish.
 
 import itertools
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, lcm
+from math import ceil, comb, factorial, floor, lcm, prod
 
 from monomials import linalg
 from monomials import lp
@@ -389,30 +391,39 @@ def monoid_decompose(point, basis, max_terms=64):
     """Express a lattice point as an N-combination of basis elements.
 
     Depth-first certificate search; returns the list of summands or None.
-    Used to witness-check Hilbert bases.
+    Used to witness-check Hilbert bases.  A summand b of p leaves p - b in
+    cone(basis), so b is tried only if f.b <= f.p for every facet f; on a
+    pointed cone this bounds the depth by the facet sum of p.
     """
     point = tuple(point)
-    basis = [tuple(b) for b in basis]
-    orthant = all(x >= 0 for b in basis for x in b)
-    return _decompose(point, basis, orthant, max_terms, set())
+    basis = [tuple(b) for b in basis if any(b)]
+    if not any(point):
+        return []
+    if not basis:
+        return None
+    eqs, facets = cone_facets(basis)
+    if any(vec_dot(e, point) for e in eqs):
+        return None
+    values = [(b, tuple(vec_dot(f, b) for f in facets)) for b in basis]
+    start = tuple(vec_dot(f, point) for f in facets)
+    return _decompose(point, start, values, max_terms, {})
 
 
-def _decompose(p, basis, orthant, terms_left, dead):
-    """Summands of ``p`` from ``basis``, or None; ``dead`` collects points
-    known to have no decomposition."""
+def _decompose(p, pv, values, terms_left, dead):
+    """Summands of ``p`` (facet values ``pv``) from the (element, facet values)
+    pairs, or None; ``dead`` maps a point to the most terms that failed."""
     if not any(p):
         return []
-    if terms_left <= 0 or p in dead:
+    if terms_left <= dead.get(p, 0):
         return None
-    for b in basis:
-        if orthant and not all(x <= y for x, y in zip(b, p)):
-            continue
-        sub = _decompose(
-            tuple(x - y for x, y in zip(p, b)), basis, orthant, terms_left - 1, dead
-        )
-        if sub is not None:
-            return [b] + sub
-    dead.add(p)
+    for b, bv in values:
+        if all(x <= y for x, y in zip(bv, pv)):
+            rest = tuple(x - y for x, y in zip(p, b))
+            rest_values = tuple(y - x for x, y in zip(bv, pv))
+            sub = _decompose(rest, rest_values, values, terms_left - 1, dead)
+            if sub is not None:
+                return [b] + sub
+    dead[p] = terms_left
     return None
 
 
@@ -874,20 +885,19 @@ def polytope_volume(points):
 # ---------------------------------------------------------------------------
 
 def smith_invariant(matrix, r=None):
-    """Delta_r: gcd of the non-zero r x r minors, via invariant factors.
+    """Delta_r: gcd of the non-zero r x r minors, the product of the first r
+    invariant factors (:func:`linalg.invariant_factors`, from alternating
+    echelon bases).
 
     Returns (delta_r, rank).  With r omitted, uses r = rank.
     """
     rows = [tuple(map(int, row)) for row in matrix]
     if not rows or not any(any(row) for row in rows):
         raise PreconditionError("smith_invariant requires a non-zero matrix")
-    factors = linalg.invariant_factors(rows)
-    rk = sum(1 for f in factors if f != 0)
+    factors = [f for f in linalg.invariant_factors(rows) if f]
+    rk = len(factors)
     if r is None:
         r = rk
     if r < 1 or r > rk:
         raise PreconditionError(f"r={r} out of range for rank {rk}")
-    delta = 1
-    for f in factors[:r]:
-        delta *= f
-    return delta, rk
+    return prod(factors[:r]), rk

@@ -3,8 +3,10 @@
 Random generators are all seeded, so every run sees the same corpus.
 """
 
+import contextlib
 import itertools
 import math
+import signal
 
 from monomials import linalg
 from monomials.core import Clutter, Graph, MonomialIdeal
@@ -193,10 +195,131 @@ def gcd_of_maximal_minors(rays):
     ))
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have
+    passed, so a search that does not end fails the test instead of
+    stalling the suite (main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def refuse_smith_forms(monkeypatch):
     """Make ``linalg.smith_normal_form`` raise, so a test fails at once
-    where a Smith form would run."""
+    where a Smith form would run.  The library has none; the guard also
+    holds where one is added back."""
     def refuse(matrix):
         raise AssertionError("a Smith normal form was computed")
 
-    monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(linalg, "smith_normal_form", refuse, raising=False)
+
+
+def mat_mul(a, b):
+    """The integer or rational matrix product a * b."""
+    bt = list(zip(*b))
+    return [tuple(linalg.vec_dot(ra, cb) for cb in bt) for ra in a]
+
+
+def smith_normal_form(matrix):
+    """Smith normal form with transforms: U * A * V = D.
+
+    Returns (U, D, V, invariant_factors) with U, V unimodular integer
+    matrices and D diagonal with d_1 | d_2 | ... >= 0.  The oracle of
+    ``linalg.invariant_factors`` and of the parallelepiped classes; its
+    entries can explode on mixed-sign input, so keep its inputs small.
+    """
+    a = [list(map(int, row)) for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        # find a non-zero pivot in the trailing block
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0:
+                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
+                        pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            # clear column t
+            done = True
+            for i in range(t + 1, m):
+                if a[i][t] % a[t][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, -q)
+                    swap_rows(t, i)
+                    done = False
+                elif a[i][t] != 0:
+                    add_row(i, t, -(a[i][t] // a[t][t]))
+            for j in range(t + 1, n):
+                if a[t][j] % a[t][t] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, -q)
+                    swap_cols(t, j)
+                    done = False
+                elif a[t][j] != 0:
+                    add_col(j, t, -(a[t][j] // a[t][t]))
+            if done:
+                break
+        # make every trailing entry divisible by the pivot
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % a[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue  # redo the clearing with the fattened row
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    factors = [a[i][i] for i in range(min(m, n))]
+    return (
+        [tuple(r) for r in u],
+        [tuple(r) for r in a],
+        [tuple(r) for r in v],
+        factors,
+    )

@@ -2,11 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from monomials import linalg
-from monomials.errors import PreconditionError
+from monomials.errors import InternalConsistencyError, PreconditionError
+
+from helpers import mat_mul, smith_normal_form
 
 
 def random_matrix(rng, m, n, lo=-4, hi=4):
@@ -60,14 +63,17 @@ def test_inconsistent_system():
 
 
 def test_smith_normal_form_properties():
+    """The test oracle's transforms are unimodular and diagonalize, and
+    ``invariant_factors`` gives its diagonal."""
     rng = random.Random(9)
     for _ in range(25):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         mat = random_matrix(rng, m, n)
-        u, d, v, factors = linalg.smith_normal_form(mat)
+        u, d, v, factors = smith_normal_form(mat)
+        assert linalg.invariant_factors(mat) == factors
         assert abs(linalg.det(u)) == 1
         assert abs(linalg.det(v)) == 1
-        prod = linalg.mat_mul(linalg.mat_mul(u, mat), v)
+        prod = mat_mul(mat_mul(u, mat), v)
         for i in range(m):
             for j in range(n):
                 expected = factors[i] if i == j and i < len(factors) else 0
@@ -98,6 +104,34 @@ def test_invariant_factor_products_match_minor_gcds():
         for r in range(1, rank + 1):
             prod *= factors[r - 1]
             assert prod == _minor_gcd(mat, r)
+
+
+def test_invariant_factors_of_degenerate_matrices():
+    assert linalg.invariant_factors([]) == []
+    assert linalg.invariant_factors([(0, 0, 0), (0, 0, 0)]) == [0, 0]
+    assert linalg.invariant_factors([(6, 4)]) == [2]
+    assert linalg.invariant_factors([(2, 0), (0, 3)]) == [1, 6]
+    assert linalg.invariant_factors([(4, 0, 0), (0, 6, 0), (0, 0, 0)]) == [2, 12, 0]
+
+
+def test_invariant_factors_fail_past_their_pass_bound(monkeypatch):
+    """A diagonalization that stops making progress is an error, not a
+    hang: with passes that change nothing, the bound fires."""
+    monkeypatch.setattr(
+        linalg, "integer_row_basis", lambda rows: [tuple(r) for r in rows if any(r)]
+    )
+    with pytest.raises(InternalConsistencyError, match="passes"):
+        linalg.invariant_factors([(2, 1), (0, 2)])
+
+
+def test_no_smith_normal_form_in_the_library():
+    """Invariant factors come from echelon bases; the Smith form and its
+    matrix product live only in the tests, as oracles."""
+    src = Path(linalg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "smith_normal_form" not in text, path.name
+        assert "mat_mul" not in text, path.name
 
 
 def test_integer_row_basis_spans_same_lattice():

@@ -20,6 +20,7 @@ from helpers import (
     q6_ideal,
     random_squarefree_ideal,
     refuse_smith_forms,
+    time_limit,
 )
 
 
@@ -155,7 +156,7 @@ def certify_simplicial_hilbert_basis(gens, basis):
     every lattice point in the unit box of coefficients: that box holds
     one point per class of (span ∩ Z^n) / (generator lattice), as many as
     the gcd of the maximal minors, and all of them are reached by adding
-    elements modulo the generators."""
+    elements modulo the generators.  The sums are found in Z^n itself."""
     assert linalg.rank(gens) == len(gens)
     columns = list(zip(*gens))
 
@@ -179,12 +180,13 @@ def certify_simplicial_hilbert_basis(gens, basis):
                 box.add(step)
                 frontier.append(step)
     assert len(box) == gcd_of_maximal_minors(gens)
-    # scaled to integers, the coefficients of cone points lie in N^d
-    scale = math.lcm(*(c.denominator for lam in lams for c in lam))
-    elements = [tuple(int(c * scale) for c in lam) for lam in lams]
-    for lam in list(box) + [coefficients(g) for g in gens]:
-        point = tuple(int(c * scale) for c in lam)
-        assert polyhedra.monoid_decompose(point, elements) is not None
+    for lam in box:
+        point = tuple(sum(c * x for c, x in zip(lam, col)) for col in columns)
+        assert all(x.denominator == 1 for x in point)
+        point = tuple(map(int, point))
+        assert polyhedra.monoid_decompose(point, basis) is not None
+    for g in gens:
+        assert polyhedra.monoid_decompose(g, basis) is not None
     sums = {
         tuple(x + y for x, y in zip(a, b))
         for a, b in itertools.combinations_with_replacement(basis, 2)
@@ -210,6 +212,43 @@ def test_a_mixed_sign_flat_cone_needs_no_smith_form(monkeypatch):
     hilbert = polyhedra.RationalCone(gens).hilbert_basis()
     assert len(hilbert) == 16
     certify_simplicial_hilbert_basis(gens, hilbert)
+
+
+def test_the_mixed_sign_span_has_its_minor_gcds_without_a_smith_form(monkeypatch):
+    """On this span a naive Smith form had not finished after 12 s."""
+    refuse_smith_forms(monkeypatch)
+    assert polyhedra.smith_invariant(MIXED_SIGN_SPAN) == (32, 6)
+    assert [
+        polyhedra.smith_invariant(MIXED_SIGN_SPAN, r)[0] for r in range(1, 7)
+    ] == [1, 1, 1, 1, 4, 32]
+    assert gcd_of_maximal_minors(MIXED_SIGN_SPAN) == 32
+
+
+def test_monoid_decompose_is_bounded_on_a_mixed_sign_basis():
+    """With facet pruning each Hilbert basis element of the mixed-sign
+    span is its own only decomposition; an orthant-only pruning searched
+    this without bound."""
+    hilbert = polyhedra.hilbert_basis(MIXED_SIGN_SPAN)
+    h = (7, -1, 4, 0, 4, 0, -1)
+    assert h in hilbert
+    with time_limit(5):
+        assert polyhedra.monoid_decompose(h, hilbert) == [h]
+        twice = tuple(2 * x for x in h)
+        assert polyhedra.monoid_decompose(twice, hilbert) == [h, h]
+        assert polyhedra.monoid_decompose((1,) + (0,) * 6, hilbert) is None
+
+
+def test_monoid_decompose_uses_its_whole_term_budget():
+    """A point that failed only for lack of terms is tried again when it is
+    reached with more terms left."""
+    for point, basis, terms in [
+        ((14, 6), [(1, 0), (3, 2), (4, 2), (5, 2)], 3),
+        ((16, 6), [(1, 0), (2, 1), (3, 0), (4, 2)], 6),
+    ]:
+        summands = polyhedra.monoid_decompose(point, basis, max_terms=terms)
+        assert summands is not None and len(summands) <= terms
+        assert tuple(map(sum, zip(*summands))) == point
+    assert polyhedra.monoid_decompose((14, 6), [(1, 0), (5, 2)], max_terms=3) is None
 
 
 def test_a_nonnegative_flat_hilbert_basis_needs_no_smith_form(monkeypatch):

@@ -14,7 +14,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from monomials import closure, core, invariants, linalg, lp, polyhedra, symbolic
 from monomials.errors import PreconditionError
 
-from helpers import cycle_graph, gcd_of_maximal_minors, q6_ideal
+from helpers import (
+    cycle_graph,
+    gcd_of_maximal_minors,
+    mat_mul,
+    q6_ideal,
+    smith_normal_form,
+)
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 ENTRIES = st.one_of(
@@ -76,15 +82,15 @@ def test_property_invert_gives_the_identity(mat):
     inv = linalg.invert(mat)
     assert all_fractions(inv)
     identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    assert linalg.mat_mul(mat, inv) == identity
-    assert linalg.mat_mul(inv, mat) == identity
+    assert mat_mul(mat, inv) == identity
+    assert mat_mul(inv, mat) == identity
 
 
 @SEEDED
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(square(n), square(n))))
 def test_property_det_is_multiplicative(pair):
     a, b = pair
-    product = linalg.det(linalg.mat_mul(a, b))
+    product = linalg.det(mat_mul(a, b))
     assert type(product) is Fraction
     assert product == linalg.det(a) * linalg.det(b)
 
@@ -482,7 +488,7 @@ def unimodular(n):
         ])
 
     return st.tuples(triangle(True), triangle(False)).map(
-        lambda lu: linalg.mat_mul(*lu)
+        lambda lu: mat_mul(*lu)
     )
 
 
@@ -501,7 +507,7 @@ def smith_parallelepiped_points(rays):
     The oracle of the echelon box of ``parallelepiped_points``."""
     n = len(rays)
     cols = [tuple(r[i] for r in rays) for i in range(n)]  # matrix with ray columns
-    u, _, _, factors = linalg.smith_normal_form(cols)
+    u, _, _, factors = smith_normal_form(cols)
     uinv = [[int(x) for x in row] for row in linalg.invert(u)]
     rinv = linalg.invert(cols)
     den = math.lcm(*(x.denominator for row in rinv for x in row))
@@ -559,6 +565,56 @@ def test_property_saturation_basis_is_a_saturated_basis_of_the_span(rows):
     assert len(basis) == linalg.rank(rows)
     assert all(linalg.coordinates_in_basis(r, basis) is not None for r in rows)
     assert gcd_of_maximal_minors(basis) == 1
+
+
+def integer_matrices(entries, max_rows, max_cols):
+    return st.integers(1, max_cols).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[entries] * n), min_size=1, max_size=max_rows
+        )
+    )
+
+
+MIXED_SIGN_MATRICES = integer_matrices(st.integers(-12, 12), 6, 7)
+
+
+def pivot_product(basis):
+    return math.prod(next(x for x in row if x) for row in basis)
+
+
+@settings(SEEDED, deadline=2000)
+@given(MIXED_SIGN_MATRICES)
+def test_property_invariant_factors_give_the_index_of_the_row_lattice(rows):
+    """Delta_rank is the index of the row lattice in its saturation, the
+    ratio of the pivot products of their echelon bases.  The deadline fails
+    a blow-up of the entries instead of stalling the suite."""
+    assume(any(any(row) for row in rows))
+    factors = linalg.invariant_factors(rows)
+    delta = math.prod(f for f in factors if f)
+    lattice = pivot_product(linalg.integer_row_basis(rows))
+    saturation = pivot_product(
+        linalg.integer_row_basis(linalg.saturation_basis(rows))
+    )
+    assert lattice % saturation == 0
+    assert delta == lattice // saturation
+
+
+@settings(SEEDED, deadline=2000)
+@given(MIXED_SIGN_MATRICES)
+def test_property_invariant_factors_form_a_divisibility_chain(rows):
+    factors = linalg.invariant_factors(rows)
+    assert len(factors) == min(len(rows), len(rows[0]))
+    nonzero = [f for f in factors if f]
+    assert factors == nonzero + [0] * (len(factors) - len(nonzero))
+    assert len(nonzero) == linalg.rank(rows)
+    assert all(f > 0 for f in nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+@settings(SEEDED, deadline=2000)
+@given(integer_matrices(st.integers(-3, 3), 4, 4))
+def test_property_invariant_factors_match_the_smith_oracle(rows):
+    assert linalg.invariant_factors(rows) == smith_normal_form(rows)[3]
 
 
 @SEEDED

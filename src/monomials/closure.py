@@ -7,6 +7,9 @@ Rees cone facets once per ideal, a closure's minimal generators are read
 off that system by :func:`monomials.core.staircase` over a candidate box,
 each column's threshold in closed form.  The LP membership test is kept
 alongside for its rational witnesses.
+
+Normality by powers and the normalization index read the gaps, the first
+generator of closure(I^n) outside I*closure(I^(n-1)), and never build I^n.
 """
 
 from fractions import Fraction
@@ -15,11 +18,12 @@ from math import lcm
 from monomials import polyhedra
 from monomials.core import (
     MonomialIdeal,
+    divides,
     ideal_power,
-    ideal_product,
     memo,
     require_box,
     staircase,
+    vec_sub_clamped,
 )
 from monomials.errors import (
     BudgetExceededError,
@@ -110,6 +114,22 @@ def _closures(ideal, top, budget):
     return {n: closure_of_power(ideal, n, budget=budget) for n in range(1, top + 1)}
 
 
+def _gaps(ideal, closures):
+    """{n: first generator of closures[n] outside I*closures[n-1]} for the n
+    that have one, closure(I^0) being S: g is in I*J iff some generator h
+    of I divides g with g - h in J.  As I*closure(I^(n-1)) lies inside
+    closure(I^n), no gap at n means the two are equal."""
+    gaps = {}
+    for n, closed in closures.items():
+        lower = closures.get(n - 1)
+        for g in closed.gens:
+            quotients = (vec_sub_clamped(g, h) for h in ideal.gens if divides(h, g))
+            if not any(lower is None or lower.contains_monomial(q) for q in quotients):
+                gaps[n] = g
+                break
+    return gaps
+
+
 class NormalityReport:
     """Verdict of the normality test with the method(s) that produced it.
 
@@ -146,20 +166,19 @@ def _normal_by_hilbert(ideal):
     return False, worst[-1], worst[:-1]
 
 
-def _normal_by_powers(ideal, closures):
-    power = ideal
-    for n in range(1, ideal.s):
-        closed = closures[n]
-        if n > 1:
-            power = ideal_product(ideal, power)
-        if closed != power:
-            gap = [g for g in closed.gens if not power.contains_monomial(g)]
-            return False, n, gap[0]
-    return True, None, None
+def _normal_by_powers(ideal, gaps):
+    """Below the first gap every closure is the power, so a gap at n < s is
+    a generator of closure(I^n) outside I^n; I^n certifies it."""
+    n = min(gaps, default=ideal.s)
+    if n >= ideal.s:
+        return True, None, None
+    if ideal_power(ideal, n).contains_monomial(gaps[n]):
+        raise InternalConsistencyError(f"closure gap {gaps[n]} lies in I^{n}")
+    return False, n, gaps[n]
 
 
-def _normality(ideal, method, closures):
-    """The power route reads ``closures`` and is left out if they are None."""
+def _normality(ideal, method, gaps):
+    """The power route reads the closures' ``gaps``; None leaves it out."""
     if method not in ("hilbert", "powers", "both"):
         raise PreconditionError(f"unknown method {method!r}")
     ran = []
@@ -167,8 +186,8 @@ def _normality(ideal, method, closures):
     if method in ("hilbert", "both"):
         results.append(_normal_by_hilbert(ideal))
         ran.append("hilbert")
-    if method in ("powers", "both") and closures is not None:
-        results.append(_normal_by_powers(ideal, closures))
+    if method in ("powers", "both") and gaps is not None:
+        results.append(_normal_by_powers(ideal, gaps))
         ran.append("powers")
     verdicts = {r[0] for r in results}
     if len(verdicts) != 1:
@@ -185,35 +204,28 @@ def is_normal(ideal, method="both", budget=DEFAULT_BOX_BUDGET):
     """Is every power of I integrally closed?
 
     ``method`` selects the Hilbert-basis route (RC(I) Hilbert basis equal to
-    its generator set), the power route (I^n closed for n <= s-1, which
-    suffices by the normality descent for monomial ideals), or both.  When
+    its generator set), the power route (no gap for n <= s-1, i.e. I^n
+    closed, which suffices by the normality descent), or both.  When
     the power route would overrun its box budget under ``method="both"`` the
     verdict is tagged with the methods that actually ran; disagreement
     between routes raises.
     """
-    closures = None
+    gaps = None
     if method in ("powers", "both"):
         try:
-            closures = _closures(ideal, ideal.s - 1, budget)
+            gaps = _gaps(ideal, _closures(ideal, ideal.s - 1, budget))
         except BudgetExceededError:
             if method == "powers":
                 raise
-    return _normality(ideal, method, closures)
+    return _normality(ideal, method, gaps)
 
 
-def _normalization_index(ideal, closures):
-    s = ideal.s
-    failing = -1
-    # n = 0: closure(I) = I * closure(I^0) = I
-    if closures[1] != ideal:
-        failing = 0
-    for n in range(1, s):
-        if closures[n + 1] != ideal_product(ideal, closures[n]):
-            failing = n
-    index = failing + 1
-    if index > max(s - 1, 0):
+def _normalization_index(ideal, gaps):
+    """The last gap n <= s, or 0 when there is none."""
+    index = max((n for n in gaps if n <= ideal.s), default=0)
+    if index > max(ideal.s - 1, 0):
         raise InternalConsistencyError(
-            f"normalization index {index} exceeds the dimension bound {s - 1}"
+            f"normalization index {index} exceeds the dimension bound {ideal.s - 1}"
         )
     return index
 
@@ -224,15 +236,14 @@ def normalization_index(ideal, budget=DEFAULT_BOX_BUDGET):
     Checks n = 0..s-1 directly; stabilization beyond s-1 is guaranteed for
     monomial ideals, which also caps the answer at s-1 (asserted).
     """
-    return _normalization_index(ideal, _closures(ideal, ideal.s, budget))
+    return _normalization_index(ideal, _gaps(ideal, _closures(ideal, ideal.s, budget)))
 
 
 class ClosureReport:
     """Closure generators per power, normality verdict, normalization index.
 
-    Invariants enforced on construction: a normal verdict forces every
-    reported closure to equal the plain power, and the normalization index
-    respects the dimension bound.
+    Invariants enforced on construction: a normal verdict forces no gap in
+    the reported closures, and the index respects the dimension bound.
     """
 
     __slots__ = ("ideal", "closures", "normality", "normalization_index")
@@ -242,15 +253,10 @@ class ClosureReport:
         self.closures = closures
         self.normality = normality
         self.normalization_index = index
-        if normality.normal:
-            power, k = ideal, 1
-            for n, closed in sorted(closures.items()):
-                while k < n:
-                    power, k = ideal_product(ideal, power), k + 1
-                if closed != power:
-                    raise InternalConsistencyError(
-                        f"normal verdict but closure gap at power {n}"
-                    )
+        if normality.normal and (gaps := _gaps(ideal, closures)):
+            raise InternalConsistencyError(
+                f"normal verdict but closure gap at power {min(gaps)}"
+            )
         if index > max(ideal.s - 1, 0):
             raise InternalConsistencyError("normalization index out of bounds")
 
@@ -263,12 +269,14 @@ class ClosureReport:
 
 def closure_report(ideal, up_to=None, method="both", budget=DEFAULT_BOX_BUDGET):
     """Bundle per-power closures, the normality verdict and N(I); each
-    closure(I^n), n <= max(up_to, s), is computed once and read by all."""
+    closure(I^n), n <= max(up_to, s), is computed once, and its gaps are
+    read by the verdict and the index."""
     if up_to is None:
         up_to = max(ideal.s - 1, 1)
     closures = _closures(ideal, max(up_to, ideal.s), budget)
-    verdict = _normality(ideal, method, closures)
-    index = _normalization_index(ideal, closures)
+    gaps = _gaps(ideal, closures)
+    verdict = _normality(ideal, method, gaps)
+    index = _normalization_index(ideal, gaps)
     reported = {n: closures[n] for n in range(1, up_to + 1)}
     return ClosureReport(ideal, reported, verdict, index)
 

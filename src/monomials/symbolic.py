@@ -207,13 +207,6 @@ def ic_resurgence(ideal):
     return ResurgenceReport(rho, pair, rep.integral, rep_dual.integral)
 
 
-def contains_power(ideal_power_target, symbolic):
-    """symbolic subseteq target, generator-wise."""
-    return all(
-        ideal_power_target.contains_monomial(g) for g in symbolic.gens
-    )
-
-
 def containment_function(ideal, r, budget=closure_mod.DEFAULT_BOX_BUDGET):
     """Schenzel function f(r): least n with I^(n) inside I^r.
 
@@ -225,7 +218,7 @@ def containment_function(ideal, r, budget=closure_mod.DEFAULT_BOX_BUDGET):
     power = ideal_power(ideal, r)
     bound = r * ideal.big_height()
     for n in range(r, bound + 1):
-        if contains_power(power, symbolic_power(ideal, n, budget=budget)):
+        if power.contains_ideal(symbolic_power(ideal, n, budget=budget)):
             return n
     raise InternalConsistencyError(
         f"no containment up to the uniform bound {bound}"
@@ -238,9 +231,8 @@ def resurgence_one_test(ideal, budget=closure_mod.DEFAULT_BOX_BUDGET):
     if not rep.integral:
         return False
     for r in range(1, ideal.s):
-        if not contains_power(
-            ideal_power(ideal, r), symbolic_power(ideal, r + 1, budget=budget)
-        ):
+        symbolic = symbolic_power(ideal, r + 1, budget=budget)
+        if not ideal_power(ideal, r).contains_ideal(symbolic):
             return False
     return True
 

@@ -37,6 +37,15 @@ def test_normality_report(tmp_path, capsys):
     assert doc["partial"] is False
 
 
+def test_normality_report_by_powers_only(tmp_path, capsys):
+    path = write(tmp_path, "ci.txt", "2 0\n0 2\n")
+    code, doc = run_capture(capsys, ["normality", path, "--method", "powers"])
+    assert code == 0
+    assert doc["results"] == {"normal": False, "method": "powers"}
+    assert doc["certificates"]["witness_power"] == 1
+    assert doc["certificates"]["witness_monomial"] == [1, 1]
+
+
 def test_determinism_and_round_trip(tmp_path, capsys):
     path = write(tmp_path, "c3.txt", "1 1 0\n0 1 1\n1 0 1\n")
     code1, doc1 = run_capture(capsys, ["resurgence", path])

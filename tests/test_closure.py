@@ -5,8 +5,12 @@ from math import lcm
 import pytest
 
 from monomials import closure, core, graphs, polyhedra
-from monomials.core import MonomialIdeal, ideal_power
-from monomials.errors import BudgetExceededError, PreconditionError
+from monomials.core import MonomialIdeal, ideal_power, ideal_product
+from monomials.errors import (
+    BudgetExceededError,
+    InternalConsistencyError,
+    PreconditionError,
+)
 from monomials.linalg import solve
 
 from helpers import (
@@ -73,7 +77,7 @@ def test_closure_contains_power_and_is_multiplicative():
         assert c1.contains_ideal(ideal)
         assert c2.contains_ideal(ideal_power(ideal, 2))
         # closure(I) * closure(I^2) inside closure(I^3)
-        prod = closure.ideal_product(c1, c2)
+        prod = ideal_product(c1, c2)
         assert c3.contains_ideal(prod)
 
 
@@ -87,6 +91,33 @@ def test_is_normal_examples():
     assert not rep.normal and rep.witness_power == 1
     assert rep.witness_monomial == (1, 1)
     assert set(rep.methods) == {"hilbert", "powers"}
+
+
+def test_a_closure_missing_a_generator_trips_the_witness_certificate(monkeypatch):
+    """closure(I^2) of C4 with its first generator replaced by a multiple:
+    I*closure(I^2) then misses a generator of closure(I^3), the false gap
+    at 3 < s lies in I^3, and the certificate raises."""
+    c4 = cycle_graph(4).edge_ideal()
+    honest = closure.closure_of_power
+
+    def faulty(ideal, n, budget=closure.DEFAULT_BOX_BUDGET):
+        closed = honest(ideal, n, budget)
+        if n != 2:
+            return closed
+        first = tuple(2 * x for x in closed.gens[0])
+        return MonomialIdeal(ideal.s, [first, *closed.gens[1:]])
+
+    monkeypatch.setattr(closure, "closure_of_power", faulty)
+    with pytest.raises(InternalConsistencyError):
+        closure.is_normal(c4, method="powers")
+
+
+def test_a_false_normal_verdict_trips_the_report_invariant(monkeypatch):
+    """A Hilbert route that calls (x^2, y^2) normal leaves the gap of
+    closure(I) = (x^2, xy, y^2) standing against the verdict."""
+    monkeypatch.setattr(closure, "_normal_by_hilbert", lambda ideal: (True, None, None))
+    with pytest.raises(InternalConsistencyError, match="closure gap at power 1"):
+        closure.closure_report(MonomialIdeal(2, [(2, 0), (0, 2)]), method="hilbert")
 
 
 def test_is_normal_method_agreement_random():
@@ -119,7 +150,7 @@ def test_stabilization_on_random_ideals():
             n: closure.closure_of_power(ideal, n) for n in range(1, s + 3)
         }
         for n in range(s, s + 3):
-            assert closures[n] == closure.ideal_product(ideal, closures[n - 1])
+            assert closures[n] == ideal_product(ideal, closures[n - 1])
 
 
 def test_hyperplane_rank_bound():

@@ -285,6 +285,86 @@ def test_property_closure_generators_pass_the_lp_route(ideal, n):
         assert closure.membership(g, ideal, n, witness=False, verify=True)
 
 
+def chain_normal_by_powers(ideal, closures):
+    """The power route by construction: closure(I^n) against I^n, n < s."""
+    power = ideal
+    for n in range(1, ideal.s):
+        closed = closures[n]
+        if n > 1:
+            power = core.ideal_product(ideal, power)
+        if closed != power:
+            gap = [g for g in closed.gens if not power.contains_monomial(g)]
+            return False, n, gap[0]
+    return True, None, None
+
+
+def chain_normalization_index(ideal, closures):
+    """The last n < s with closure(I^{n+1}) != I * closure(I^n), plus one."""
+    failing = -1
+    if closures[1] != ideal:
+        failing = 0
+    for n in range(1, ideal.s):
+        if closures[n + 1] != core.ideal_product(ideal, closures[n]):
+            failing = n
+    return failing + 1
+
+
+def chain_closures_are_powers(ideal, closures):
+    """Every closure in ``closures`` equals the plain power I^n."""
+    power, k = ideal, 1
+    for n, closed in sorted(closures.items()):
+        while k < n:
+            power, k = core.ideal_product(ideal, power), k + 1
+        if closed != power:
+            return False
+    return True
+
+
+def small_ideals():
+    """1-4 generators with exponents <= 3 in s = 1..4 variables."""
+    return st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda sk: st.lists(
+            st.tuples(*[st.integers(0, 3)] * sk[0]).filter(any),
+            min_size=sk[1], max_size=sk[1],
+        ).map(lambda gens: core.MonomialIdeal(sk[0], gens))
+    )
+
+
+@settings(SEEDED, max_examples=100, deadline=2000)
+@given(small_ideals(), st.booleans(), st.sampled_from(["powers", "both"]))
+@example(core.MonomialIdeal(2, [(2, 0), (0, 2)]), False, "powers")
+@example(core.MonomialIdeal(3, [(0, 3, 1), (1, 0, 3), (3, 0, 2)]), True, "powers")
+@example(
+    core.MonomialIdeal(4, [(0, 0, 3, 3), (0, 3, 3, 2), (1, 1, 0, 3), (1, 1, 3, 2)]),
+    True, "powers",
+)
+@example(
+    core.MonomialIdeal(4, [(0, 3, 3, 1), (1, 0, 0, 2), (1, 2, 1, 1), (2, 1, 1, 0)]),
+    False, "both",
+)
+def test_property_gap_walk_matches_the_product_chains(ideal, past_s, method):
+    """The verdict, methods, witness and index of closure_report, is_normal
+    and normalization_index, read off the gaps, equal those of the product
+    chains on the same closures."""
+    up_to = ideal.s + 1 if past_s else None
+    report = closure.closure_report(ideal, up_to, method)
+    closures = {n: closure.closure_of_power(ideal, n) for n in range(1, ideal.s + 1)}
+    normal, power, witness = chain_normal_by_powers(ideal, closures)
+    methods = ("powers",)
+    if method == "both":
+        by_hilbert = closure._normal_by_hilbert(ideal)
+        assert by_hilbert[0] == normal
+        if not normal:
+            power, witness = by_hilbert[1:]
+        methods = ("hilbert", "powers")
+    for verdict in (report.normality, closure.is_normal(ideal, method)):
+        assert (verdict.normal, verdict.methods) == (normal, methods)
+        assert (verdict.witness_power, verdict.witness_monomial) == (power, witness)
+    index = chain_normalization_index(ideal, closures)
+    assert report.normalization_index == closure.normalization_index(ideal) == index
+    assert not normal or chain_closures_are_powers(ideal, report.closures)
+
+
 def zero_dimensional_ideals():
     """Ideals in 2-3 variables with a pure power (exponent 1-3) of every
     variable and up to three more generators with exponents <= 3."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from monomials import closure, symbolic
-from monomials.core import MonomialIdeal, alexander_dual, ideal_power
+from monomials.core import MonomialIdeal, alexander_dual, ideal_power, ideal_product
 from monomials.errors import BudgetExceededError, PreconditionError
 
 from helpers import (
@@ -28,8 +28,8 @@ def test_symbolic_power_examples():
     q6 = q6_ideal()
     s2 = symbolic.symbolic_power(q6, 2, verify=True)
     i2 = ideal_power(q6, 2)
-    assert symbolic.contains_power(s2, i2)
-    assert not symbolic.contains_power(i2, s2)
+    assert s2.contains_ideal(i2)
+    assert not i2.contains_ideal(s2)
 
 
 def test_symbolic_power_routes_agree_random():
@@ -48,9 +48,9 @@ def test_symbolic_power_superset_and_multiplicativity():
         assert s1 == ideal
         s2 = symbolic.symbolic_power(ideal, 2)
         s3 = symbolic.symbolic_power(ideal, 3)
-        assert symbolic.contains_power(s2, ideal_power(ideal, 2))
-        prod = closure.ideal_product(s1, s2)
-        assert symbolic.contains_power(s3, prod)
+        assert s2.contains_ideal(ideal_power(ideal, 2))
+        prod = ideal_product(s1, s2)
+        assert s3.contains_ideal(prod)
 
 
 def test_symbolic_powers_are_integrally_closed():
@@ -161,8 +161,8 @@ def test_containment_function():
     f2 = symbolic.containment_function(triangle, 2)
     # brute: smallest n with I^(n) inside I^2
     n = 2
-    while not symbolic.contains_power(
-        ideal_power(triangle, 2), symbolic.symbolic_power(triangle, n)
+    while not ideal_power(triangle, 2).contains_ideal(
+        symbolic.symbolic_power(triangle, n)
     ):
         n += 1
     assert f2 == n == 3

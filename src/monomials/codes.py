@@ -3,12 +3,13 @@
 Fields up to q = 9 are table-driven (prime fields mod p, prime powers via a
 fixed irreducible polynomial).  Codes are stored by a generator matrix whose
 rows are the evaluations of the degree-d monomial basis; weights come from
-exhaustive enumeration, v-numbers from rank drops when a point is removed.
+exhaustive enumeration, v-numbers from weight-one rows of the reduced echelon
+form.
 """
 
 import itertools
 
-from monomials.core import MonomialIdeal, colon_monomial, covering_number, UNIT
+from monomials.core import MonomialIdeal, covering_number, vec_sub_clamped
 from monomials.errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -374,25 +375,19 @@ class WeightReport:
 
 
 def v_number_points(points):
-    """Least d such that some hyperplane-like form isolates one point.
+    """Least d such that a degree-d form vanishes on every point but one.
 
-    For each point P, a degree-d form vanishing on X minus P but not at P
-    exists iff removing P drops the rank of the evaluation matrix.  Bounded
-    by the regularity threshold.
+    Its evaluation is a weight-one codeword, the indicator of one point.  That
+    point's column is then a pivot of the reduced echelon form, and the
+    codeword is a multiple of its pivot row, so the test is a row with exactly
+    one non-zero entry.  Bounded by the regularity threshold.
     """
     if len(points) < 2:
         raise PreconditionError("v-number needs at least two points")
-    cap = points.regularity_threshold()
-    f = points.field
-    for d in range(1, cap + 1):
-        mat = points.evaluation_matrix(d)
-        full = gf_rank(f, list(mat))
-        for drop in range(len(points)):
-            reduced = [
-                tuple(x for i, x in enumerate(row) if i != drop) for row in mat
-            ]
-            if gf_rank(f, reduced) < full:
-                return d
+    for d in range(1, points.regularity_threshold() + 1):
+        rows, _ = rref(points.field, points.evaluation_matrix(d))
+        if any(len(row) - row.count(0) == 1 for row in rows):
+            return d
     raise InternalConsistencyError(
         "v-number must appear by the regularity threshold"
     )
@@ -464,20 +459,19 @@ def associated_primes(ideal):
     )
 
 
-def _is_variable_prime(ideal):
-    """Is the ideal generated by distinct variables?"""
-    return all(sum(g) == 1 for g in ideal.gens)
-
-
 def v_number_monomial(ideal, degree_cap=None):
     """Least degree of a monomial f with (I : f) an associated prime.
 
     A prime of the form (I : f) is automatically associated, so the search
-    just looks for the least-degree monomial f outside I whose colon is
-    generated by variables.  Exponents beyond the generator maxima never
-    change the colon, which bounds the candidate box; the witness search is
-    restricted to monomials (the colon stays monomial, so the test is
-    exact).  Raises BudgetExceededError when the cap is passed.
+    just looks for the least-degree monomial t^m whose colon is generated by
+    variables.  The colon is generated by the differences c_g = (g - m)+ of
+    the generators g; with U the indices i where some c_g is the variable
+    e_i, it is generated by variables iff every c_g has a positive entry in
+    U.  When t^m lies in I some c_g is 0, so the test fails.  Exponents
+    beyond the generator maxima never change the colon, which bounds the
+    candidate box; the witness search is restricted to monomials (the colon
+    stays monomial, so the test is exact).  Raises BudgetExceededError when
+    the cap is passed.
     """
     bounds = ideal.max_exponents()
     if degree_cap is None:
@@ -489,10 +483,9 @@ def v_number_monomial(ideal, degree_cap=None):
     for m in candidates:
         if sum(m) > degree_cap:
             break
-        if ideal.contains_monomial(m):
-            continue
-        quot = colon_monomial(ideal, m)
-        if quot is not UNIT and _is_variable_prime(quot):
+        diffs = [vec_sub_clamped(g, m) for g in ideal.gens]
+        variables = {c.index(1) for c in diffs if sum(c) == 1}
+        if all(any(c[i] for i in variables) for c in diffs):
             return sum(m)
     raise BudgetExceededError(
         f"no v-number witness of degree <= {degree_cap}",

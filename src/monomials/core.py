@@ -11,7 +11,7 @@ import itertools
 from collections import OrderedDict
 from functools import wraps
 from math import prod
-from operator import add, floordiv
+from operator import add, floordiv, le
 
 from monomials.errors import BudgetExceededError, PreconditionError
 
@@ -41,7 +41,7 @@ def memo(fn):
 
 def divides(a, b):
     """Componentwise a <= b, i.e. t^a divides t^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def vec_add(a, b):
@@ -408,10 +408,7 @@ class Clutter:
         return f"Clutter(s={self.s}, edges={list(self.edges)})"
 
     def has_isolated_vertex(self):
-        used = set()
-        for e in self.edges:
-            used.update(e)
-        return len(used) < self.s
+        return _mask_union(map(_mask, self.edges)).bit_count() < self.s
 
     def edge_ideal(self):
         gens = [
@@ -420,24 +417,8 @@ class Clutter:
         return MonomialIdeal(self.s, gens)
 
     def minimal_covers(self):
-        """All minimal transversals, by Berge expansion with minimality filter."""
-        covers = [frozenset()]
-        for e in self.edges:
-            es = set(e)
-            nxt = set()
-            for c in covers:
-                if c & es:
-                    nxt.add(c)
-                else:
-                    for v in es:
-                        nxt.add(c | {v})
-            # prune non-minimal partial transversals
-            pruned = []
-            for c in sorted(nxt, key=lambda c: (len(c), sorted(c))):
-                if not any(k <= c for k in pruned):
-                    pruned.append(c)
-            covers = pruned
-        return sorted(tuple(sorted(c)) for c in covers)
+        """All minimal transversals as sorted vertex tuples, in sorted order."""
+        return sorted(_members(m) for m in _cover_masks(self.edges))
 
     def blocker(self):
         return Clutter(self.s, self.minimal_covers())
@@ -476,6 +457,19 @@ def _minimal_masks(masks):
         if not any(k & m == k for k in kept):
             kept.append(m)
     return frozenset(kept)
+
+
+def _cover_masks(edges):
+    """The minimal transversals of ``edges`` as bitmasks, by Berge expansion:
+    a cover that misses the next edge grows by one vertex of it, and only the
+    inclusion-minimal covers are kept."""
+    covers = {0}
+    for e in map(_mask, edges):
+        covers = _minimal_masks(
+            [c for c in covers if c & e]
+            + [c | bit for c in covers if not c & e for bit in _bits(e)]
+        )
+    return covers
 
 
 def _require_size(stage, s, limit):
@@ -706,29 +700,11 @@ class Graph:
         return self.two_coloring() is not None
 
     def maximal_stable_sets(self):
-        """All maximal independent sets (exact, for well-coveredness tests)."""
-        sets = []
-        _extend_stable(self._adj, set(range(self.s)), set(), sets)
-        # drop non-maximal duplicates picked up by the skip branch
-        out = []
-        for m in sets:
-            if not any(m < other for other in sets):
-                out.append(tuple(sorted(m)))
-        return sorted(set(out))
+        """All maximal independent sets: the complements of the minimal
+        vertex covers.  Loops are ignored, as in the adjacency."""
+        everything = (1 << self.s) - 1
+        return sorted(_members(everything ^ m) for m in _cover_masks(self.edges))
 
     def is_well_covered(self):
         sizes = {len(m) for m in self.maximal_stable_sets()}
         return len(sizes) == 1
-
-
-def _extend_stable(adj, candidates, current, sets):
-    """Append to ``sets`` each stable set that grows ``current`` by
-    ``candidates`` as far as it goes, unless a set found earlier contains it."""
-    if not candidates:
-        if not any(current < m for m in sets):
-            sets.append(set(current))
-        return
-    v = min(candidates)
-    _extend_stable(adj, candidates - {v} - adj[v], current | {v}, sets)
-    # skip v only if some neighbor can still justify maximality
-    _extend_stable(adj, candidates - {v}, current, sets)

@@ -9,7 +9,9 @@ import math
 import signal
 
 from monomials import linalg
-from monomials.core import Clutter, Graph, MonomialIdeal
+from monomials.codes import gf_rank
+from monomials.core import UNIT, Clutter, Graph, MonomialIdeal, colon_monomial
+from monomials.errors import BudgetExceededError, InternalConsistencyError
 
 
 def cycle_graph(n):
@@ -322,4 +324,109 @@ def smith_normal_form(matrix):
         [tuple(r) for r in a],
         [tuple(r) for r in v],
         factors,
+    )
+
+
+def berge_minimal_covers(clutter):
+    """All minimal transversals by Berge expansion on frozensets, pruning the
+    non-minimal partial transversals after each edge.  The oracle of
+    ``Clutter.minimal_covers``."""
+    covers = [frozenset()]
+    for e in clutter.edges:
+        es = set(e)
+        nxt = set()
+        for c in covers:
+            if c & es:
+                nxt.add(c)
+            else:
+                for v in es:
+                    nxt.add(c | {v})
+        pruned = []
+        for c in sorted(nxt, key=lambda c: (len(c), sorted(c))):
+            if not any(k <= c for k in pruned):
+                pruned.append(c)
+        covers = pruned
+    return sorted(tuple(sorted(c)) for c in covers)
+
+
+def subset_scan_minimal_covers(clutter):
+    """All minimal transversals by scanning every vertex subset: a cover is
+    minimal when no vertex can be dropped."""
+    edges = [set(e) for e in clutter.edges]
+
+    def covers(c):
+        return all(e & c for e in edges)
+
+    return sorted(
+        c
+        for k in range(clutter.s + 1)
+        for c in itertools.combinations(range(clutter.s), k)
+        if covers(set(c)) and not any(covers(set(c) - {v}) for v in c)
+    )
+
+
+def recursive_maximal_stable_sets(graph):
+    """All maximal independent sets by a take-or-skip recursion with a
+    maximality filter.  The oracle of ``Graph.maximal_stable_sets``."""
+    sets = []
+    _extend_stable(graph, set(range(graph.s)), set(), sets)
+    out = []
+    for m in sets:
+        if not any(m < other for other in sets):
+            out.append(tuple(sorted(m)))
+    return sorted(set(out))
+
+
+def _extend_stable(graph, candidates, current, sets):
+    if not candidates:
+        if not any(current < m for m in sets):
+            sets.append(set(current))
+        return
+    v = min(candidates)
+    _extend_stable(graph, candidates - {v} - graph.neighbors(v), current | {v}, sets)
+    _extend_stable(graph, candidates - {v}, current, sets)
+
+
+def column_drop_v_number(points):
+    """The least degree where removing one point's column drops the rank of
+    the evaluation matrix.  The oracle of ``codes.v_number_points``."""
+    f = points.field
+    for d in range(1, points.regularity_threshold() + 1):
+        mat = points.evaluation_matrix(d)
+        full = gf_rank(f, list(mat))
+        for drop in range(len(points)):
+            reduced = [
+                tuple(x for i, x in enumerate(row) if i != drop) for row in mat
+            ]
+            if gf_rank(f, reduced) < full:
+                return d
+    raise InternalConsistencyError(
+        "v-number must appear by the regularity threshold"
+    )
+
+
+def colon_v_number(ideal, degree_cap=None):
+    """The least degree of a monomial outside the ideal whose colon ideal,
+    built and minimalized, is generated by variables.  The oracle of
+    ``codes.v_number_monomial``."""
+    bounds = ideal.max_exponents()
+    if degree_cap is None:
+        degree_cap = sum(bounds)
+    candidates = sorted(
+        itertools.product(*[range(b + 1) for b in bounds]),
+        key=lambda m: (sum(m), m),
+    )
+    for m in candidates:
+        if sum(m) > degree_cap:
+            break
+        if ideal.contains_monomial(m):
+            continue
+        quot = colon_monomial(ideal, m)
+        if quot is not UNIT and all(sum(g) == 1 for g in quot.gens):
+            return sum(m)
+    raise BudgetExceededError(
+        f"no v-number witness of degree <= {degree_cap}",
+        needed=degree_cap + 1,
+        budget=degree_cap,
+        stage="v_number_monomial",
     )

@@ -127,6 +127,8 @@ def test_v_number_points_examples():
     while codes.minimum_distance(codes.EvaluationCode(collinear, d)) > 1:
         d += 1
     assert v == d == 2
+    with pytest.raises(PreconditionError):
+        codes.v_number_points(codes.PointSetOverFq(3, 2, [(1, 1)]))
 
 
 def test_v_number_monomial_examples():

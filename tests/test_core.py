@@ -210,6 +210,10 @@ def test_cover_and_matching_searches_leave_no_reference_cycles():
             (1, 0), (1, 0), (0, 1), (0, 1)
         ]
         assert p4.maximal_stable_sets() == [(0, 2), (0, 3), (1, 3)]
+        assert len(q6.minimal_covers()) == 7
+        assert codes.v_number_monomial(cycle_graph(5).edge_ideal()) == 2
+        p1 = codes.PointSetOverFq(2, 2, [(1, 0), (0, 1), (1, 1)])
+        assert codes.v_number_points(p1) == 2
         assert invariants.veronese_canonical_generators(4, 2, 6) == [(1, 1, 1, 1)]
         matchings = graphs._perfect_matchings(zigzag, (0, 2), (1, 3))
         assert list(matchings) == [((0, 1), (2, 3))]

@@ -11,15 +11,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from monomials import closure, core, invariants, linalg, lp, polyhedra, symbolic
-from monomials.errors import PreconditionError
+from monomials import closure, codes, core, invariants, linalg, lp, polyhedra, symbolic
+from monomials.errors import BudgetExceededError, PreconditionError
 
 from helpers import (
+    berge_minimal_covers,
+    colon_v_number,
+    column_drop_v_number,
     cycle_graph,
     gcd_of_maximal_minors,
     mat_mul,
+    q6_clutter,
     q6_ideal,
+    recursive_maximal_stable_sets,
     smith_normal_form,
+    subset_scan_minimal_covers,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -824,3 +830,139 @@ def test_property_bitmask_tau_and_nu_match_brute_force(ideal):
     assert (core.covering_number(clutter), core.matching_number(clutter)) == (tau, nu)
     family = frozenset(core._mask(e) for e in edges)
     assert core._is_konig_family(family) == (tau == nu)
+
+
+def clutters(max_s=9):
+    """Clutters on 0 to ``max_s`` vertices with 0 to 7 edges, singletons and
+    isolated vertices included: the inclusion-minimal sets of a drawn family."""
+    def minimal(s_family):
+        s, family = s_family
+        family = sorted(set(family), key=len)
+        kept = [e for i, e in enumerate(family) if not any(f < e for f in family[:i])]
+        return core.Clutter(s, kept)
+
+    return st.integers(0, max_s).flatmap(
+        lambda s: st.tuples(
+            st.just(s),
+            st.lists(
+                st.frozensets(st.integers(0, s - 1), min_size=1, max_size=4),
+                max_size=7,
+            ) if s else st.just([]),
+        )
+    ).map(minimal)
+
+
+@settings(SEEDED, max_examples=300)
+@given(clutters())
+@example(core.Clutter(0, []))
+@example(core.Clutter(4, []))
+@example(core.Clutter(4, [(0,), (1, 2)]))
+@example(core.Clutter(3, [(0,), (1,), (2,)]))
+@example(q6_clutter())
+def test_property_bitmask_covers_match_the_frozenset_oracle(clutter):
+    covers = clutter.minimal_covers()
+    assert covers == berge_minimal_covers(clutter)
+    if clutter.s <= 6:
+        assert covers == subset_scan_minimal_covers(clutter)
+    used = set().union(*clutter.edges)
+    assert clutter.has_isolated_vertex() == (len(used) < clutter.s)
+
+
+def graphs_with_loops(max_s=9):
+    """Graphs on 0 to ``max_s`` vertices; in multigraph mode some vertices
+    carry loops."""
+    return st.integers(0, max_s).flatmap(
+        lambda s: st.tuples(
+            st.just(s),
+            st.lists(
+                st.tuples(st.integers(0, s - 1), st.integers(0, s - 1)), max_size=12
+            ) if s else st.just([]),
+            st.booleans(),
+        )
+    ).map(
+        lambda case: core.Graph(
+            case[0],
+            [e for e in case[1] if case[2] or e[0] != e[1]],
+            multigraph=case[2],
+        )
+    )
+
+
+@settings(SEEDED, max_examples=300)
+@given(graphs_with_loops())
+@example(core.Graph(0, []))
+@example(core.Graph(3, []))
+@example(core.Graph(4, [(0, 1), (1,)], multigraph=True))
+@example(core.Graph(3, [(0,), (1,), (2,)], multigraph=True))
+@example(cycle_graph(5))
+def test_property_stable_sets_are_the_complements_of_the_minimal_covers(graph):
+    stable = graph.maximal_stable_sets()
+    assert stable == recursive_maximal_stable_sets(graph)
+    assert graph.is_well_covered() == (len({len(m) for m in stable}) == 1)
+
+
+@settings(SEEDED, max_examples=150)
+@given(squarefree_ideals(max_s=7, max_gens=8))
+@example(q6_ideal())
+def test_property_alexander_dual_matches_the_frozenset_covers(ideal):
+    covers = berge_minimal_covers(ideal.clutter())
+    gens = [tuple(int(i in c) for i in range(ideal.s)) for c in covers]
+    assert core.alexander_dual(ideal) == core.MonomialIdeal(ideal.s, gens)
+
+
+def point_sets():
+    """2 to 12 distinct projective points over F_q, q <= 9, in 2 to 4
+    coordinates."""
+    def build(case):
+        q, s, vectors = case
+        field = codes.GF(q)
+        points = []
+        for v in vectors:
+            if any(v):
+                inv = field.inv[next(x for x in v if x)]
+                point = tuple(field.mul[inv][x] for x in v)
+                if point not in points:
+                    points.append(point)
+        assume(len(points) >= 2)
+        return codes.PointSetOverFq(q, s, points[:12])
+
+    return st.tuples(
+        st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(2, 4)
+    ).flatmap(
+        lambda qs: st.tuples(
+            st.just(qs[0]), st.just(qs[1]),
+            st.lists(
+                st.tuples(*[st.integers(0, qs[0] - 1)] * qs[1]),
+                min_size=2, max_size=16,
+            ),
+        )
+    ).map(build)
+
+
+@settings(SEEDED, max_examples=200)
+@given(point_sets())
+@example(codes.PointSetOverFq(2, 2, [(1, 0), (0, 1)]))
+@example(codes.PointSetOverFq(2, 2, [(1, 0), (0, 1), (1, 1)]))
+@example(codes.PointSetOverFq(3, 3, [(1, 0, 0), (1, 1, 0), (1, 2, 0), (0, 1, 0)]))
+def test_property_weight_one_rows_match_the_column_drop_oracle(points):
+    assert codes.v_number_points(points) == column_drop_v_number(points)
+
+
+def v_number_outcome(fn, ideal, cap):
+    try:
+        return fn(ideal, cap)
+    except BudgetExceededError as exc:
+        return (str(exc), exc.needed, exc.budget, exc.stage)
+
+
+@settings(SEEDED, max_examples=400)
+@given(small_ideals(), st.one_of(st.none(), st.integers(0, 6)))
+@example(core.MonomialIdeal(1, [(1,)]), None)
+@example(core.MonomialIdeal(2, [(1, 0), (0, 1)]), None)
+@example(cycle_graph(5).edge_ideal(), 1)
+@example(cycle_graph(5).edge_ideal(), None)
+@example(core.MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 0, 3)]), None)
+def test_property_clamped_differences_match_the_colon_oracle(ideal, cap):
+    assert v_number_outcome(codes.v_number_monomial, ideal, cap) == v_number_outcome(
+        colon_v_number, ideal, cap
+    )

@@ -8,6 +8,7 @@ form.
 """
 
 import itertools
+from operator import le
 
 from monomials.core import MonomialIdeal, covering_number, vec_sub_clamped
 from monomials.errors import (
@@ -380,17 +381,19 @@ def v_number_points(points):
     Its evaluation is a weight-one codeword, the indicator of one point.  That
     point's column is then a pivot of the reduced echelon form, and the
     codeword is a multiple of its pivot row, so the test is a row with exactly
-    one non-zero entry.  Bounded by the regularity threshold.
+    one non-zero entry.  One elimination per degree d = 1, 2, ...; by the
+    regularity threshold, where the rank reaches |X|, every row has weight one.
     """
     if len(points) < 2:
         raise PreconditionError("v-number needs at least two points")
-    for d in range(1, points.regularity_threshold() + 1):
+    for d in itertools.count(1):
         rows, _ = rref(points.field, points.evaluation_matrix(d))
         if any(len(row) - row.count(0) == 1 for row in rows):
             return d
-    raise InternalConsistencyError(
-        "v-number must appear by the regularity threshold"
-    )
+        if len(rows) == len(points):
+            raise InternalConsistencyError(
+                "v-number must appear by the regularity threshold"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -470,23 +473,21 @@ def v_number_monomial(ideal, degree_cap=None):
     U.  When t^m lies in I some c_g is 0, so the test fails.  Exponents
     beyond the generator maxima never change the colon, which bounds the
     candidate box; the witness search is restricted to monomials (the colon
-    stays monomial, so the test is exact).  Raises BudgetExceededError when
-    the cap is passed.
+    stays monomial, so the test is exact).  The box is walked degree by
+    degree, and no candidate above the cap is formed.  Raises
+    BudgetExceededError when the cap is passed.
     """
     bounds = ideal.max_exponents()
     if degree_cap is None:
         degree_cap = sum(bounds)
-    candidates = sorted(
-        itertools.product(*[range(b + 1) for b in bounds]),
-        key=lambda m: (sum(m), m),
-    )
-    for m in candidates:
-        if sum(m) > degree_cap:
-            break
-        diffs = [vec_sub_clamped(g, m) for g in ideal.gens]
-        variables = {c.index(1) for c in diffs if sum(c) == 1}
-        if all(any(c[i] for i in variables) for c in diffs):
-            return sum(m)
+    for d in range(min(degree_cap, sum(bounds)) + 1):
+        for m in monomial_basis(ideal.s, d):
+            if not all(map(le, m, bounds)):
+                continue
+            diffs = [vec_sub_clamped(g, m) for g in ideal.gens]
+            variables = {c.index(1) for c in diffs if sum(c) == 1}
+            if all(any(c[i] for i in variables) for c in diffs):
+                return d
     raise BudgetExceededError(
         f"no v-number witness of degree <= {degree_cap}",
         needed=degree_cap + 1,

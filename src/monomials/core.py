@@ -247,66 +247,90 @@ def ideal_power(ideal, n):
     return power
 
 
-def _columns(bounds, rows):
-    """The threshold t of each column p of the box of the first s-1
-    coordinates, in lex order: the least last coordinate with (p, t) in
-    {a : w.a >= c for (w, c) in rows}, or last + 1 for none.
+def _inner_rows(bounds, rows):
+    """The column thresholds of the box of the first s-1 coordinates, one
+    inner row at a time, in lex order.  An inner row is the columns (p, x)
+    that share the outer coordinates p and differ only in the innermost head
+    coordinate x; a column's threshold is the least last coordinate t with
+    (p, x, t) in {a : w.a >= c for (w, c) in rows}, or last + 1 for none.
+    Yields (p, x0, ts): the columns x < x0 are empty, and ts holds the
+    thresholds of the columns x0..inner.
 
-    Each row keeps its slack q = w_head.p - c, one list addition per
-    coordinate the odometer advances.  A row with w_last > 0 asks for
-    w_last * t >= -q, i.e. t >= -(q // w_last); a row with w_last = 0 holds
-    on the whole column when q >= 0 and nowhere on it otherwise.
-    Non-negative weights make the set upward closed, so these bounds are
-    exact.
+    Row (w, c) asks for w_last * t >= -q with q = w_head.(p, x) - c, so it
+    empties a column exactly when q < f = -w_last * last (f = 0 for a flat
+    row, w_last = 0).  Each row keeps its room g = q - f at x = 0, one list
+    addition per outer coordinate the odometer advances; along the inner row
+    the room grows by w_inner per step.  So the empty columns are the
+    x < x0 = max ceil(-g / w_inner) over the rows with g < 0, and a row with
+    g < 0 and w_inner = 0 empties the whole inner row.  From x0 on, the
+    threshold is max(0, last - floor((g + w_inner * x) / w_last)) over the
+    rows with w_last > 0.  Non-negative weights make the set upward closed,
+    so these bounds are exact.  With s = 1 the one column is the inner row
+    of the box [0, 0] x [0, last].
     """
-    *head, last = bounds
     rows = [(tuple(w), c) for w, c in rows]
     for w, _ in rows:
         if len(w) != len(bounds) or any(x < 0 for x in w):
             raise PreconditionError(
                 f"staircase weights {w} must be {len(bounds)} non-negative integers"
             )
-    # a row with c <= 0 holds on the whole box; the rows with w_last > 0 first
-    rows = sorted((r for r in rows if r[1] > 0), key=lambda r: r[0][-1] == 0)
-    steps = [w[-1] for w, _ in rows if w[-1]]
-    rising = len(steps)
-    weights = [[w[i] for w, _ in rows] for i in range(len(head))]  # by coordinate
-    none = last + 1
-    p = [0] * len(head)
-    # level[k]: the slacks at p with the coordinates from k on set to 0
-    level = [[-c for _, c in rows]] * (len(head) + 1)
+    pad = (0,) * (len(bounds) == 1)
+    *outer, inner, last = pad + tuple(bounds)
+    # a row with c <= 0 holds on the whole box; the rows with w_inner = 0 first
+    rows = sorted(((pad + w, c) for w, c in rows if c > 0), key=lambda r: r[0][-2] > 0)
+    width = inner + 1
+    fixed = sum(not w[-2] for w, _ in rows)
+    steps = [w[-2] for w, _ in rows[fixed:]]
+    rising = [(i, w[-2], w[-1]) for i, (w, _) in enumerate(rows) if w[-1]]
+    weights = [[w[i] for w, _ in rows] for i in range(len(outer))]  # by coordinate
+    p = [0] * len(outer)
+    # level[k]: the rooms at (p, 0) with the coordinates from k on set to 0
+    level = [[w[-1] * last - c for w, c in rows]] * (len(outer) + 1)
     while True:
-        q = level[-1]
-        if min(q[rising:], default=0) < 0:
-            yield none
-        else:
-            yield min(none, max(0, -min(map(floordiv, q, steps), default=0)))
-        i = len(head) - 1
-        while i >= 0 and p[i] == head[i]:
+        g = level[-1]
+        x0, ts = width, []
+        if min(g[:fixed], default=0) >= 0:
+            x0 = min(width, -min([0, *map(floordiv, g[fixed:], steps)]))
+            cols = range(x0, width)
+            ts = [0] * len(cols)
+            for i, step, up in rising:
+                ts = list(map(max, ts, [last - (g[i] + step * x) // up for x in cols]))
+        yield tuple(p), x0, ts
+        i = len(outer) - 1
+        while i >= 0 and p[i] == outer[i]:
             p[i] = 0
             i -= 1
         if i < 0:
             return
         p[i] += 1
-        level[i + 1:] = [list(map(add, level[i + 1], weights[i]))] * (len(head) - i)
+        level[i + 1:] = [list(map(add, level[i + 1], weights[i]))] * (len(outer) - i)
 
 
 def staircase(bounds, rows):
     """Minimal points, in lexicographic order, of {a : w.a >= c for (w, c) in
-    rows} with every w >= 0 in the box prod [0, b_i]: the (p, t) whose column
-    threshold t lies below u, the least threshold over the lower neighbours
-    p - e_i (last + 1 for none).  Nothing is sorted or rescanned."""
+    rows} with every w >= 0 in the box prod [0, b_i]: the (p, x, t) whose
+    column threshold t lies below u, the least threshold over the lower
+    neighbours (last + 1 for none).  One inner row at a time (see
+    :func:`_inner_rows`): its x0 empty columns go into ``seen`` at once as
+    last + 1, none of them kept; for the others, u is the element-wise
+    minimum of the left neighbour in the row and the slices of ``seen`` that
+    hold the earlier inner rows (p - e_i, x).  Nothing is sorted or
+    rescanned."""
     *head, last = bounds
-    strides = [prod(b + 1 for b in head[i + 1:]) for i in range(len(head))]
+    none = last + 1
+    strides = [prod(b + 1 for b in head[i + 1:]) for i in range(len(head) - 1)]
     seen = []
     kept = []
-    box = itertools.product(*[range(b + 1) for b in head])
-    for p, t in zip(box, _columns(bounds, rows)):
-        u = min([seen[-k] for x, k in zip(p, strides) if x], default=last + 1)
-        if t < u:
-            kept.append(p + (t,))
-        seen.append(t)
-    return kept
+    for p, x0, ts in _inner_rows(bounds, rows):
+        n = len(seen) + x0
+        seen += [none] * x0
+        if ts:
+            left = [none] + ts[:-1]
+            lower = [seen[n - k : n - k + len(ts)] for y, k in zip(p, strides) if y]
+            us = map(min, left, *lower) if lower else left
+            kept += [p + (x, t) for (x, t), u in zip(enumerate(ts, x0), us) if t < u]
+            seen += ts
+    return [a[1:] for a in kept] if len(bounds) == 1 else kept
 
 
 def require_box(bounds, budget, stage, label):
@@ -321,8 +345,10 @@ def require_box(bounds, budget, stage, label):
 
 def staircase_count(bounds, rows):
     """Number of box points outside {a : w.a >= c for (w, c) in rows}, w >= 0:
-    the sum of the column thresholds."""
-    return sum(_columns(bounds, rows))
+    the sum of the column thresholds, x0 * (last + 1) for the empty columns
+    at the start of each inner row."""
+    none = bounds[-1] + 1
+    return sum(x0 * none + sum(ts) for _, x0, ts in _inner_rows(bounds, rows))
 
 
 def colon_monomial(ideal, a):

@@ -182,7 +182,7 @@ def cone_facets(generators):
 
 def _lattice_coordinates(vectors, basis):
     """Integer coordinates of each vector in the lattice basis."""
-    coords = [linalg.coordinates_in_basis(v, basis) for v in vectors]
+    coords = linalg.lattice_coordinates(vectors, basis)
     if None in coords:
         raise InternalConsistencyError("a generator lies outside the lattice")
     return coords

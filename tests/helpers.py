@@ -6,6 +6,7 @@ Random generators are all seeded, so every run sees the same corpus.
 import contextlib
 import itertools
 import math
+import operator
 import signal
 
 from monomials import linalg
@@ -430,3 +431,69 @@ def colon_v_number(ideal, degree_cap=None):
         budget=degree_cap,
         stage="v_number_monomial",
     )
+
+
+def _columns(bounds, rows):
+    """The threshold t of each column p of the box of the first s-1
+    coordinates, in lex order: the least last coordinate with (p, t) in
+    {a : w.a >= c for (w, c) in rows}, or last + 1 for none.
+
+    Each row keeps its slack q = w_head.p - c, one list addition per
+    coordinate the odometer advances.  A row with w_last > 0 asks for
+    w_last * t >= -q, i.e. t >= -(q // w_last); a row with w_last = 0 holds
+    on the whole column when q >= 0 and nowhere on it otherwise.
+    """
+    *head, last = bounds
+    rows = sorted((r for r in rows if r[1] > 0), key=lambda r: r[0][-1] == 0)
+    steps = [w[-1] for w, _ in rows if w[-1]]
+    rising = len(steps)
+    weights = [[w[i] for w, _ in rows] for i in range(len(head))]  # by coordinate
+    none = last + 1
+    p = [0] * len(head)
+    # level[k]: the slacks at p with the coordinates from k on set to 0
+    level = [[-c for _, c in rows]] * (len(head) + 1)
+    while True:
+        q = level[-1]
+        if min(q[rising:], default=0) < 0:
+            yield none
+        else:
+            yield min(none, max(0, -min(map(operator.floordiv, q, steps), default=0)))
+        i = len(head) - 1
+        while i >= 0 and p[i] == head[i]:
+            p[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        p[i] += 1
+        level[i + 1:] = [list(map(operator.add, level[i + 1], weights[i]))] * (
+            len(head) - i
+        )
+
+
+def column_staircase(bounds, rows):
+    """The staircase of {a : w.a >= c for (w, c) in rows}, w >= 0, one column
+    at a time: every column's threshold, empty ones included, is checked
+    against the least threshold u over its lower neighbours p - e_i
+    (last + 1 for none), and (p, t) is kept when t < u.  Returns the minimal
+    points and the count outside."""
+    *head, last = bounds
+    strides = [math.prod(b + 1 for b in head[i + 1:]) for i in range(len(head))]
+    seen = []
+    kept = []
+    box = itertools.product(*[range(b + 1) for b in head])
+    for p, t in zip(box, _columns(bounds, rows)):
+        u = min([seen[-k] for x, k in zip(p, strides) if x], default=last + 1)
+        if t < u:
+            kept.append(p + (t,))
+        seen.append(t)
+    return kept, sum(seen)
+
+
+def solve_coordinates(vector, basis):
+    """Integer coordinates of vector in the lattice basis, or None, from one
+    ``linalg.solve`` of the system with the basis rows as columns.  The
+    oracle of ``linalg.lattice_coordinates``."""
+    sol = linalg.solve(list(zip(*basis)), vector)
+    if sol is None or any(x.denominator != 1 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)

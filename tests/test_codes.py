@@ -142,6 +142,38 @@ def test_v_number_monomial_examples():
         codes.v_number_monomial(c5, degree_cap=1)
 
 
+def test_v_number_points_runs_one_elimination_per_degree(monkeypatch):
+    """rref runs once for each degree up to the v-number, and nothing else
+    eliminates (no regularity threshold first)."""
+    calls = []
+    rref = codes.rref
+    monkeypatch.setattr(codes, "rref", lambda f, rows: calls.append(f) or rref(f, rows))
+    points = random_point_set(random.Random(11), 3, 3, 10)
+    v = codes.v_number_points(points)
+    assert len(calls) == v
+
+
+def test_v_number_monomial_cap_stops_before_the_box(monkeypatch):
+    """On the 18-cycle (2^18 candidates) a cap of 1 forms only the 19
+    candidates of degree at most 1, and tests each of them."""
+    formed, tested = [], set()
+    basis, clamp = codes.monomial_basis, codes.vec_sub_clamped
+
+    def monomials(s, d):
+        formed.extend(basis(s, d))
+        return basis(s, d)
+
+    monkeypatch.setattr(codes, "monomial_basis", monomials)
+    monkeypatch.setattr(
+        codes, "vec_sub_clamped", lambda g, m: tested.add(m) or clamp(g, m)
+    )
+    with pytest.raises(BudgetExceededError) as err:
+        codes.v_number_monomial(cycle_graph(18).edge_ideal(), degree_cap=1)
+    exc = err.value
+    assert (exc.needed, exc.budget, exc.stage) == (2, 1, "v_number_monomial")
+    assert len(formed) == len(tested) == 19
+
+
 def test_v_number_basic_laws():
     rng = random.Random(173)
     from helpers import random_squarefree_ideal

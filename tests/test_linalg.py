@@ -160,6 +160,14 @@ def test_saturation_basis():
     assert linalg.coordinates_in_basis((1, 2), basis) is not None
 
 
+def test_lattice_coordinates_refuse_dependent_rows():
+    with pytest.raises(PreconditionError, match="independent"):
+        linalg.lattice_coordinates([(2, 4)], [(1, 2), (2, 4)])
+    assert linalg.lattice_coordinates([(3, 6), (1, 1), (1, 3)], [(1, 2), (0, 2)]) == [
+        (3, 0), None, None
+    ]
+
+
 def test_primitive_and_clear_denominators():
     assert linalg.primitive((2, 4, -6)) == (1, 2, -3)
     assert linalg.clear_denominators((Fraction(1, 2), Fraction(1, 3))) == (3, 2)

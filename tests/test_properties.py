@@ -18,6 +18,7 @@ from helpers import (
     berge_minimal_covers,
     colon_v_number,
     column_drop_v_number,
+    column_staircase,
     cycle_graph,
     gcd_of_maximal_minors,
     mat_mul,
@@ -25,6 +26,7 @@ from helpers import (
     q6_ideal,
     recursive_maximal_stable_sets,
     smith_normal_form,
+    solve_coordinates,
     subset_scan_minimal_covers,
 )
 
@@ -206,10 +208,18 @@ BOXED_SYSTEMS = BOXES.flatmap(lambda b: st.tuples(st.just(b), row_systems(b)))
 @example(((2, 0, 3), [((0, 0, 0), 1)]))
 @example(((2, 3), [((0, 0), -2), ((1, 0), 2)]))
 @example(((4, 2), [((1, 2), -3), ((0, 1), 0)]))
+# a flat row with w_inner = 0 fails at p = 0: that whole inner row is empty
+@example(((2, 3, 2), [((1, 0, 0), 1), ((0, 1, 1), 2)]))
+# a rising row with q0 = -3 < -w_last * last = -2: column x = 0 is empty
+@example(((3, 2), [((1, 1), 3)]))
+@example(((4,), [((2,), 3), ((0,), 0)]))  # s = 1
+@example(((4, 3), [((1, 2), 5), ((2, 0), 3), ((3, 1), 7)]))  # s = 2
+@example(((2, 0, 3), [((1, 1, 1), 2), ((0, 2, 1), 1)]))  # inner bound 0
 def test_property_staircase_matches_a_sorted_box_scan(case):
     bounds, rows = case
     expected = brute_staircase(bounds, satisfies(rows))
     assert predicate_staircase(bounds, satisfies(rows)) == expected
+    assert column_staircase(bounds, rows) == expected
     assert core.staircase(bounds, rows) == expected[0]
     assert core.staircase_count(bounds, rows) == expected[1]
 
@@ -662,6 +672,30 @@ def integer_matrices(entries, max_rows, max_cols):
 
 
 MIXED_SIGN_MATRICES = integer_matrices(st.integers(-12, 12), 6, 7)
+
+
+@SEEDED
+@given(integer_matrices(st.integers(-3, 3), 4, 5), st.data())
+def test_property_one_elimination_matches_per_vector_solves(rows, data):
+    """Coordinates in an echelon basis of the row lattice, for integer
+    combinations of the rows, their halves and off-lattice neighbours, and
+    arbitrary vectors, agree with one solve per vector."""
+    basis = linalg.integer_row_basis(rows)
+    assume(basis)
+    n = len(basis[0])
+    coefficients = st.tuples(*[st.integers(-3, 3)] * len(rows))
+    combos = [
+        tuple(sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n))
+        for cs in data.draw(st.lists(coefficients, max_size=4))
+    ]
+    halves = [tuple(x // 2 for x in v) for v in combos]
+    nudged = [v[:-1] + (v[-1] + 1,) for v in combos]
+    loose = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=3))
+    vectors = combos + halves + nudged + loose
+    assert linalg.lattice_coordinates(vectors, basis) == [
+        solve_coordinates(v, basis) for v in vectors
+    ]
+    assert all(c is not None for c in linalg.lattice_coordinates(rows, basis))
 
 
 def pivot_product(basis):

@@ -280,13 +280,14 @@ def cmd_code_weights(points, args):
     if args.r is not None and args.r < 1:
         raise InputError(f"bad --r {args.r}: r must be at least 1")
     code = codes_mod.EvaluationCode(points, args.degree)
-    top = min(args.r or code.dimension, code.dimension)
-    hierarchy = {r: codes_mod.generalized_weight(code, r) for r in range(1, top + 1)}
+    weights = codes_mod.weight_hierarchy(
+        code, min(args.r or code.dimension, code.dimension)
+    )
     results = {
         "length": code.length,
         "dimension": code.dimension,
-        "minimum_distance": codes_mod.minimum_distance(code),
-        "generalized_weights": hierarchy,
+        "minimum_distance": weights[0],
+        "generalized_weights": dict(enumerate(weights, start=1)),
     }
     return results, {}
 

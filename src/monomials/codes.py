@@ -2,9 +2,9 @@
 
 Fields up to q = 9 are table-driven (prime fields mod p, prime powers via a
 fixed irreducible polynomial).  Codes are stored by a generator matrix whose
-rows are the evaluations of the degree-d monomial basis; weights come from
-exhaustive enumeration, v-numbers from weight-one rows of the reduced echelon
-form.
+rows are the evaluations of the degree-d monomial basis; the weight hierarchy
+comes from one walk down the column-subset sizes, v-numbers from weight-one
+rows of the reduced echelon form.
 """
 
 import itertools
@@ -223,53 +223,44 @@ def _combination(code, coeffs):
     return word
 
 
-def _codewords_projective(code):
-    """One codeword per scalar class (first non-zero coefficient 1)."""
-    k = code.dimension
-    for lead in range(k):
-        for tail in itertools.product(range(code.field.q), repeat=k - lead - 1):
-            yield tuple(_combination(code, (0,) * lead + (1,) + tail))
-
-
 def minimum_distance(code):
-    """Exact minimum weight by scalar-class codeword enumeration."""
-    best = code.length
-    for word in _codewords_projective(code):
-        w = sum(1 for x in word if x)
-        if w and w < best:
-            best = w
-    return best
+    """The least weight of a non-zero codeword: delta_1 of the walk."""
+    return weight_hierarchy(code, 1)[0]
 
 
 def generalized_weight(code, r):
-    """r-th generalized Hamming weight.
+    """r-th generalized Hamming weight (1 <= r <= dim)."""
+    return weight_hierarchy(code, r)[-1]
+
+
+def weight_hierarchy(code, top=None):
+    """Generalized Hamming weights delta_1, ..., delta_top (top = dim by
+    default) from one walk down the column-subset sizes.
 
     delta_r = m - max{ |T| : rank of the T-columns <= k - r }: a subcode of
     dimension r vanishing on T exists iff the column rank on T drops to
-    k - r, so scanning all column subsets is an exhaustive search over
-    supports.
+    k - r.  The walk tries every subset of one size, from m - 1 down, until
+    one has rank <= k - r; then delta_r = m - size.  No subset of that size
+    or larger can qualify for r + 1, since delta_r < delta_(r+1) (Wei,
+    IEEE Trans. Inf. Theory 37 (1991)), so r + 1 starts one size below.
     """
     k = code.dimension
     m = code.length
-    if not 1 <= r <= k:
-        raise PreconditionError(f"need 1 <= r <= dim = {k}")
+    top = k if top is None else top
+    if not 1 <= top <= k:
+        raise PreconditionError(f"need 1 <= r <= dim = {k}, got {top}")
     cols = list(zip(*code.basis))
-    best_t = 0
-    for size in range(m - 1, -1, -1):
-        if size <= best_t:
-            break
-        for subset in itertools.combinations(range(m), size):
-            sub = [cols[i] for i in subset]
-            if gf_rank(code.field, sub) <= k - r:
-                best_t = size
-                break
-        if best_t == size:
-            break
-    return m - best_t
-
-
-def weight_hierarchy(code):
-    return [generalized_weight(code, r) for r in range(1, code.dimension + 1)]
+    weights = []
+    size = m - 1
+    for r in range(1, top + 1):
+        while not any(
+            gf_rank(code.field, [cols[i] for i in subset]) <= k - r
+            for subset in itertools.combinations(range(m), size)
+        ):
+            size -= 1
+        weights.append(m - size)
+        size -= 1
+    return weights
 
 
 def _r_subspaces(field, k, r):
@@ -337,25 +328,25 @@ def gmd_and_vasconcelos(points, d, r, budget=200_000):
 class WeightReport:
     """Per-degree weight table, v-number and regularity threshold of a set.
 
-    Construction enforces the structural laws: the minimum distance strictly
-    decreases with the degree until it hits 1 and stays there, the first
-    degree where it equals 1 is the v-number, and beyond the threshold the
-    r-th weight is r.
+    The codes are built for d = 1, 2, ... until one has dimension |X|: that
+    degree is the threshold.  Construction enforces the structural laws: the
+    minimum distance strictly decreases with the degree until it hits 1 and
+    stays there, the first degree where it equals 1 is the v-number, and
+    beyond the threshold the r-th weight is r.
     """
 
     __slots__ = ("points", "weights", "v_number", "threshold")
 
     def __init__(self, points, max_r=3):
         self.points = points
-        self.threshold = points.regularity_threshold()
         self.v_number = v_number_points(points)
         table = {}
-        for d in range(1, self.threshold + 1):
+        for d in itertools.count(1):
             code = EvaluationCode(points, d)
-            table[d] = tuple(
-                generalized_weight(code, r)
-                for r in range(1, min(max_r, code.dimension) + 1)
-            )
+            table[d] = tuple(weight_hierarchy(code, min(max_r, code.dimension)))
+            if code.dimension == len(points):
+                break
+        self.threshold = d
         self.weights = table
         firsts = [table[d][0] for d in sorted(table)]
         ones = [d for d in sorted(table) if table[d][0] == 1]

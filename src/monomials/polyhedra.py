@@ -180,6 +180,13 @@ def cone_facets(generators):
     return sorted(equations), sorted(facets)
 
 
+@memo
+def _facet_description(generators):
+    """``cone_facets`` of ``generators``, a sorted tuple: one description per
+    generator set, shared by its callers."""
+    return cone_facets(generators)
+
+
 def _lattice_coordinates(vectors, basis):
     """Integer coordinates of each vector in the lattice basis."""
     coords = linalg.lattice_coordinates(vectors, basis)
@@ -401,7 +408,7 @@ def monoid_decompose(point, basis, max_terms=64):
         return []
     if not basis:
         return None
-    eqs, facets = cone_facets(basis)
+    eqs, facets = _facet_description(tuple(sorted(basis)))
     if any(vec_dot(e, point) for e in eqs):
         return None
     values = [(b, tuple(vec_dot(f, b) for f in facets)) for b in basis]
@@ -747,7 +754,7 @@ def lattice_points(polytope_vertices, dilation=1, collect=True,
         special = _special_count(verts, k)
         if special is not None:
             return special
-    eqs_h, facets_h = _homogenization(tuple(sorted(verts)))
+    eqs_h, facets_h = _facet_description(tuple(sorted(v + (1,) for v in verts)))
     eqs = [(e[:-1], -e[-1] * k) for e in eqs_h]
     ineqs = [(f[:-1], -f[-1] * k) for f in facets_h]
     lo = [k * min(v[i] for v in verts) for i in range(n)]
@@ -781,13 +788,6 @@ def lattice_points_of_polyhedron(poly, dilation=1, collect=True,
         ineqs.append((row[:-1], row[-1]))
     return lattice_points_system([], ineqs, lo, hi, collect=collect,
                                  budget=budget)
-
-
-@memo
-def _homogenization(verts):
-    """Equations and facets of the cone over ``verts``, a sorted tuple,
-    lifted to height 1."""
-    return cone_facets([v + (1,) for v in verts])
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +870,7 @@ def polytope_volume(points):
     pts = [tuple(int(x) for x in p) for p in points]
     n = len(pts[0])
     lifted = [p + (1,) for p in pts]
-    description = cone_facets(lifted)
+    description = _facet_description(tuple(sorted(lifted)))
     if description[0]:  # an equation: conv(points) is lower-dimensional
         return Fraction(0)
     rays = extreme_ray_generators(lifted, description)  # (v, 1) is primitive

@@ -406,6 +406,38 @@ def column_drop_v_number(points):
     )
 
 
+def subset_scan_weight(code, r):
+    """delta_r = m - max{ |T| : rank of the T-columns <= k - r }, by scanning
+    the column subsets from size m - 1 down, afresh for each r.  The oracle
+    of ``codes.weight_hierarchy``."""
+    k, m = code.dimension, code.length
+    cols = list(zip(*code.basis))
+    return next(
+        m - size
+        for size in range(m - 1, -1, -1)
+        if any(
+            gf_rank(code.field, [cols[i] for i in subset]) <= k - r
+            for subset in itertools.combinations(range(m), size)
+        )
+    )
+
+
+def codeword_minimum_distance(code):
+    """The least weight of a non-zero codeword, by enumerating one codeword
+    per scalar class (first non-zero coefficient 1).  The oracle of
+    ``codes.minimum_distance``."""
+    f, k, m = code.field, code.dimension, code.length
+    best = m
+    for lead in range(k):
+        for tail in itertools.product(range(f.q), repeat=k - lead - 1):
+            word = [0] * m
+            for c, row in zip((1,) + tail, code.basis[lead:]):
+                for i, x in enumerate(row):
+                    word[i] = f.add[word[i]][f.mul[c][x]]
+            best = min(best, m - word.count(0))
+    return best
+
+
 def colon_v_number(ideal, degree_cap=None):
     """The least degree of a monomial outside the ideal whose colon ideal,
     built and minimalized, is generated by variables.  The oracle of

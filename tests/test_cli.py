@@ -195,6 +195,25 @@ def test_code_weights_and_vnumber(tmp_path, capsys):
     assert doc["results"]["v_number"] == 1
 
 
+def test_code_weights_r_reports_a_prefix_of_the_full_hierarchy(tmp_path, capsys):
+    path = write(tmp_path, "f3.txt", "3 3\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n1 0 1\n"
+                 "0 1 1\n1 1 1\n1 2 0\n1 0 2\n1 2 1\n")
+    code, full = run_capture(capsys, ["code-weights", path, "--degree", "2"])
+    assert code == 0
+    k = full["results"]["dimension"]
+    weights = full["results"]["generalized_weights"]
+    assert (k, list(weights.values())) == (6, [3, 5, 6, 8, 9, 10])
+    for r in (1, k - 1, k, k + 3):
+        code, doc = run_capture(
+            capsys, ["code-weights", path, "--degree", "2", "--r", str(r)]
+        )
+        assert code == 0
+        assert doc["results"]["minimum_distance"] == full["results"]["minimum_distance"] == 3
+        assert doc["results"]["generalized_weights"] == {
+            str(i): weights[str(i)] for i in range(1, min(r, k) + 1)
+        }
+
+
 @pytest.mark.parametrize("r", ["0", "-1"])
 def test_code_weights_r_below_one_exits_2(tmp_path, capsys, r):
     path = write(tmp_path, "p1f2.txt", "2 2\n1 0\n0 1\n1 1\n")

@@ -6,7 +6,13 @@ from monomials import codes
 from monomials.core import Graph, MonomialIdeal
 from monomials.errors import BudgetExceededError, PreconditionError
 
-from helpers import complete_graph, cycle_graph, path_graph, random_point_set
+from helpers import (
+    codeword_minimum_distance,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_point_set,
+)
 
 
 def p1_f2():
@@ -58,6 +64,12 @@ def test_weights_hierarchy():
     hierarchy = codes.weight_hierarchy(code)
     assert hierarchy == sorted(hierarchy)
     assert len(set(hierarchy)) == len(hierarchy)
+    assert codes.weight_hierarchy(code, 1) == hierarchy[:1]
+    for r in (0, 3):
+        with pytest.raises(PreconditionError):
+            codes.weight_hierarchy(code, r)
+        with pytest.raises(PreconditionError):
+            codes.generalized_weight(code, r)
 
 
 def _subspace_weight_reference(code, r):
@@ -98,7 +110,8 @@ def test_minimum_distance_equals_first_weight():
         q = rng.choice([2, 3])
         pts = random_point_set(rng, q, 3, rng.randint(3, 7))
         code = codes.EvaluationCode(pts, rng.randint(1, 2))
-        assert codes.minimum_distance(code) == codes.generalized_weight(code, 1)
+        assert codes.minimum_distance(code) == codeword_minimum_distance(code) \
+            == codes.generalized_weight(code, 1)
 
 
 def test_gmd_and_vasconcelos():
@@ -225,6 +238,39 @@ def test_weight_report():
     for _ in range(5):
         pts = random_point_set(rng, rng.choice([2, 3]), 3, rng.randint(3, 7))
         codes.WeightReport(pts)  # raises if any structural law breaks
+
+
+def test_weight_walk_tries_no_size_twice(monkeypatch):
+    """At the regularity threshold delta_r = r, so each r hits on the first
+    subset of size m - r, one below where r - 1 stopped: k rank computations
+    in all."""
+    points = random_point_set(random.Random(11), 3, 3, 10)
+    code = codes.EvaluationCode(points, points.regularity_threshold())
+    gf_rank, sizes = codes.gf_rank, []
+    monkeypatch.setattr(
+        codes, "gf_rank", lambda f, rows: sizes.append(len(rows)) or gf_rank(f, rows)
+    )
+    assert codes.weight_hierarchy(code) == list(range(1, 11))
+    assert sizes == list(range(9, -1, -1))
+
+
+def test_weight_report_reads_the_threshold_off_its_codes(monkeypatch):
+    """The report eliminates once per degree for the v-number and once per
+    code it builds, and runs no separate regularity threshold."""
+    points = random_point_set(random.Random(11), 3, 3, 10)
+    threshold = points.regularity_threshold()
+    rref, calls = codes.rref, []
+    monkeypatch.setattr(codes, "rref", lambda f, rows: calls.append(f) or rref(f, rows))
+    monkeypatch.setattr(
+        codes, "gf_rank", lambda f, rows: len(rref(f, rows)[0]) if rows else 0
+    )
+    monkeypatch.setattr(
+        codes.PointSetOverFq, "regularity_threshold",
+        lambda self: pytest.fail("the threshold was computed separately"),
+    )
+    report = codes.WeightReport(points)
+    assert report.threshold == threshold == max(report.weights)
+    assert len(calls) == report.v_number + report.threshold == 7
 
 
 def test_w2():

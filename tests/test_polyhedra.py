@@ -251,6 +251,25 @@ def test_monoid_decompose_uses_its_whole_term_budget():
     assert polyhedra.monoid_decompose((14, 6), [(1, 0), (5, 2)], max_terms=3) is None
 
 
+def test_one_facet_description_per_generator_set(monkeypatch):
+    """Decompositions against one basis, in any order, share one facet
+    description; a polytope's volume and lattice points share the one of its
+    lifted vertices."""
+    cone_facets, described = polyhedra.cone_facets, []
+    monkeypatch.setattr(
+        polyhedra, "cone_facets", lambda gens: described.append(gens) or cone_facets(gens)
+    )
+    polyhedra._facet_description.cache.clear()
+    basis = [(1, 0), (3, 2), (4, 2), (5, 2)]
+    for point in [(14, 6), (5, 2), (9, 4)]:
+        assert polyhedra.monoid_decompose(point, basis) is not None
+        assert polyhedra.monoid_decompose(point, basis[::-1]) is not None
+    triangle = [(0, 0), (6, 0), (0, 5)]
+    assert polyhedra.polytope_volume(triangle) == 15
+    assert len(polyhedra.lattice_points(triangle[::-1])) == 22
+    assert described == [tuple(sorted(basis)), ((0, 0, 1), (0, 5, 1), (6, 0, 1))]
+
+
 def test_a_nonnegative_flat_hilbert_basis_needs_no_smith_form(monkeypatch):
     refuse_smith_forms(monkeypatch)
     hilbert = polyhedra.hilbert_basis(NONNEGATIVE_SPAN)

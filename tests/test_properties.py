@@ -16,6 +16,7 @@ from monomials.errors import BudgetExceededError, PreconditionError
 
 from helpers import (
     berge_minimal_covers,
+    codeword_minimum_distance,
     colon_v_number,
     column_drop_v_number,
     column_staircase,
@@ -28,6 +29,7 @@ from helpers import (
     smith_normal_form,
     solve_coordinates,
     subset_scan_minimal_covers,
+    subset_scan_weight,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -980,6 +982,59 @@ def point_sets():
 @example(codes.PointSetOverFq(3, 3, [(1, 0, 0), (1, 1, 0), (1, 2, 0), (0, 1, 0)]))
 def test_property_weight_one_rows_match_the_column_drop_oracle(points):
     assert codes.v_number_points(points) == column_drop_v_number(points)
+
+
+def evaluation_codes():
+    """Degree-d codes, d <= 3, of 2 to 10 distinct projective points over
+    F_q, q in {2, 3, 4}, in 2 or 3 coordinates."""
+    def build(case):
+        q, s, vectors, d = case
+        field = codes.GF(q)
+        points = []
+        for v in vectors:
+            if any(v):
+                inv = field.inv[next(x for x in v if x)]
+                point = tuple(field.mul[inv][x] for x in v)
+                if point not in points:
+                    points.append(point)
+        assume(len(points) >= 2)
+        return codes.EvaluationCode(codes.PointSetOverFq(q, s, points[:10]), d)
+
+    return st.tuples(st.sampled_from([2, 3, 4]), st.integers(2, 3)).flatmap(
+        lambda qs: st.tuples(
+            st.just(qs[0]), st.just(qs[1]),
+            st.lists(
+                st.tuples(*[st.integers(0, qs[0] - 1)] * qs[1]),
+                min_size=2, max_size=14,
+            ),
+            st.integers(1, 3),
+        )
+    ).map(build)
+
+
+@settings(SEEDED, max_examples=300)
+@given(evaluation_codes())
+@example(codes.EvaluationCode(codes.PointSetOverFq(3, 3, [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+    (0, 1, 1), (1, 1, 1), (1, 2, 0), (1, 0, 2), (1, 2, 1),
+]), 2))
+@example(codes.EvaluationCode(codes.PointSetOverFq(2, 2, [(1, 0), (0, 1)]), 1))
+@example(codes.EvaluationCode(codes.PointSetOverFq(2, 2, [(1, 0), (0, 1), (1, 1)]), 3))
+@example(codes.EvaluationCode(
+    codes.PointSetOverFq(4, 2, [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3)]), 1
+))
+def test_property_weight_walk_matches_the_subset_scan_and_codeword_oracles(code):
+    k = code.dimension
+    scan = [subset_scan_weight(code, r) for r in range(1, k + 1)]
+    for top in range(1, k + 1):
+        assert codes.weight_hierarchy(code, top) == scan[:top]
+    assert codes.weight_hierarchy(code) == scan
+    # one codeword per scalar class: at most 4^6 / 3 of them
+    if code.field.q ** k <= 4096:
+        assert codes.minimum_distance(code) == codeword_minimum_distance(code)
+    for top in (0, k + 1):
+        with pytest.raises(PreconditionError):
+            codes.weight_hierarchy(code, top)
 
 
 def v_number_outcome(fn, ideal, cap):

@@ -9,11 +9,13 @@ anywhere.
 
 Exit codes: 0 success, 2 precondition violation or malformed input,
 3 budget exhaustion (with partial results flagged, and the work needed and
-the budget it exceeded).
+the budget it exceeded), 141 when the reader closed standard output before
+the report was written (no traceback).
 """
 
 import argparse
 import json
+import os
 import sys
 from contextlib import suppress
 from fractions import Fraction
@@ -403,8 +405,20 @@ def run(argv):
     return code
 
 
+# the status of a process ended by SIGPIPE, as a shell reports it
+EXIT_BROKEN_PIPE = 128 + 13
+
+
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, so the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -242,8 +242,8 @@ def normalization_index(ideal, budget=DEFAULT_BOX_BUDGET):
 class ClosureReport:
     """Closure generators per power, normality verdict, normalization index.
 
-    Invariants enforced on construction: a normal verdict forces no gap in
-    the reported closures, and the index respects the dimension bound.
+    The index bound is enforced on construction; :func:`closure_report`
+    checks that a normal verdict leaves no gap in the reported closures.
     """
 
     __slots__ = ("ideal", "closures", "normality", "normalization_index")
@@ -253,10 +253,6 @@ class ClosureReport:
         self.closures = closures
         self.normality = normality
         self.normalization_index = index
-        if normality.normal and (gaps := _gaps(ideal, closures)):
-            raise InternalConsistencyError(
-                f"normal verdict but closure gap at power {min(gaps)}"
-            )
         if index > max(ideal.s - 1, 0):
             raise InternalConsistencyError("normalization index out of bounds")
 
@@ -270,13 +266,18 @@ class ClosureReport:
 def closure_report(ideal, up_to=None, method="both", budget=DEFAULT_BOX_BUDGET):
     """Bundle per-power closures, the normality verdict and N(I); each
     closure(I^n), n <= max(up_to, s), is computed once, and its gaps are
-    read by the verdict and the index."""
+    read by the verdict, the index and the check that a normal verdict
+    leaves no gap at the reported powers n <= up_to."""
     if up_to is None:
         up_to = max(ideal.s - 1, 1)
     closures = _closures(ideal, max(up_to, ideal.s), budget)
     gaps = _gaps(ideal, closures)
     verdict = _normality(ideal, method, gaps)
     index = _normalization_index(ideal, gaps)
+    if verdict.normal and (reported_gaps := [n for n in gaps if n <= up_to]):
+        raise InternalConsistencyError(
+            f"normal verdict but closure gap at power {min(reported_gaps)}"
+        )
     reported = {n: closures[n] for n in range(1, up_to + 1)}
     return ClosureReport(ideal, reported, verdict, index)
 

@@ -14,11 +14,19 @@ spans less than R^n is moved once into coordinates of an echelon basis of
 its span's integer points (Bruns and Ichim, J. Algebra 324 (2010)), so
 every cone and simplex below :func:`hilbert_basis` has n independent rays
 in Z^n; a flat cone's facets come from its pivot coordinates.  Facets are
-computed for the top cone only: the pulling triangulation recurses on the
-ray bitmasks of faces (the facets of a face F are the maximal proper sets
-F & S_j, with S_j the rays on a facet of the top cone; Ziegler, Lectures
-on Polytopes, Lecture 2).  No Smith normal form runs anywhere: lattices
-are read off echelon bases.
+computed for the top cone only, and each facet value f.g of a generator
+once, in one facet-value table: its zeros give the extreme rays and the
+ray bitmasks of the facets, on which the pulling triangulation recurses
+(the facets of a face F are the maximal proper sets F & S_j, with S_j the
+rays on a facet of the top cone; Ziegler, Lectures on Polytopes, Lecture
+2).  Its entries are lattice heights: the product of the apex heights down
+the recursion bounds each simplex's |det|, and a bound of 1 certifies a
+unimodular simplex with no determinant (pulling triangulations with
+heights, Bruns and Ichim, J. Algebra 324 (2010)).  Hilbert-basis
+candidates are reduced in the order of their degree, the sum of their
+facet values, each against the irreducibles found so far (Bruns, Ichim
+and Söger, J. Symb. Comp. 74 (2016)).  No Smith normal form runs
+anywhere: lattices are read off echelon bases.
 
 Currently everything is sequential; operations are pure, so callers may
 parallelize over independent inputs if they wish.
@@ -109,31 +117,31 @@ def extreme_rays_of_inequalities(rows):
             if k != j:
                 mask |= 1 << bi
         rays.append((ray, mask))
+    base = sum(1 << i for i in base_idx)
     for i, row in enumerate(rows):
-        if i in base_idx:
+        if base >> i & 1:
             continue
         vals = [vec_dot(row, r) for r, _ in rays]
-        plus = [k for k, v in enumerate(vals) if v > 0]
-        zero = [k for k, v in enumerate(vals) if v == 0]
-        minus = [k for k, v in enumerate(vals) if v < 0]
-        if not minus:
+        if all(v >= 0 for v in vals):
             rays = [
-                (r, mask | (1 << i) if k in zero else mask)
-                for k, (r, mask) in enumerate(rays)
+                (r, mask | (1 << i) if v == 0 else mask)
+                for v, (r, mask) in zip(vals, rays)
             ]
             continue
-        new_rays = []
-        for k in plus:
-            new_rays.append(rays[k])
-        for k in zero:
-            r, mask = rays[k]
-            new_rays.append((r, mask | (1 << i)))
+        plus = [k for k, v in enumerate(vals) if v > 0]
+        minus = [k for k, v in enumerate(vals) if v < 0]
+        new_rays = [rays[k] for k in plus]
+        new_rays += [(r, mask | (1 << i)) for v, (r, mask) in zip(vals, rays) if v == 0]
         seen = {r for r, _ in new_rays}
         for kp in plus:
             rp, zp = rays[kp]
             for km in minus:
                 rm, zm = rays[km]
                 common = zp & zm
+                # adjacent rays share n - 2 independent tight rows (Fukuda
+                # and Prodon, 1996): fewer common rows rule the pair out
+                if common.bit_count() < n - 2:
+                    continue
                 adjacent = True
                 for ko, (_, zo) in enumerate(rays):
                     if ko in (kp, km):
@@ -207,68 +215,103 @@ def is_pointed(generators):
     return not gens or RationalCone(gens).is_pointed()
 
 
-def extreme_ray_generators(generators, description):
-    """The subset of (primitivized) generators spanning extreme rays.
+def facet_values(generators, facets):
+    """The facet-value table of a cone: each distinct primitive generator g,
+    in sorted order, mapped to its facet values (f.g for f in facets).
 
-    The cone must be pointed, and ``description`` is its (equations,
-    facets) pair.  A generator g spans an extreme ray iff no other generator
-    is tight at every facet tight at g (else the face those facets cut out
-    holds it too).
+    Its zeros are the incidences of generators and facets, and its rows the
+    lattice heights of the generators over the facet hyperplanes; the
+    extreme rays, the triangulation and its volume bounds all read it, so
+    no facet value is computed twice.
     """
     prim = sorted({primitive(g) for g in generators if any(g)})
-    if not prim:
-        return []
-    _, facets = description
-    tight = [_incidence(g, facets) for g in prim]
-    return [
-        g for i, (g, t) in enumerate(zip(prim, tight))
+    return {g: tuple(vec_dot(f, g) for f in facets) for g in prim}
+
+
+def _zeros(values):
+    """Bitmask of the positions of the zeros in ``values``."""
+    return sum(1 << j for j, v in enumerate(values) if v == 0)
+
+
+def extreme_ray_generators(table):
+    """The rows of the facet-value table of a pointed cone whose generators
+    span extreme rays.
+
+    A generator g spans an extreme ray iff no other generator is tight at
+    every facet tight at g (else the face those facets cut out holds it
+    too); the tight facets are the zeros of g's row.
+    """
+    tight = [_zeros(v) for v in table.values()]
+    return {
+        g: v for i, ((g, v), t) in enumerate(zip(table.items(), tight))
         if not any(u & t == t for j, u in enumerate(tight) if j != i)
-    ]
-
-
-def _incidence(vector, rows):
-    """Bitmask of the rows orthogonal to ``vector``."""
-    return sum(1 << j for j, row in enumerate(rows) if vec_dot(row, vector) == 0)
+    }
 
 
 # ---------------------------------------------------------------------------
 # triangulation and parallelepiped points
 # ---------------------------------------------------------------------------
 
-def pulling_triangulation(rays, description):
-    """Split cone(rays) into simplicial cones on subsets of the rays.
+def pulling_triangulation(rays):
+    """Split a full-dimensional pointed cone into simplicial cones on subsets
+    of its extreme rays, each with a bound on its |det|.
 
-    Rays must be the extreme rays of a pointed cone, and ``description`` its
-    (equations, facets) pair.  Recursively
-    joins the first ray to the triangulated facets that do not contain it;
-    every face is the bitmask of its rays, and its facets come from the
-    incidence masks of this cone's facets.  Simplices keep the ray order.
+    ``rays`` maps each extreme ray to its facet values (the rows of
+    :func:`extreme_ray_generators`).  Recursively joins the first ray to the
+    triangulated facets that do not contain it; every face is the bitmask
+    of its rays, and its facets are the maximal proper sets F & S_j, with
+    S_j the rays on facet j (the zeros of column j).  Simplices keep the ray
+    order.
+
+    The bound is a product of lattice heights.  Let a face F have apex a,
+    let G = F & H_j be a facet of F missing a, and let sigma be a simplex of
+    G.  With volumes normalized to the lattice Z^n in the span of each face,
+    the simplex on a and sigma has vol_F = (f_j.a / c) vol_G(sigma), where
+    c >= 1 is the index of f_j(Z^n in lin F) in Z; so f_j.a bounds the
+    factor for every such j, and a primitive ray has volume 1.  The bound
+    is the product of the least such heights down the recursion, and a
+    bound of 1 proves |det| = 1.
     """
-    rays = tuple(tuple(r) for r in rays)
-    eqs, facets = description
-    masks = [_incidence(f, rays) for f in facets]
-    top = (1 << len(rays)) - 1
+    points = list(rays)
+    values = list(rays.values())
+    masks = [_zeros(column) for column in zip(*values)]
+    top = (1 << len(points)) - 1
     return [
-        tuple(r for k, r in enumerate(rays) if simplex >> k & 1)
-        for simplex in _pull(top, len(rays[0]) - len(eqs), masks, {})
+        (tuple(r for k, r in enumerate(points) if simplex >> k & 1), bound)
+        for simplex, bound in _pull(top, len(points[0]), masks, values, {})
     ]
 
 
-def _pull(face, dim, masks, done):
-    """Simplices, as ray bitmasks, triangulating the face with ray bitmask
-    ``face`` and dimension ``dim``; ``done`` keeps them per face."""
+def _pull(face, dim, masks, values, done):
+    """(simplex, bound) pairs, simplices as ray bitmasks, triangulating the
+    face with ray bitmask ``face`` and dimension ``dim``; ``done`` keeps
+    them per face."""
     if face in done:
         return done[face]
-    if face.bit_count() == dim:
-        out = [face]
+    if dim == 1:
+        out = [(face, 1)]
     else:
         apex = face & -face
-        subs = [sub for sub in dict.fromkeys(face & s for s in masks) if sub != face]
-        out = []
-        for sub in subs:
-            if sub & apex or any(sub & o == sub and sub != o for o in subs):
-                continue
-            out.extend(apex | simplex for simplex in _pull(sub, dim - 1, masks, done))
+        # each proper face & S_j, with the least height of the apex over
+        # the facets j that cut it out
+        least = {}
+        for s, h in zip(masks, values[apex.bit_length() - 1]):
+            sub = face & s
+            if sub != face:
+                least[sub] = min(h, least.get(sub, h))
+        if face.bit_count() == dim:  # a simplex: its one facet missing the apex
+            subs = [face ^ apex]
+        else:
+            subs = [
+                sub for sub in least
+                if not sub & apex
+                and not any(sub & o == sub and sub != o for o in least)
+            ]
+        out = [
+            (apex | simplex, least[sub] * bound)
+            for sub in subs
+            for simplex, bound in _pull(sub, dim - 1, masks, values, done)
+        ]
     done[face] = out
     return out
 
@@ -344,11 +387,16 @@ def hilbert_basis(generators, cone=None):
     into coordinates of a basis of its span intersected with Z^n (an
     echelon basis, through :func:`hilbert_basis_in_lattice`), so everything
     below sees a full-dimensional cone: compute the facets once, from them
-    pointedness and the extreme rays, triangulate the extreme rays (pulling
-    order, on ray bitmasks below the top cone), collect the
-    fundamental-parallelepiped lattice points of each simplicial piece (the
-    origin alone when its determinant is +-1), then discard the candidates
-    that another one reduces.
+    pointedness and the facet-value table of the generators, read the
+    extreme rays off its zeros, triangulate them (pulling order, on ray
+    bitmasks below the top cone), and collect the fundamental-parallelepiped
+    lattice points of each simplicial piece.  A simplex whose height bound
+    is 1 has |det| = 1 and only the origin there, so it is skipped with no
+    determinant.  The candidates, the extreme rays and those points, are
+    then taken in increasing degree (the sum of the facet values, positive
+    on the pointed cone), and each is kept unless an element kept before
+    reduces it: a reducer g != h has h - g in the cone, so no facet value of
+    g exceeds that of h, and its degree is smaller.
     ``cone`` is the RationalCone of the generators when the caller has it.
     """
     gens = sorted({tuple(int(x) for x in g) for g in generators if any(g)})
@@ -360,22 +408,22 @@ def hilbert_basis(generators, cone=None):
         cone = RationalCone(gens)
     if not cone.is_pointed():
         raise NonPointedConeError("Hilbert basis requires a pointed cone")
-    eqs, facets = cone.facet_description()
-    rays = extreme_ray_generators(gens, (eqs, facets))
-    candidates = set(gens) | set(rays)
-    for simplex in pulling_triangulation(rays, (eqs, facets)):
+    _, facets = cone.facet_description()
+    rays = extreme_ray_generators(facet_values(gens, facets))
+    candidates = dict(rays)
+    for simplex, bound in pulling_triangulation(rays):
+        if bound == 1:  # |det| = 1: the origin is the only point
+            continue
         for pt in parallelepiped_points(simplex):
-            if any(pt):
-                candidates.add(pt)
-    # h - g lies in the cone iff no facet value of g exceeds that of h
-    values = {h: tuple(vec_dot(f, h) for f in facets) for h in candidates}
-    return tuple(sorted(
-        h for h in candidates
-        if not any(
-            g != h and all(x <= y for x, y in zip(values[g], values[h]))
-            for g in candidates
-        )
-    ))
+            if any(pt) and pt not in candidates:
+                candidates[pt] = tuple(vec_dot(f, pt) for f in facets)
+    # h - g lies in the cone iff no facet value of g exceeds that of h; then
+    # g != h has the smaller degree, the sum of the facet values
+    kept = {}
+    for h, hv in sorted(candidates.items(), key=lambda item: sum(item[1])):
+        if not any(all(x <= y for x, y in zip(gv, hv)) for gv in kept.values()):
+            kept[h] = hv
+    return tuple(sorted(kept))
 
 
 def hilbert_basis_in_lattice(generators, basis):
@@ -866,17 +914,20 @@ def ehrhart_polynomial(polytope_vertices, budget=DEFAULT_POINT_BUDGET):
 
 
 def polytope_volume(points):
-    """Ambient-dimension volume of conv(points), by pulling triangulation."""
+    """Ambient-dimension volume of conv(points), by pulling triangulation of
+    the cone over it; a simplex whose height bound is 1 adds 1, with no
+    determinant."""
     pts = [tuple(int(x) for x in p) for p in points]
     n = len(pts[0])
     lifted = [p + (1,) for p in pts]
     description = _facet_description(tuple(sorted(lifted)))
     if description[0]:  # an equation: conv(points) is lower-dimensional
         return Fraction(0)
-    rays = extreme_ray_generators(lifted, description)  # (v, 1) is primitive
+    # (v, 1) is primitive
+    rays = extreme_ray_generators(facet_values(lifted, description[1]))
     total = Fraction(0)
-    for simplex in pulling_triangulation(rays, description):
-        total += abs(linalg.det(list(simplex)))
+    for simplex, bound in pulling_triangulation(rays):
+        total += 1 if bound == 1 else abs(linalg.det(list(simplex)))
     return total / factorial(n)
 
 

@@ -9,7 +9,7 @@ import math
 import operator
 import signal
 
-from monomials import linalg
+from monomials import linalg, polyhedra
 from monomials.codes import gf_rank
 from monomials.core import UNIT, Clutter, Graph, MonomialIdeal, colon_monomial
 from monomials.errors import BudgetExceededError, InternalConsistencyError
@@ -197,6 +197,95 @@ def gcd_of_maximal_minors(rays):
         for cols in itertools.combinations(range(len(rays[0])), d)
     ))
 
+
+def incidence(vector, rows):
+    """Bitmask of the rows orthogonal to ``vector``."""
+    return sum(1 << j for j, row in enumerate(rows) if linalg.vec_dot(row, vector) == 0)
+
+
+def incidence_extreme_ray_generators(generators, description):
+    """The primitive generators spanning extreme rays of a pointed cone, from
+    the incidence of each generator with the facets of ``description``,
+    recomputed per call.  The oracle of the facet-value table in
+    ``polyhedra.extreme_ray_generators``."""
+    prim = sorted({linalg.primitive(g) for g in generators if any(g)})
+    _, facets = description
+    tight = [incidence(g, facets) for g in prim]
+    return [
+        g for i, (g, t) in enumerate(zip(prim, tight))
+        if not any(u & t == t for j, u in enumerate(tight) if j != i)
+    ]
+
+
+def incidence_pulling_triangulation(rays, description):
+    """The pulling triangulation of a pointed cone of any dimension, on ray
+    bitmasks from recomputed incidences, without volume bounds; a face with
+    as many rays as its dimension is a simplex.  The oracle of
+    ``polyhedra.pulling_triangulation``."""
+    rays = tuple(tuple(r) for r in rays)
+    eqs, facets = description
+    masks = [incidence(f, rays) for f in facets]
+    top = (1 << len(rays)) - 1
+    return [
+        tuple(r for k, r in enumerate(rays) if simplex >> k & 1)
+        for simplex in _incidence_pull(top, len(rays[0]) - len(eqs), masks, {})
+    ]
+
+
+def _incidence_pull(face, dim, masks, done):
+    if face in done:
+        return done[face]
+    if face.bit_count() == dim:
+        out = [face]
+    else:
+        apex = face & -face
+        subs = [sub for sub in dict.fromkeys(face & s for s in masks) if sub != face]
+        out = []
+        for sub in subs:
+            if sub & apex or any(sub & o == sub and sub != o for o in subs):
+                continue
+            out.extend(apex | simplex for simplex in _incidence_pull(sub, dim - 1, masks, done))
+    done[face] = out
+    return out
+
+
+def height_bound(simplex, facets):
+    """The product over the rays a_i of a simplex in pulling order of the
+    least f.a_i > 0 over the facets f with f.a_k = 0 for every k > i: the
+    bound on |det| of ``polyhedra.pulling_triangulation``, read off the
+    simplex alone."""
+    bound = 1
+    for i, apex in enumerate(simplex[:-1]):
+        bound *= min(
+            linalg.vec_dot(f, apex) for f in facets
+            if linalg.vec_dot(f, apex) > 0
+            and all(linalg.vec_dot(f, a) == 0 for a in simplex[i + 1:])
+        )
+    return bound
+
+
+def all_pairs_hilbert_basis(generators):
+    """The Hilbert basis of a full-dimensional pointed cone by the
+    incidence route: extreme rays and pulling triangulation from recomputed
+    incidences, the parallelepiped points of every simplex, and every
+    candidate reduced against every other.  The oracle of the height
+    certificates and the degree-ordered reduction of
+    ``polyhedra.hilbert_basis``."""
+    gens = sorted({tuple(g) for g in generators if any(g)})
+    description = polyhedra.cone_facets(gens)
+    rays = incidence_extreme_ray_generators(gens, description)
+    candidates = set(gens) | set(rays)
+    for simplex in incidence_pulling_triangulation(rays, description):
+        candidates.update(p for p in polyhedra.parallelepiped_points(simplex) if any(p))
+    _, facets = description
+    values = {h: tuple(linalg.vec_dot(f, h) for f in facets) for h in candidates}
+    return tuple(sorted(
+        h for h in candidates
+        if not any(
+            g != h and all(x <= y for x, y in zip(values[g], values[h]))
+            for g in candidates
+        )
+    ))
 
 @contextlib.contextmanager
 def time_limit(seconds):

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -265,6 +267,23 @@ def test_unreadable_input_exits_2(tmp_path, capsys, make, argv):
     code, doc = run_capture(capsys, [argv[0], make(tmp_path)] + argv[1:])
     assert code == 2
     assert doc["error"].startswith("cannot read input")
+
+
+def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    """The read end is closed before the command starts, so its report
+    meets a broken pipe whatever its size."""
+    path = write(tmp_path, "c4.txt", "1 1 0 0\n0 1 1 0\n0 0 1 1\n1 0 0 1\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as closed:
+        proc = subprocess.run(
+            [sys.executable, "-m", "monomials.cli", "normality", path],
+            stdout=closed, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
 
 
 def test_empty_range_exits_2(tmp_path, capsys):

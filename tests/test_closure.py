@@ -120,6 +120,17 @@ def test_a_false_normal_verdict_trips_the_report_invariant(monkeypatch):
         closure.closure_report(MonomialIdeal(2, [(2, 0), (0, 2)]), method="hilbert")
 
 
+def test_a_false_normal_verdict_trips_the_report_check_at_a_reported_gap(monkeypatch):
+    """Two disjoint triangles have their only gap at power 3: a Hilbert
+    route that calls them normal passes while the reported closures stop
+    at power 2, and trips the check once power 3 is reported."""
+    ideal = two_disjoint_triangles().edge_ideal()
+    monkeypatch.setattr(closure, "_normal_by_hilbert", lambda ideal: (True, None, None))
+    assert closure.closure_report(ideal, up_to=2, method="hilbert").normality.normal
+    with pytest.raises(InternalConsistencyError, match="closure gap at power 3"):
+        closure.closure_report(ideal, up_to=3, method="hilbert")
+
+
 def test_is_normal_method_agreement_random():
     rng = random.Random(79)
     for _ in range(30):

@@ -200,8 +200,9 @@ def test_cover_and_matching_searches_leave_no_reference_cycles():
         assert matching_number(q6) == 1
         assert not has_packing_property(q6_ideal())
         assert has_packing_property(cycle_graph(4).edge_ideal())
-        description = polyhedra.cone_facets(pyramid)
-        assert len(polyhedra.pulling_triangulation(pyramid, description)) == 2
+        _, facets = polyhedra.cone_facets(pyramid)
+        rays = polyhedra.extreme_ray_generators(polyhedra.facet_values(pyramid, facets))
+        assert len(polyhedra.pulling_triangulation(rays)) == 2
         assert len(graphs.induced_cycles(cycle_graph(5))) == 1
         triangle = [(0, 0), (2, 0), (0, 2)]
         assert len(polyhedra.lattice_points(triangle, dilation=3)) == 28

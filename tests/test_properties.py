@@ -15,6 +15,7 @@ from monomials import closure, codes, core, invariants, linalg, lp, polyhedra, s
 from monomials.errors import BudgetExceededError, PreconditionError
 
 from helpers import (
+    all_pairs_hilbert_basis,
     berge_minimal_covers,
     codeword_minimum_distance,
     colon_v_number,
@@ -22,6 +23,9 @@ from helpers import (
     column_staircase,
     cycle_graph,
     gcd_of_maximal_minors,
+    height_bound,
+    incidence_extreme_ray_generators,
+    incidence_pulling_triangulation,
     mat_mul,
     q6_clutter,
     q6_ideal,
@@ -140,8 +144,7 @@ def test_property_extreme_rays_match_the_lp_oracle(gens):
     expected = [
         g for g in prim if not lp.in_cone(g, [h for h in prim if h != g])
     ]
-    description = polyhedra.cone_facets(gens)
-    assert polyhedra.extreme_ray_generators(gens, description) == expected
+    assert list(ray_table(gens)) == expected
 
 
 def brute_staircase(bounds, member):
@@ -479,6 +482,12 @@ def geometric_pull(rs, done):
     return out
 
 
+def ray_table(gens):
+    """The extreme rays and their rows, read off the facet-value table."""
+    _, facets = polyhedra.cone_facets(gens)
+    return polyhedra.extreme_ray_generators(polyhedra.facet_values(gens, facets))
+
+
 def rank_extreme_rays(gens):
     """Primitive generators whose equations and tight facets have rank n - 1."""
     prim = sorted({linalg.primitive(g) for g in gens})
@@ -557,20 +566,59 @@ def test_property_pivot_facets_match_the_lattice_route(gens):
     assert polyhedra.cone_facets(gens) == lattice_cone_facets(gens)
 
 
+def full_rank(gens):
+    return linalg.rank(gens) == len(gens[0])
+
+
 @settings(SEEDED, max_examples=120)
 @given(st.one_of(pointed_cones(), graph_rees_cones()))
 def test_property_bitmask_pulling_matches_the_geometric_oracle(gens):
+    """The library triangulates full-dimensional cones; the incidence
+    oracle, which the flat Hilbert bases below rely on, any pointed cone."""
     description = polyhedra.cone_facets(gens)
-    rays = polyhedra.extreme_ray_generators(gens, description)
+    rays = incidence_extreme_ray_generators(gens, description)
     expected = sorted(geometric_pull(tuple(rays), {}))
-    assert sorted(polyhedra.pulling_triangulation(rays, description)) == expected
+    assert sorted(incidence_pulling_triangulation(rays, description)) == expected
+    if full_rank(gens):
+        assert sorted(s for s, _ in polyhedra.pulling_triangulation(ray_table(gens))) == expected
 
 
 @settings(SEEDED, max_examples=120)
 @given(pointed_cones())
 def test_property_tight_facet_extreme_rays_match_the_rank_criterion(gens):
+    expected = rank_extreme_rays(gens)
+    assert list(ray_table(gens)) == expected
+    assert incidence_extreme_ray_generators(gens, polyhedra.cone_facets(gens)) == expected
+
+
+def staircase_rees_cones():
+    """RC(x^a, y^(a-1), z^(a-3)) for a = 4..9: non-unimodular simplices
+    whose |det| grows with a."""
+    return st.integers(4, 9).map(
+        lambda a: polyhedra.rees_cone(
+            core.MonomialIdeal(3, [(a, 0, 0), (0, a - 1, 0), (0, 0, a - 3)])
+        ).generators
+    )
+
+
+@settings(SEEDED, max_examples=150)
+@given(st.one_of(
+    pointed_cones().filter(full_rank), graph_rees_cones(), staircase_rees_cones()
+))
+def test_property_height_bounds_certify_the_simplices(gens):
+    """Every simplex has 1 <= |det| <= its height bound, which is the
+    product of the least lattice heights down the pulling order; the
+    simplices and the Hilbert basis are those of the incidence route, with
+    a determinant per simplex and the all-pairs reduction."""
     description = polyhedra.cone_facets(gens)
-    assert polyhedra.extreme_ray_generators(gens, description) == rank_extreme_rays(gens)
+    rays = ray_table(gens)
+    assert list(rays) == incidence_extreme_ray_generators(gens, description)
+    pairs = polyhedra.pulling_triangulation(rays)
+    assert [s for s, _ in pairs] == incidence_pulling_triangulation(rays, description)
+    for simplex, bound in pairs:
+        assert 1 <= abs(linalg.det(list(simplex))) <= bound
+        assert bound == height_bound(simplex, description[1])
+    assert polyhedra.hilbert_basis(gens) == all_pairs_hilbert_basis(gens)
 
 
 def unimodular(n):
@@ -769,9 +817,9 @@ def ambient_hilbert_basis(gens):
     of their span, and every candidate reduced against every other."""
     gens = sorted({tuple(g) for g in gens if any(g)})
     description = polyhedra.cone_facets(gens)
-    rays = polyhedra.extreme_ray_generators(gens, description)
+    rays = incidence_extreme_ray_generators(gens, description)
     candidates = set(gens) | set(rays)
-    for simplex in polyhedra.pulling_triangulation(rays, description):
+    for simplex in incidence_pulling_triangulation(rays, description):
         candidates.update(p for p in saturated_parallelepiped_points(simplex) if any(p))
     return tuple(sorted(
         h for h in candidates

@@ -12,9 +12,6 @@ Normality by powers and the normalization index read the gaps, the first
 generator of closure(I^n) outside I*closure(I^(n-1)), and never build I^n.
 """
 
-from fractions import Fraction
-from math import lcm
-
 from monomials import polyhedra
 from monomials.core import (
     MonomialIdeal,
@@ -35,8 +32,8 @@ DEFAULT_BOX_BUDGET = 2_000_000
 
 @memo
 def rees_representation(ideal):
-    """Irreducible representation of RC(I), one per ideal: its ``cone``
-    keeps the facets and the Hilbert basis once they are computed."""
+    """Irreducible representation of RC(I), one per ideal: its facets, and
+    its ``generators``, the key of RC(I)'s memoized Hilbert basis."""
     return polyhedra.ReesRepresentation(ideal)
 
 
@@ -65,28 +62,6 @@ def membership(a, ideal, n=1, witness=True, verify=False):
     if witness:
         return answer, (y if answer else None)
     return answer
-
-
-def power_oracle(a, ideal, n, max_p=None):
-    """The (t^a)^p in I^{pn} oracle for closure membership.
-
-    Searches p = 1..max_p; max_p defaults to a witness-denominator bound
-    when a witness exists, else a small constant.  Independent of the
-    polyhedral route; used to cross-examine it.
-    """
-    a = tuple(a)
-    if max_p is None:
-        ok, y = membership(a, ideal, n, witness=True)
-        if not ok:
-            max_p = 4
-        else:
-            max_p = lcm(*[Fraction(v).denominator for v in y]) if y else 1
-            max_p = max(max_p, 1)
-    for p in range(1, max_p + 1):
-        target = tuple(p * x for x in a)
-        if ideal_power(ideal, p * n).contains_monomial(target):
-            return True, p
-    return False, None
 
 
 def closure_of_power(ideal, n, budget=DEFAULT_BOX_BUDGET):
@@ -156,9 +131,9 @@ class NormalityReport:
 
 
 def _normal_by_hilbert(ideal):
-    cone = rees_representation(ideal).cone
-    gens = set(cone.generators)
-    extra = [h for h in cone.hilbert_basis() if h not in gens]
+    generators = rees_representation(ideal).generators
+    gens = set(generators)
+    extra = [h for h in polyhedra.hilbert_basis(generators) if h not in gens]
     if not extra:
         return True, None, None
     extra.sort(key=lambda h: (h[-1], h))

@@ -329,20 +329,24 @@ class WeightReport:
     """Per-degree weight table, v-number and regularity threshold of a set.
 
     The codes are built for d = 1, 2, ... until one has dimension |X|: that
-    degree is the threshold.  Construction enforces the structural laws: the
-    minimum distance strictly decreases with the degree until it hits 1 and
-    stays there, the first degree where it equals 1 is the v-number, and
-    beyond the threshold the r-th weight is r.
+    degree is the threshold.  The v-number is the first degree whose code's
+    reduced basis has a row of weight one (see :func:`v_number_points`).
+    Construction enforces the structural laws: the minimum distance strictly
+    decreases with the degree until it hits 1 and stays there, the first
+    degree where it equals 1 is the v-number, and beyond the threshold the
+    r-th weight is r.
     """
 
     __slots__ = ("points", "weights", "v_number", "threshold")
 
     def __init__(self, points, max_r=3):
         self.points = points
-        self.v_number = v_number_points(points)
+        self.v_number = None
         table = {}
         for d in itertools.count(1):
             code = EvaluationCode(points, d)
+            if self.v_number is None and _has_weight_one_row(code.basis):
+                self.v_number = d
             table[d] = tuple(weight_hierarchy(code, min(max_r, code.dimension)))
             if code.dimension == len(points):
                 break
@@ -366,6 +370,11 @@ class WeightReport:
                 )
 
 
+def _has_weight_one_row(rows):
+    """Some row has exactly one non-zero entry."""
+    return any(len(row) - row.count(0) == 1 for row in rows)
+
+
 def v_number_points(points):
     """Least d such that a degree-d form vanishes on every point but one.
 
@@ -379,7 +388,7 @@ def v_number_points(points):
         raise PreconditionError("v-number needs at least two points")
     for d in itertools.count(1):
         rows, _ = rref(points.field, points.evaluation_matrix(d))
-        if any(len(row) - row.count(0) == 1 for row in rows):
+        if _has_weight_one_row(rows):
             return d
         if len(rows) == len(points):
             raise InternalConsistencyError(

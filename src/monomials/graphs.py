@@ -89,6 +89,26 @@ def _extend_path(graph, path, members, cycles):
             _extend_path(graph, path + (w,), members | {w}, cycles)
 
 
+def _odd_cycle_pairs(graph, budget):
+    """Each unordered pair of induced odd cycles, in the order of
+    :func:`induced_cycles`, as (c1, c2, shared vertices, whether an edge
+    joins a vertex of c1 to one of c2)."""
+    odd = induced_cycles(graph, parity="odd", budget=budget)
+    for c1, c2 in itertools.combinations(odd, 2):
+        set1 = set(c1.vertices)
+        set2 = set(c2.vertices)
+        joined = any(graph.neighbors(v) & set2 for v in set1)
+        yield c1, c2, set1 & set2, joined
+
+
+def _pair_monomial(s, cycle1, cycle2):
+    """The product of the variables over both cycles' vertices."""
+    exps = [0] * s
+    for v in cycle1.vertices + cycle2.vertices:
+        exps[v] += 1
+    return tuple(exps)
+
+
 class HochsterConfiguration:
     """Two induced odd cycles with C1 disjoint from N(C2).
 
@@ -102,12 +122,7 @@ class HochsterConfiguration:
     def __init__(self, s, cycle1, cycle2):
         self.cycle1 = cycle1
         self.cycle2 = cycle2
-        exps = [0] * s
-        for v in cycle1.vertices:
-            exps[v] += 1
-        for v in cycle2.vertices:
-            exps[v] += 1
-        self.monomial = tuple(exps)
+        self.monomial = _pair_monomial(s, cycle1, cycle2)
         self.z_degree = (len(cycle1) + len(cycle2)) // 2
 
     def __repr__(self):
@@ -117,31 +132,18 @@ class HochsterConfiguration:
         )
 
 
-def _neighborhood(graph, vertices):
-    out = set()
-    for v in vertices:
-        out |= graph.neighbors(v)
-    return out
-
-
 def hochster_configurations(graph, budget=14):
     """All unordered Hochster configurations of the graph.
 
     The defining conditions: both cycles induced and odd, and C1 disjoint
-    from N(C2) (which forces vertex disjointness and no joining edge; a
-    longer joining path does not interfere).
+    from N(C2), that is, vertex-disjoint with no joining edge (a longer
+    joining path does not interfere).
     """
-    odd = induced_cycles(graph, parity="odd", budget=budget)
-    out = []
-    for c1, c2 in itertools.combinations(odd, 2):
-        set1 = set(c1.vertices)
-        set2 = set(c2.vertices)
-        if set1 & set2:
-            continue
-        if set1 & _neighborhood(graph, set2):
-            continue
-        out.append(HochsterConfiguration(graph.s, c1, c2))
-    return out
+    return [
+        HochsterConfiguration(graph.s, c1, c2)
+        for c1, c2, common, joined in _odd_cycle_pairs(graph, budget)
+        if not common and not joined
+    ]
 
 
 def edge_ideal_normal(graph, budget=14):
@@ -159,9 +161,9 @@ def rees_closure_generators(graph, budget=14, cross_validate=False):
     configs = hochster_configurations(graph, budget=budget)
     gens = sorted({(c.monomial, c.z_degree) for c in configs})
     if cross_validate:
-        cone = closure_mod.rees_representation(graph.edge_ideal()).cone
-        allowed = set(cone.generators) | {m + (z,) for m, z in gens}
-        stray = [h for h in cone.hilbert_basis() if h not in allowed]
+        rees = closure_mod.rees_representation(graph.edge_ideal()).generators
+        allowed = set(rees) | {m + (z,) for m, z in gens}
+        stray = [h for h in polyhedra.hilbert_basis(rees) if h not in allowed]
         if stray:
             raise InternalConsistencyError(
                 f"Rees closure has generators beyond the Hochster monomials: {stray}"
@@ -182,12 +184,7 @@ class Bowtie:
         self.cycle1 = cycle1
         self.cycle2 = cycle2
         self.path = tuple(path)
-        exps = [0] * s
-        for v in cycle1.vertices:
-            exps[v] += 1
-        for v in cycle2.vertices:
-            exps[v] += 1
-        self.monomial = tuple(exps)
+        self.monomial = _pair_monomial(s, cycle1, cycle2)
 
     def __repr__(self):
         return f"Bowtie({self.cycle1.vertices}, {self.cycle2.vertices})"
@@ -215,20 +212,14 @@ def _connecting_path(graph, set1, set2):
 
 def bowties(graph, budget=14):
     """All bowties: cycle pairs sharing one vertex, or joined by a path."""
-    odd = induced_cycles(graph, parity="odd", budget=budget)
     out = []
-    for c1, c2 in itertools.combinations(odd, 2):
-        set1 = set(c1.vertices)
-        set2 = set(c2.vertices)
-        common = set1 & set2
-        if len(common) > 1:
-            continue
+    for c1, c2, common, _ in _odd_cycle_pairs(graph, budget):
         if len(common) == 1:
             out.append(Bowtie(graph.s, c1, c2, ()))
-            continue
-        path = _connecting_path(graph, set1, set2)
-        if path is not None:
-            out.append(Bowtie(graph.s, c1, c2, path))
+        elif not common:
+            path = _connecting_path(graph, set(c1.vertices), set(c2.vertices))
+            if path is not None:
+                out.append(Bowtie(graph.s, c1, c2, path))
     return out
 
 
@@ -256,20 +247,13 @@ def edge_subring_closure_via_hilbert(graph):
 
 
 def odd_cycle_condition(graph, budget=14):
-    """Every two vertex-disjoint odd cycles are joined by an edge.
+    """Every two vertex-disjoint odd cycles are joined by an edge: the graph
+    has no Hochster configuration.
 
     Checking induced odd cycles suffices: any offending pair contains an
     offending induced pair.
     """
-    odd = induced_cycles(graph, parity="odd", budget=budget)
-    for c1, c2 in itertools.combinations(odd, 2):
-        set1 = set(c1.vertices)
-        set2 = set(c2.vertices)
-        if set1 & set2:
-            continue
-        if not any(graph.adjacent(a, b) for a in set1 for b in set2):
-            return False
-    return True
+    return not hochster_configurations(graph, budget=budget)
 
 
 def edge_subring_normal(graph, budget=14):
@@ -457,6 +441,17 @@ def _match_from(graph, left, right, used, acc):
         acc.pop()
 
 
+def _transitive(graph, xs, ys, triples):
+    """No (i, j, k) in ``triples`` has {x_i, y_j} and {x_j, y_k} as edges
+    but not {x_i, y_k}."""
+    return not any(
+        graph.adjacent(xs[i], ys[j])
+        and graph.adjacent(xs[j], ys[k])
+        and not graph.adjacent(xs[i], ys[k])
+        for i, j, k in triples
+    )
+
+
 def unmixed_bipartite_check(graph):
     """Combinatorial unmixedness for bipartite graphs.
 
@@ -468,28 +463,14 @@ def unmixed_bipartite_check(graph):
         raise PreconditionError("bipartite graph expected")
     if graph.clutter().has_isolated_vertex():
         raise PreconditionError("isolated vertices are excluded")
-    found = False
-    for left, right in _bipartitions(graph):
-        for matching in _perfect_matchings(graph, left, right):
-            xs = [m[0] for m in matching]
-            ys = [m[1] for m in matching]
-            g = len(matching)
-            ok = True
-            for i, j, k in itertools.product(range(g), repeat=3):
-                if len({i, j, k}) != 3:
-                    continue
-                if (
-                    graph.adjacent(xs[i], ys[j])
-                    and graph.adjacent(xs[j], ys[k])
-                    and not graph.adjacent(xs[i], ys[k])
-                ):
-                    ok = False
-                    break
-            if ok:
-                found = True
-                break
-        if found:
-            break
+    found = any(
+        _transitive(
+            graph, [x for x, _ in matching], [y for _, y in matching],
+            itertools.permutations(range(len(matching)), 3),
+        )
+        for left, right in _bipartitions(graph)
+        for matching in _perfect_matchings(graph, left, right)
+    )
     direct = is_unmixed(graph.clutter())
     if found != direct:
         raise InternalConsistencyError(
@@ -527,22 +508,7 @@ def cm_bipartite(graph):
             for order in _linear_extensions(succ, [], set()):
                 ox = [xs[a] for a in order]
                 oy = [ys[a] for a in order]
-                ok = True
-                for i in range(g):
-                    for j in range(i + 1, g):
-                        if not graph.adjacent(ox[i], oy[j]):
-                            continue
-                        for k in range(j + 1, g):
-                            if graph.adjacent(ox[j], oy[k]) and not graph.adjacent(
-                                ox[i], oy[k]
-                            ):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if ok:
+                if _transitive(graph, ox, oy, itertools.combinations(range(g), 3)):
                     return True
     return False
 

@@ -26,7 +26,8 @@ heights, Bruns and Ichim, J. Algebra 324 (2010)).  Hilbert-basis
 candidates are reduced in the order of their degree, the sum of their
 facet values, each against the irreducibles found so far (Bruns, Ichim
 and Söger, J. Symb. Comp. 74 (2016)).  No Smith normal form runs
-anywhere: lattices are read off echelon bases.
+anywhere: lattices are read off echelon bases.  Facet descriptions and
+Hilbert bases are memoized per generator set, so every caller shares them.
 
 Currently everything is sequential; operations are pure, so callers may
 parallelize over independent inputs if they wish.
@@ -188,10 +189,16 @@ def cone_facets(generators):
     return sorted(equations), sorted(facets)
 
 
+def _generator_set(generators):
+    """The distinct non-zero generators as a sorted tuple of integer tuples:
+    the one key of a generator set, whatever their order or repeats."""
+    return tuple(sorted({tuple(map(int, g)) for g in generators if any(g)}))
+
+
 @memo
 def _facet_description(generators):
-    """``cone_facets`` of ``generators``, a sorted tuple: one description per
-    generator set, shared by its callers."""
+    """``cone_facets`` of ``generators``, a :func:`_generator_set`: one
+    description per generator set, shared by its callers."""
     return cone_facets(generators)
 
 
@@ -210,9 +217,13 @@ def cone_contains(point, equations, facets):
 
 
 def is_pointed(generators):
-    """No non-trivial non-negative combination of the generators is zero."""
-    gens = [tuple(g) for g in generators if any(g)]
-    return not gens or RationalCone(gens).is_pointed()
+    """No non-trivial non-negative combination of the generators is zero:
+    the equations and facets have rank n, so the cone holds no line."""
+    gens = _generator_set(generators)
+    if not gens:
+        return True
+    eqs, facets = _facet_description(gens)
+    return linalg.rank(eqs + facets) == len(gens[0])
 
 
 def facet_values(generators, facets):
@@ -348,47 +359,23 @@ def parallelepiped_points(rays):
 # Hilbert bases
 # ---------------------------------------------------------------------------
 
-class RationalCone:
-    """A rational cone given by integer generators, with cached structure."""
-
-    def __init__(self, generators):
-        gens = sorted({tuple(int(x) for x in g) for g in generators if any(g)})
-        if not gens:
-            raise PreconditionError("cone needs at least one non-zero generator")
-        self.generators = tuple(gens)
-        self.dim = len(gens[0])
-        self._facets = None
-        self._hilbert = None
-
-    def is_pointed(self):
-        """The equations and facets have rank n: the cone holds no line."""
-        eqs, facets = self.facet_description()
-        return linalg.rank(eqs + facets) == self.dim
-
-    def facet_description(self):
-        if self._facets is None:
-            self._facets = cone_facets(self.generators)
-        return self._facets
-
-    def contains(self, point):
-        eqs, facets = self.facet_description()
-        return cone_contains(point, eqs, facets)
-
-    def hilbert_basis(self):
-        if self._hilbert is None:
-            self._hilbert = hilbert_basis(self.generators, cone=self)
-        return self._hilbert
+def hilbert_basis(generators):
+    """Minimal Hilbert basis of the pointed cone spanned by the generators,
+    computed once per generator set (:func:`_generator_set`)."""
+    gens = _generator_set(generators)
+    return _hilbert_basis(gens) if gens else ()
 
 
-def hilbert_basis(generators, cone=None):
-    """Minimal Hilbert basis of the pointed cone spanned by the generators.
+@memo
+def _hilbert_basis(gens):
+    """Normaliz-style pipeline on a :func:`_generator_set`.
 
-    Normaliz-style pipeline.  A cone that spans less than R^n is first moved
-    into coordinates of a basis of its span intersected with Z^n (an
-    echelon basis, through :func:`hilbert_basis_in_lattice`), so everything
-    below sees a full-dimensional cone: compute the facets once, from them
-    pointedness and the facet-value table of the generators, read the
-    extreme rays off its zeros, triangulate them (pulling order, on ray
+    A cone that spans less than R^n is first moved into coordinates of a
+    basis of its span intersected with Z^n (an echelon basis, through
+    :func:`hilbert_basis_in_lattice`), so everything below sees a
+    full-dimensional cone: read the facets and pointedness off the memoized
+    facet description, build the facet-value table of the generators, read
+    the extreme rays off its zeros, triangulate them (pulling order, on ray
     bitmasks below the top cone), and collect the fundamental-parallelepiped
     lattice points of each simplicial piece.  A simplex whose height bound
     is 1 has |det| = 1 and only the origin there, so it is skipped with no
@@ -397,18 +384,12 @@ def hilbert_basis(generators, cone=None):
     on the pointed cone), and each is kept unless an element kept before
     reduces it: a reducer g != h has h - g in the cone, so no facet value of
     g exceeds that of h, and its degree is smaller.
-    ``cone`` is the RationalCone of the generators when the caller has it.
     """
-    gens = sorted({tuple(int(x) for x in g) for g in generators if any(g)})
-    if not gens:
-        return ()
     if linalg.rank(gens) < len(gens[0]):
         return hilbert_basis_in_lattice(gens, linalg.saturation_basis(gens))
-    if cone is None:
-        cone = RationalCone(gens)
-    if not cone.is_pointed():
+    eqs, facets = _facet_description(gens)
+    if linalg.rank(eqs + facets) < len(gens[0]):
         raise NonPointedConeError("Hilbert basis requires a pointed cone")
-    _, facets = cone.facet_description()
     rays = extreme_ray_generators(facet_values(gens, facets))
     candidates = dict(rays)
     for simplex, bound in pulling_triangulation(rays):
@@ -456,7 +437,7 @@ def monoid_decompose(point, basis, max_terms=64):
         return []
     if not basis:
         return None
-    eqs, facets = _facet_description(tuple(sorted(basis)))
+    eqs, facets = _facet_description(_generator_set(basis))
     if any(vec_dot(e, point) for e in eqs):
         return None
     values = [(b, tuple(vec_dot(f, b) for f in facets)) for b in basis]
@@ -570,7 +551,8 @@ def covering_polyhedron(ideal):
 
 
 def rees_cone(ideal):
-    """RC(I), generated by the unit vectors and the lifted generators."""
+    """The generators of RC(I), the unit vectors and the lifted generators,
+    as a sorted tuple: the key of its facet description and Hilbert basis."""
     s = ideal.s
     gens = []
     for i in range(s):
@@ -579,7 +561,7 @@ def rees_cone(ideal):
         gens.append(tuple(e))
     for g in ideal.gens:
         gens.append(tuple(g) + (1,))
-    return RationalCone(gens)
+    return _generator_set(gens)
 
 
 class ReesRepresentation:
@@ -588,14 +570,14 @@ class ReesRepresentation:
     ``gamma_d`` lists the facet normals (gamma_i, -d_i) with d_i >= 1, as
     (gamma tuple, d) pairs sorted with d = 1 first; ``r`` counts those with
     d = 1, ``p`` all of them.  The remaining facets have last coordinate
-    >= 0 (the unit-vector-type supports).  ``cone`` is RC(I) itself, which
-    keeps its facets and, once asked for, its Hilbert basis.
+    >= 0 (the unit-vector-type supports).  ``generators`` is
+    :func:`rees_cone`, the key of RC(I)'s memoized Hilbert basis.
     """
 
     def __init__(self, ideal):
         self.ideal = ideal
-        self.cone = cone = rees_cone(ideal)
-        eqs, facets = cone.facet_description()
+        self.generators = rees_cone(ideal)
+        eqs, facets = _facet_description(self.generators)
         if eqs:
             raise InternalConsistencyError("Rees cone should be full-dimensional")
         self.facets = tuple(facets)
@@ -802,7 +784,7 @@ def lattice_points(polytope_vertices, dilation=1, collect=True,
         special = _special_count(verts, k)
         if special is not None:
             return special
-    eqs_h, facets_h = _facet_description(tuple(sorted(v + (1,) for v in verts)))
+    eqs_h, facets_h = _facet_description(_generator_set(v + (1,) for v in verts))
     eqs = [(e[:-1], -e[-1] * k) for e in eqs_h]
     ineqs = [(f[:-1], -f[-1] * k) for f in facets_h]
     lo = [k * min(v[i] for v in verts) for i in range(n)]
@@ -920,7 +902,7 @@ def polytope_volume(points):
     pts = [tuple(int(x) for x in p) for p in points]
     n = len(pts[0])
     lifted = [p + (1,) for p in pts]
-    description = _facet_description(tuple(sorted(lifted)))
+    description = _facet_description(_generator_set(lifted))
     if description[0]:  # an equation: conv(points) is lower-dimensional
         return Fraction(0)
     # (v, 1) is primitive

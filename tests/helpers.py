@@ -8,10 +8,18 @@ import itertools
 import math
 import operator
 import signal
+from fractions import Fraction
 
-from monomials import linalg, polyhedra
+from monomials import closure, graphs, linalg, polyhedra
 from monomials.codes import gf_rank
-from monomials.core import UNIT, Clutter, Graph, MonomialIdeal, colon_monomial
+from monomials.core import (
+    UNIT,
+    Clutter,
+    Graph,
+    MonomialIdeal,
+    colon_monomial,
+    ideal_power,
+)
 from monomials.errors import BudgetExceededError, InternalConsistencyError
 
 
@@ -307,11 +315,14 @@ def time_limit(seconds):
 def refuse_smith_forms(monkeypatch):
     """Make ``linalg.smith_normal_form`` raise, so a test fails at once
     where a Smith form would run.  The library has none; the guard also
-    holds where one is added back."""
+    holds where one is added back.  The cone memos are cleared, so the
+    guarded cones are computed, not read from an earlier test's result."""
     def refuse(matrix):
         raise AssertionError("a Smith normal form was computed")
 
     monkeypatch.setattr(linalg, "smith_normal_form", refuse, raising=False)
+    polyhedra._facet_description.cache.clear()
+    polyhedra._hilbert_basis.cache.clear()
 
 
 def mat_mul(a, b):
@@ -618,3 +629,81 @@ def solve_coordinates(vector, basis):
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
     return tuple(int(x) for x in sol)
+
+
+def power_oracle(a, ideal, n, max_p=None):
+    """The (t^a)^p in I^{pn} oracle for closure membership.
+
+    Searches p = 1..max_p; max_p defaults to a witness-denominator bound
+    when a witness exists, else a small constant.  Independent of the
+    polyhedral route; used to cross-examine it.
+    """
+    a = tuple(a)
+    if max_p is None:
+        ok, y = closure.membership(a, ideal, n, witness=True)
+        if not ok:
+            max_p = 4
+        else:
+            max_p = math.lcm(*[Fraction(v).denominator for v in y]) if y else 1
+            max_p = max(max_p, 1)
+    for p in range(1, max_p + 1):
+        target = tuple(p * x for x in a)
+        if ideal_power(ideal, p * n).contains_monomial(target):
+            return True, p
+    return False, None
+
+
+def _neighborhood(graph, vertices):
+    out = set()
+    for v in vertices:
+        out |= graph.neighbors(v)
+    return out
+
+
+def neighborhood_hochster_configurations(graph, budget=14):
+    """Hochster configurations by the test C1 disjoint from N(C2), over
+    every pair of induced odd cycles."""
+    odd = graphs.induced_cycles(graph, parity="odd", budget=budget)
+    out = []
+    for c1, c2 in itertools.combinations(odd, 2):
+        set1 = set(c1.vertices)
+        set2 = set(c2.vertices)
+        if set1 & set2:
+            continue
+        if set1 & _neighborhood(graph, set2):
+            continue
+        out.append(graphs.HochsterConfiguration(graph.s, c1, c2))
+    return out
+
+
+def edge_scan_odd_cycle_condition(graph, budget=14):
+    """The odd cycle condition by scanning, for every two vertex-disjoint
+    induced odd cycles, the vertex pairs between them for an edge."""
+    odd = graphs.induced_cycles(graph, parity="odd", budget=budget)
+    for c1, c2 in itertools.combinations(odd, 2):
+        set1 = set(c1.vertices)
+        set2 = set(c2.vertices)
+        if set1 & set2:
+            continue
+        if not any(graph.adjacent(a, b) for a in set1 for b in set2):
+            return False
+    return True
+
+
+def pair_loop_bowties(graph, budget=14):
+    """Bowties by their own loop over the pairs of induced odd cycles."""
+    odd = graphs.induced_cycles(graph, parity="odd", budget=budget)
+    out = []
+    for c1, c2 in itertools.combinations(odd, 2):
+        set1 = set(c1.vertices)
+        set2 = set(c2.vertices)
+        common = set1 & set2
+        if len(common) > 1:
+            continue
+        if len(common) == 1:
+            out.append(graphs.Bowtie(graph.s, c1, c2, ()))
+            continue
+        path = graphs._connecting_path(graph, set1, set2)
+        if path is not None:
+            out.append(graphs.Bowtie(graph.s, c1, c2, path))
+    return out

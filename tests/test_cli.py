@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,6 +376,12 @@ C3 = "1 1 0\n0 1 1\n1 0 1\n"
 C3_TEXT = "0 1 1\n1 0 1\n1 1 0"
 C4 = "1 1 0 0\n0 1 1 0\n0 0 1 1\n1 0 0 1\n"
 C4_TEXT = "0 0 1 1\n0 1 1 0\n1 0 0 1\n1 1 0 0"
+# the bowtie figure: a 5-cycle and a triangle joined by a path of length 2
+BOWTIE = "9\n1 2\n2 3\n3 4\n4 5\n1 5\n5 6\n6 7\n7 8\n7 9\n8 9\n"
+BOWTIE_TEXT = "9\n1 2\n1 5\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n7 9\n8 9"
+# loops at 1 and 5, both next to a triangle on 2, 3, 4
+TWO_LOOPS = "5\n1 1\n5 5\n1 2\n2 3\n3 4\n2 4\n4 5\n"
+TWO_LOOPS_TEXT = "5\n1 2\n2 3\n2 4\n3 4\n4 5\n1 1\n5 5"
 
 
 def report(command, options, text, results, certificates):
@@ -415,6 +422,33 @@ WHOLE_REPORTS = [
          "simis_failure_degree": None, "unmixed": True, "vertices": 4},
         {"hochster_monomials": [],
          "subring_closure_generators": [[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]]})),
+    (["graph-analyze"], BOWTIE, 0, report(
+        "graph-analyze", {"multigraph": False}, BOWTIE_TEXT,
+        {"bipartite": False, "covering_number": 5, "edge_ideal_normal": False,
+         "edge_subring_dimension": 9, "edge_subring_normal": False, "edges": 10,
+         "hochster_configurations": 1, "konig": False, "matching_number": 4,
+         "odd_cycle_condition": False, "odd_girth": 3, "packing": False,
+         "simis_failure_degree": 2, "unmixed": False, "vertices": 9},
+        {"hochster_monomials": [{"monomial": [1, 1, 1, 1, 1, 0, 1, 1, 1], "z_degree": 4}],
+         "subring_closure_generators": [
+             [0, 0, 0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 0, 1, 0, 1],
+             [0, 0, 0, 0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1, 1, 0, 0],
+             [0, 0, 0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0, 0],
+             [0, 0, 1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0, 0, 0, 0],
+             [1, 0, 0, 0, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0, 0],
+             [1, 1, 1, 1, 1, 0, 1, 1, 1]]})),
+    (["graph-analyze", "--multigraph"], TWO_LOOPS, 0, report(
+        "graph-analyze", {"multigraph": True}, TWO_LOOPS_TEXT,
+        {"bipartite": False, "covering_number": 4, "edge_ideal_normal": False,
+         "edge_subring_dimension": 5, "edge_subring_normal": False, "edges": 7,
+         "hochster_configurations": 1, "konig": False, "matching_number": 3,
+         "odd_cycle_condition": False, "odd_girth": 1,
+         "simis_failure_degree": 1, "unmixed": True, "vertices": 5},
+        {"hochster_monomials": [{"monomial": [1, 0, 0, 0, 1], "z_degree": 1}],
+         "subring_closure_generators": [
+             [0, 0, 0, 0, 2], [0, 0, 0, 1, 1], [0, 0, 1, 1, 0], [0, 1, 0, 1, 0],
+             [0, 1, 1, 0, 0], [0, 1, 1, 1, 1], [1, 0, 0, 0, 1], [1, 1, 0, 0, 0],
+             [1, 1, 1, 1, 0], [2, 0, 0, 0, 0]]})),
     (["invariants"], "2 0\n1 1\n0 3\n", 0, report(
         "invariants", {}, "0 3\n1 1\n2 0",
         {"multiplicity": 5, "normalization_index": 0,
@@ -442,9 +476,17 @@ WHOLE_REPORTS = [
 ]
 
 
+def report_ids(rows):
+    """``command-exitN``, with ``-2``, ``-3``, ... on repeats of one."""
+    seen = Counter()
+    for argv, _, code, _ in rows:
+        name = f"{argv[0]}-exit{code}"
+        seen[name] += 1
+        yield name if seen[name] == 1 else f"{name}-{seen[name]}"
+
+
 @pytest.mark.parametrize(
-    "argv, text, code, document", WHOLE_REPORTS,
-    ids=[f"{argv[0]}-exit{code}" for argv, _, code, _ in WHOLE_REPORTS],
+    "argv, text, code, document", WHOLE_REPORTS, ids=list(report_ids(WHOLE_REPORTS)),
 )
 def test_whole_report(tmp_path, capsys, argv, text, code, document):
     """Every key of the report, options and canonical input included; error

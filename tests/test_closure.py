@@ -16,6 +16,7 @@ from monomials.linalg import solve
 from helpers import (
     complete_graph,
     cycle_graph,
+    power_oracle,
     q6_ideal,
     random_ideal,
     refuse_smith_forms,
@@ -48,10 +49,10 @@ def test_membership_oracle_equivalence():
                 lcm(*[Fraction(x).denominator for x in witness]) if witness else 1,
                 1,
             )
-            oracle_ok, p = closure.power_oracle(a, ideal, n, max_p=p0)
+            oracle_ok, p = power_oracle(a, ideal, n, max_p=p0)
             assert oracle_ok and p <= p0
         else:
-            oracle_ok, _ = closure.power_oracle(a, ideal, n, max_p=4)
+            oracle_ok, _ = power_oracle(a, ideal, n, max_p=4)
             assert not oracle_ok
 
 
@@ -219,23 +220,27 @@ def test_gr_reduced():
 
 
 def test_rees_cone_facets_and_hilbert_basis_are_computed_once(monkeypatch):
+    """Counts computations: calls of ``cone_facets`` and misses of the
+    Hilbert-basis memo, on RC(I)'s generators."""
     graph = two_disjoint_triangles()
     ideal = graph.edge_ideal()
-    rc = set(polyhedra.rees_cone(ideal).generators)
+    rc = set(polyhedra.rees_cone(ideal))
     closure.rees_representation.cache.clear()
+    polyhedra._facet_description.cache.clear()
     calls = {"facets": 0, "hilbert": 0}
-    cone_facets, hilbert_basis = polyhedra.cone_facets, polyhedra.hilbert_basis
+    cone_facets = polyhedra.cone_facets
+    compute_hilbert = polyhedra._hilbert_basis.__wrapped__
 
     def counted_facets(generators):
         calls["facets"] += {tuple(g) for g in generators} == rc
         return cone_facets(generators)
 
-    def counted_hilbert(generators, cone=None):
-        calls["hilbert"] += {tuple(g) for g in generators} == rc
-        return hilbert_basis(generators, cone=cone)
+    def counted_hilbert(generators):
+        calls["hilbert"] += set(generators) == rc
+        return compute_hilbert(generators)
 
     monkeypatch.setattr(polyhedra, "cone_facets", counted_facets)
-    monkeypatch.setattr(polyhedra, "hilbert_basis", counted_hilbert)
+    monkeypatch.setattr(polyhedra, "_hilbert_basis", core.memo(counted_hilbert))
     closure.rees_representation(ideal)
     assert not closure.is_normal(ideal, method="hilbert").normal
     assert graphs.rees_closure_generators(graph, cross_validate=True)
@@ -246,7 +251,7 @@ def test_rees_cone_facets_and_hilbert_basis_are_computed_once(monkeypatch):
 def test_hilbert_basis_of_a_rees_cone_needs_its_facets_once(monkeypatch):
     """Below RC(I) the triangulation works on ray bitmasks, and no simplex
     needs a Smith form for its parallelepiped points."""
-    gens = polyhedra.rees_cone(cycle_graph(5).edge_ideal()).generators
+    gens = polyhedra.rees_cone(cycle_graph(5).edge_ideal())
     facet_calls = []
     cone_facets = polyhedra.cone_facets
 
@@ -270,11 +275,16 @@ def test_a_flat_hilbert_basis_needs_no_smith_form(monkeypatch):
 
 
 def test_rees_representations_are_kept_up_to_the_memo_bound():
-    ideals = [MonomialIdeal(1, [(k,)]) for k in range(1, core.MEMO_SIZE + 6)]
-    first = closure.rees_representation(ideals[0])
-    for ideal in ideals[1:]:
-        closure.rees_representation(ideal)
-    assert len(closure.rees_representation.cache) == core.MEMO_SIZE
-    last = closure.rees_representation(ideals[-1])
-    assert closure.rees_representation(ideals[-1]) is last
-    assert closure.rees_representation(ideals[0]) is not first
+    """So are Hilbert bases, one per generator set."""
+    keys = range(1, core.MEMO_SIZE + 6)
+    for memoized, inputs in [
+        (closure.rees_representation, [MonomialIdeal(1, [(k,)]) for k in keys]),
+        (polyhedra._hilbert_basis, [((k,),) for k in keys]),
+    ]:
+        first = memoized(inputs[0])
+        for value in inputs[1:]:
+            memoized(value)
+        assert len(memoized.cache) == core.MEMO_SIZE
+        last = memoized(inputs[-1])
+        assert memoized(inputs[-1]) is last
+        assert memoized(inputs[0]) is not first

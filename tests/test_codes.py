@@ -255,8 +255,8 @@ def test_weight_walk_tries_no_size_twice(monkeypatch):
 
 
 def test_weight_report_reads_the_threshold_off_its_codes(monkeypatch):
-    """The report eliminates once per degree for the v-number and once per
-    code it builds, and runs no separate regularity threshold."""
+    """The report eliminates once per code it builds and reads the v-number
+    off their bases; it runs no separate regularity threshold."""
     points = random_point_set(random.Random(11), 3, 3, 10)
     threshold = points.regularity_threshold()
     rref, calls = codes.rref, []
@@ -270,7 +270,8 @@ def test_weight_report_reads_the_threshold_off_its_codes(monkeypatch):
     )
     report = codes.WeightReport(points)
     assert report.threshold == threshold == max(report.weights)
-    assert len(calls) == report.v_number + report.threshold == 7
+    assert len(calls) == report.threshold == 4
+    assert report.v_number == codes.v_number_points(points) == 3
 
 
 def test_w2():

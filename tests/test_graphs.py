@@ -10,7 +10,11 @@ from monomials.errors import PreconditionError
 from helpers import (
     bowtie_figure_graph,
     complete_graph,
+    connected_atlas_graphs,
     cycle_graph,
+    edge_scan_odd_cycle_condition,
+    neighborhood_hochster_configurations,
+    pair_loop_bowties,
     path_graph,
     random_graph,
     triangles_joined_by_edge,
@@ -141,6 +145,38 @@ def test_odd_cycle_condition_and_subring_normality():
     assert graphs.odd_cycle_condition(cycle_graph(4))
     with pytest.raises(PreconditionError):
         graphs.edge_subring_normal(two_disjoint_triangles())
+
+
+def loop_multigraphs(rng, count):
+    """Random multigraphs on 1-7 vertices with 1-3 loops."""
+    for _ in range(count):
+        s = rng.randint(1, 7)
+        pairs = [(a, b) for a in range(s) for b in range(a + 1, s) if rng.random() < 0.4]
+        loops = [(v,) for v in rng.sample(range(s), rng.randint(1, min(3, s)))]
+        yield Graph(s, pairs + loops, multigraph=True)
+
+
+def test_odd_cycle_pairs_match_the_pair_loops():
+    """Hochster configurations, the odd cycle condition and bowties from the
+    one walk over odd-cycle pairs agree with their own pair loops."""
+    def configurations(configs):
+        return [
+            (c.cycle1.vertices, c.cycle2.vertices, c.monomial, c.z_degree)
+            for c in configs
+        ]
+
+    def ties(found):
+        return [
+            (b.cycle1.vertices, b.cycle2.vertices, b.monomial, b.path) for b in found
+        ]
+
+    corpus = connected_atlas_graphs() + list(loop_multigraphs(random.Random(17), 150))
+    for graph in corpus:
+        assert configurations(graphs.hochster_configurations(graph)) == configurations(
+            neighborhood_hochster_configurations(graph)
+        )
+        assert graphs.odd_cycle_condition(graph) == edge_scan_odd_cycle_condition(graph)
+        assert ties(graphs.bowties(graph)) == ties(pair_loop_bowties(graph))
 
 
 def test_subring_normal_iff_hilbert_basis_is_edges():

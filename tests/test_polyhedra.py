@@ -73,8 +73,8 @@ def test_double_description_matches_brute_force():
 
 
 def test_hilbert_basis_rees_cone_of_bipartite_cycle():
-    cone = polyhedra.rees_cone(cycle_graph(4).edge_ideal())
-    assert set(cone.hilbert_basis()) == set(cone.generators)
+    gens = polyhedra.rees_cone(cycle_graph(4).edge_ideal())
+    assert set(polyhedra.hilbert_basis(gens)) == set(gens)
 
 
 def test_hilbert_basis_rejects_non_pointed():
@@ -209,7 +209,7 @@ def test_a_mixed_sign_flat_cone_needs_no_smith_form(monkeypatch):
     assert len(basis) == len(gens)
     assert all(linalg.coordinates_in_basis(g, basis) is not None for g in gens)
     assert gcd_of_maximal_minors(basis) == 1
-    hilbert = polyhedra.RationalCone(gens).hilbert_basis()
+    hilbert = polyhedra.hilbert_basis(gens)
     assert len(hilbert) == 16
     certify_simplicial_hilbert_basis(gens, hilbert)
 
@@ -268,6 +268,29 @@ def test_one_facet_description_per_generator_set(monkeypatch):
     assert polyhedra.polytope_volume(triangle) == 15
     assert len(polyhedra.lattice_points(triangle[::-1])) == 22
     assert described == [tuple(sorted(basis)), ((0, 0, 1), (0, 5, 1), (6, 0, 1))]
+
+
+def test_one_facet_description_and_hilbert_basis_per_generator_set(monkeypatch):
+    """Pointedness and the Hilbert basis share one facet description, and the
+    Hilbert basis is computed once whatever the order of the generators or
+    repeats among them."""
+    counted = {"cone_facets": 0, "pulling_triangulation": 0}
+    for name in counted:
+        original = getattr(polyhedra, name)
+
+        def count(*args, name=name, original=original):
+            counted[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(polyhedra, name, count)
+    polyhedra._facet_description.cache.clear()
+    polyhedra._hilbert_basis.cache.clear()
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    assert polyhedra.is_pointed(square)
+    basis = polyhedra.hilbert_basis(square)
+    assert (0, 0, 1) in basis and len(basis) == 5
+    assert polyhedra.hilbert_basis(square[::-1] + square[:2] + [(0, 0, 0)]) is basis
+    assert counted == {"cone_facets": 1, "pulling_triangulation": 1}
 
 
 def test_a_nonnegative_flat_hilbert_basis_needs_no_smith_form(monkeypatch):

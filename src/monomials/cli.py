@@ -234,18 +234,15 @@ def cmd_graph_analyze(graph, args):
         "konig": tau == nu,
         "edge_ideal_normal": not configs,
         "hochster_configurations": len(configs),
-        "odd_cycle_condition": graphs_mod.odd_cycle_condition(
-            graph, budget=args.budget_cycles
-        ),
+        # no Hochster configuration: the odd cycle condition
+        "odd_cycle_condition": not configs,
         "edge_subring_dimension": graphs_mod.edge_subring_dimension(graph),
         "unmixed": graphs_mod.is_unmixed(clutter),
     }
     with suppress(BudgetExceededError, PreconditionError):  # loops, or too large
         results["packing"] = has_packing_property(ideal)
-    if graph.is_connected():
-        results["edge_subring_normal"] = graphs_mod.edge_subring_normal(
-            graph, budget=args.budget_cycles
-        )
+    if graph.is_connected():  # K[G] is normal iff the odd cycle condition holds
+        results["edge_subring_normal"] = not configs
     certs = {
         "hochster_monomials": [
             {"monomial": c.monomial, "z_degree": c.z_degree} for c in configs

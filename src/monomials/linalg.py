@@ -1,32 +1,34 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices are lists/tuples of row tuples.  Rank, echelon forms, solving,
-null spaces, inverses and determinants all run on one fraction-free integer
-Gauss-Jordan elimination (after Bareiss, Math. Comp. 22 (1968), but each
-changed row is divided by the gcd of its entries); rational rows are first
-scaled by their own denominators, and :class:`fractions.Fraction` appears
-only in the values returned.  The reduced echelon form is unique, so these
-values are those of rational Gauss-Jordan.  Integer lattices (echelon
-bases, saturations, invariant factors) use plain ints, so everything stays
-exact at any size.
+Matrices are lists/tuples of row tuples.  Ranks, null spaces, independent
+rows, adjugates, determinants, solutions and lattice coordinates run on one
+fraction-free integer Gauss-Jordan elimination (after Bareiss, Math. Comp.
+22 (1968), but each changed row is divided by the gcd of its entries);
+rational rows are first scaled by their own denominators.  Their results
+are integers read straight off the eliminated rows: primitive null-space
+vectors with the pivot columns, the first independent rows with the
+adjugate columns that seed a double description, and (det, adjugate)
+pairs.  Only :func:`det` and :func:`solve`, whose values are rational,
+return :class:`fractions.Fraction`.  Integer lattices (echelon bases,
+saturations, invariant factors) use gcd row operations on plain ints, so
+everything stays exact at any size.
 """
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from monomials.errors import InternalConsistencyError, PreconditionError
 
 
 def vec_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (0 stays 0)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
+    g = gcd(*v)
+    if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
 
@@ -38,6 +40,8 @@ def clear_denominators(v):
 
 def _integer_row(row):
     """The row times the lcm d of its denominators, as ints, and d."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
     d = lcm(*(x.denominator for x in row))
     return [x.numerator * (d // x.denominator) for x in row], d
 
@@ -80,18 +84,6 @@ def _eliminate(mat):
     return pivots, num, den
 
 
-def row_echelon(rows):
-    """Reduced row echelon form, with Fraction entries.
-
-    Returns (echelon rows, pivot column indices).
-    """
-    mat = [_integer_row(r)[0] for r in rows]
-    pivots, _, _ = _eliminate(mat)
-    return [
-        tuple(Fraction(x, row[c]) for x in row) for row, c in zip(mat, pivots)
-    ], pivots
-
-
 def rank(rows):
     return len(_eliminate([_integer_row(r)[0] for r in rows])[0])
 
@@ -132,35 +124,62 @@ def solve(rows, rhs):
     return tuple(Fraction(x, d) for x in xs)
 
 
-def nullspace(rows, ncols=None):
-    """Basis of {x : rows * x = 0}, with Fraction entries."""
-    if rows:
-        ncols = len(rows[0])
+def integer_nullspace(rows):
+    """(basis, pivots) from one elimination: the pivot columns of the rows'
+    echelon form, and a basis of {x : rows * x = 0} of primitive integer
+    vectors, one per free column f, positive at f and zero at the other
+    free columns."""
+    ncols = len(rows[0])
     mat = [_integer_row(r)[0] for r in rows]
     pivots, _, _ = _eliminate(mat)
+    d = lcm(*(row[c] for row, c in zip(mat, pivots)))
     basis = []
-    for f in range(ncols or 0):
+    for f in range(ncols):
         if f in pivots:
             continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+        x = [0] * ncols
+        x[f] = d
         for row, c in zip(mat, pivots):
-            x[c] = Fraction(-row[f], row[c])
-        basis.append(tuple(x))
-    return basis
+            x[c] = -row[f] * (d // row[c])
+        basis.append(primitive(x))
+    return basis, pivots
 
 
-def invert(rows):
-    """Exact inverse of a square rational matrix, with Fraction entries."""
-    n = len(rows)
-    mat = [
-        _integer_row(list(rows[i]) + [int(i == j) for j in range(n)])[0]
-        for i in range(n)
-    ]
+def independent_rows(rows):
+    """(indices, duals) from one elimination of [rows^T | I].
+
+    ``indices`` are the first rows that span the row space (the pivot
+    columns of the transpose).  Each index k gets a primitive integer
+    vector y_k with rows[k].y_k > 0 and rows[i].y_k = 0 for the other
+    indices i: the elimination ends in [R | E] with E * rows^T = R, and row
+    k of R is zero at every pivot column but its own.  With n indices, y_k
+    is a positive multiple of column k of the adjugate of the chosen rows.
+    """
+    m = len(rows)
+    n = len(rows[0])
+    cols = list(zip(*(_integer_row(r)[0] for r in rows)))
+    mat = [[*col, *(int(i == j) for j in range(n))] for i, col in enumerate(cols)]
     pivots, _, _ = _eliminate(mat)
+    indices = [c for c in pivots if c < m]
+    duals = [
+        primitive(row[m:] if row[c] > 0 else [-x for x in row[m:]])
+        for row, c in zip(mat, indices)
+    ]
+    return indices, duals
+
+
+def adjugate(rows):
+    """(det, adj) of a non-singular square integer matrix, with
+    rows * adj = adj * rows = det * I, from one elimination of [rows | I]:
+    its rows end as (p_i e_i | E_i) with E * rows = diag(p), so row i of
+    the inverse is E_i / p_i."""
+    n = len(rows)
+    mat = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
+    pivots, num, den = _eliminate(mat)
     if pivots != list(range(n)):
         raise PreconditionError("matrix is singular")
-    return [tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(mat)]
+    d = prod(row[i] for i, row in enumerate(mat)) * den // num
+    return d, [tuple(d * x // row[i] for x in row[n:]) for i, row in enumerate(mat)]
 
 
 def integer_row_basis(rows):
@@ -244,7 +263,7 @@ def saturation_basis(rows):
     if not rows:
         return []
     n = len(rows[0])
-    eqs = [clear_denominators(v) for v in nullspace(rows)]
+    eqs, _ = integer_nullspace(rows)
     k = len(eqs)
     lifted = [
         tuple(e[i] for e in eqs) + tuple(int(i == j) for j in range(n))

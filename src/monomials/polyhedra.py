@@ -1,13 +1,14 @@
 """Exact rational polyhedral kernel.
 
 Provides the linear programming entry points, cone machinery (double
-description; pointedness from the rank of the facet normals and extreme
+description; pointedness from the degrees of the generators and extreme
 rays from tight-facet sets, with no LP; pulling triangulation,
 fundamental-parallelepiped lattice points, Hilbert bases), vertex
 enumeration for polyhedra, lattice-point counting with pruning, Ehrhart
-interpolation, and the minor gcds Delta_r.  Ranks, inverses, solutions,
-echelon lattice bases and invariant factors come from the integer
-elimination of :mod:`monomials.linalg`.
+interpolation, and the minor gcds Delta_r.  Ranks, null spaces, the double
+description's seed, adjugates, echelon lattice bases and invariant factors
+come as integers from the elimination of :mod:`monomials.linalg`, so the
+cone pipeline builds no Fraction.
 
 A Hilbert basis is computed for a full-dimensional cone only: a cone that
 spans less than R^n is moved once into coordinates of an echelon basis of
@@ -35,7 +36,7 @@ parallelize over independent inputs if they wish.
 
 import itertools
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, lcm, prod
+from math import ceil, comb, factorial, floor, prod
 
 from monomials import linalg
 from monomials import lp
@@ -96,29 +97,24 @@ def lp_optimize(a_matrix, alpha, sense="max", verify=True):
 def extreme_rays_of_inequalities(rows):
     """Extreme rays of the pointed cone {x : row.x >= 0 for all rows}.
 
-    Incremental double description with the combinatorial adjacency test.
-    Raises NonPointedConeError when rank(rows) < dim (lineality present).
+    Incremental double description on integer rows (rational rows are
+    scaled by their denominators), seeded with the simplex of the first
+    independent rows, whose rays are the adjugate's columns.  Two rays are
+    adjacent iff no third ray is tight on every row both are tight on
+    (Fukuda and Prodon, 1996).  Raises NonPointedConeError when
+    rank(rows) < dim (lineality present).
     """
     rows = [tuple(r) for r in rows]
+    if not all(type(x) is int for r in rows for x in r):
+        rows = [clear_denominators(r) for r in rows]  # the same cone
     if not rows:
         raise NonPointedConeError("no constraints: cone is all of space")
     n = len(rows[0])
-    # the pivot columns of the transpose: the first independent rows
-    _, base_idx = linalg.row_echelon(list(zip(*rows)))
+    base_idx, duals = linalg.independent_rows(rows)
     if len(base_idx) < n:
         raise NonPointedConeError("constraint matrix is rank deficient")
-    chosen = [rows[i] for i in base_idx]
-    inv = linalg.invert(chosen)
-    rays = []
-    for j in range(n):
-        col = tuple(inv[i][j] for i in range(n))
-        ray = clear_denominators(col)
-        mask = 0
-        for k, bi in enumerate(base_idx):
-            if k != j:
-                mask |= 1 << bi
-        rays.append((ray, mask))
     base = sum(1 << i for i in base_idx)
+    rays = [(ray, base ^ (1 << bi)) for ray, bi in zip(duals, base_idx)]
     for i, row in enumerate(rows):
         if base >> i & 1:
             continue
@@ -129,6 +125,7 @@ def extreme_rays_of_inequalities(rows):
                 for v, (r, mask) in zip(vals, rays)
             ]
             continue
+        masks = [mask for _, mask in rays]
         plus = [k for k, v in enumerate(vals) if v > 0]
         minus = [k for k, v in enumerate(vals) if v < 0]
         new_rays = [rays[k] for k in plus]
@@ -139,23 +136,14 @@ def extreme_rays_of_inequalities(rows):
             for km in minus:
                 rm, zm = rays[km]
                 common = zp & zm
-                # adjacent rays share n - 2 independent tight rows (Fukuda
-                # and Prodon, 1996): fewer common rows rule the pair out
-                if common.bit_count() < n - 2:
+                # adjacent rays share n - 2 independent tight rows, and only
+                # the pair itself is tight on all of their common rows
+                if common.bit_count() < n - 2 or [
+                    common & z for z in masks
+                ].count(common) > 2:
                     continue
-                adjacent = True
-                for ko, (_, zo) in enumerate(rays):
-                    if ko in (kp, km):
-                        continue
-                    if common & zo == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                w = tuple(
-                    vals[kp] * x - vals[km] * y for x, y in zip(rm, rp)
-                )
-                w = primitive(w)
+                a, b = vals[kp], vals[km]
+                w = primitive([a * x - b * y for x, y in zip(rm, rp)])
                 if w in seen:
                     continue
                 seen.add(w)
@@ -174,14 +162,11 @@ def cone_facets(generators):
     if not gens:
         raise PreconditionError("cone has no non-zero generators")
     n = len(gens[0])
-    equations = [
-        clear_denominators(v) for v in linalg.nullspace(gens, ncols=n)
-    ]
+    equations, pivots = linalg.integer_nullspace(gens)
     if not equations:
         return [], extreme_rays_of_inequalities(gens)
     # the span maps isomorphically onto its pivot coordinates, so each facet
     # has one primitive normal supported on them
-    _, pivots = linalg.row_echelon(gens)
     facets = []
     for f in extreme_rays_of_inequalities([[g[c] for c in pivots] for g in gens]):
         on_pivots = dict(zip(pivots, f))
@@ -218,12 +203,20 @@ def cone_contains(point, equations, facets):
 
 def is_pointed(generators):
     """No non-trivial non-negative combination of the generators is zero:
-    the equations and facets have rank n, so the cone holds no line."""
+    :func:`_pointed` on the facet-value table."""
     gens = _generator_set(generators)
     if not gens:
         return True
-    eqs, facets = _facet_description(gens)
-    return linalg.rank(eqs + facets) == len(gens[0])
+    return _pointed(facet_values(gens, _facet_description(gens)[1]))
+
+
+def _pointed(table):
+    """A cone is pointed iff every generator in the facet-value table has a
+    positive degree, the sum of its facet values.  The sum of the facets
+    lies inside the dual cone exactly when that dual cone is
+    full-dimensional, that is, when the cone holds no line; a line +-v in
+    the cone is a combination of generators of degree 0."""
+    return all(map(sum, table.values()))  # every facet value is >= 0
 
 
 def facet_values(generators, facets):
@@ -336,22 +329,21 @@ def parallelepiped_points(rays):
     caller passes fewer rays than coordinates."""
     rays = [tuple(map(int, r)) for r in rays]
     n = len(rays[0])
-    minor = len(rays) == n and linalg.det(rays)
-    if not minor:
+    if len(rays) != n:
         raise PreconditionError("parallelepiped needs n independent rays in Z^n")
-    if abs(minor) == 1:
+    cols = list(zip(*rays))  # matrix with ray columns
+    det, adj = linalg.adjugate(cols)  # PreconditionError for dependent rays
+    if abs(det) == 1:
         return [(0,) * n]
-    cols = [tuple(r[i] for r in rays) for i in range(n)]  # matrix with ray columns
-    rinv = linalg.invert(cols)
-    # den * cols^-1 is integral; den * (fractional part of a coefficient) is
-    # the integral coefficient mod den
-    den = lcm(*(x.denominator for row in rinv for x in row))
-    radj = [[int(x * den) for x in row] for row in rinv]
+    # cols^-1 = adj / det; |det| * (fractional part of a coefficient) is the
+    # integral coefficient mod |det|
+    if det < 0:
+        det, adj = -det, [[-x for x in row] for row in adj]
     diagonal = [b[i] for i, b in enumerate(linalg.integer_row_basis(rays))]
     pts = []
     for x in itertools.product(*[range(h) for h in diagonal]):
-        lam = [vec_dot(row, x) % den for row in radj]
-        pts.append(tuple(vec_dot(row, lam) // den for row in cols))
+        lam = [vec_dot(row, x) % det for row in adj]
+        pts.append(tuple(vec_dot(row, lam) // det for row in cols))
     return pts
 
 
@@ -373,24 +365,26 @@ def _hilbert_basis(gens):
     A cone that spans less than R^n is first moved into coordinates of a
     basis of its span intersected with Z^n (an echelon basis, through
     :func:`hilbert_basis_in_lattice`), so everything below sees a
-    full-dimensional cone: read the facets and pointedness off the memoized
-    facet description, build the facet-value table of the generators, read
-    the extreme rays off its zeros, triangulate them (pulling order, on ray
-    bitmasks below the top cone), and collect the fundamental-parallelepiped
-    lattice points of each simplicial piece.  A simplex whose height bound
-    is 1 has |det| = 1 and only the origin there, so it is skipped with no
-    determinant.  The candidates, the extreme rays and those points, are
-    then taken in increasing degree (the sum of the facet values, positive
-    on the pointed cone), and each is kept unless an element kept before
-    reduces it: a reducer g != h has h - g in the cone, so no facet value of
-    g exceeds that of h, and its degree is smaller.
+    full-dimensional cone: read the facets off the memoized facet
+    description, build the facet-value table of the generators, read
+    pointedness off its degrees (:func:`_pointed`) and the extreme rays off
+    its zeros, triangulate them (pulling order, on ray bitmasks below the
+    top cone), and collect the fundamental-parallelepiped lattice points of
+    each simplicial piece.  A simplex whose height bound is 1 has |det| = 1
+    and only the origin there, so it is skipped with no determinant.  The
+    candidates, the extreme rays and those points, are then taken in
+    increasing degree (the sum of the facet values, positive on the pointed
+    cone), and each is kept unless an element kept before reduces it: a
+    reducer g != h has h - g in the cone, so no facet value of g exceeds
+    that of h, and its degree is smaller.
     """
     if linalg.rank(gens) < len(gens[0]):
         return hilbert_basis_in_lattice(gens, linalg.saturation_basis(gens))
-    eqs, facets = _facet_description(gens)
-    if linalg.rank(eqs + facets) < len(gens[0]):
+    _, facets = _facet_description(gens)
+    table = facet_values(gens, facets)
+    if not _pointed(table):
         raise NonPointedConeError("Hilbert basis requires a pointed cone")
-    rays = extreme_ray_generators(facet_values(gens, facets))
+    rays = extreme_ray_generators(table)
     candidates = dict(rays)
     for simplex, bound in pulling_triangulation(rays):
         if bound == 1:  # |det| = 1: the origin is the only point

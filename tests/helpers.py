@@ -20,7 +20,12 @@ from monomials.core import (
     colon_monomial,
     ideal_power,
 )
-from monomials.errors import BudgetExceededError, InternalConsistencyError
+from monomials.errors import (
+    BudgetExceededError,
+    InternalConsistencyError,
+    NonPointedConeError,
+    PreconditionError,
+)
 
 
 def cycle_graph(n):
@@ -323,6 +328,127 @@ def refuse_smith_forms(monkeypatch):
     monkeypatch.setattr(linalg, "smith_normal_form", refuse, raising=False)
     polyhedra._facet_description.cache.clear()
     polyhedra._hilbert_basis.cache.clear()
+
+
+def row_echelon(rows):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan: (echelon
+    rows, pivot column indices).  The oracle of the integer eliminations of
+    ``linalg``."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                mat[i] = [x - row[c] * y for x, y in zip(row, mat[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def nullspace(rows, ncols=None):
+    """Basis of {x : rows * x = 0}, with Fraction entries, one vector per
+    free column f with x_f = 1.  The oracle of ``linalg.integer_nullspace``."""
+    if rows:
+        ncols = len(rows[0])
+    echelon, pivots = row_echelon(rows)
+    basis = []
+    for f in range(ncols or 0):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, c in zip(echelon, pivots):
+            x[c] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def invert(rows):
+    """Inverse of a square rational matrix, with Fraction entries.  The
+    oracle of ``linalg.adjugate``."""
+    n = len(rows)
+    echelon, pivots = row_echelon(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    )
+    if pivots != list(range(n)):
+        raise PreconditionError("matrix is singular")
+    return [row[n:] for row in echelon]
+
+
+def fraction_seeded_extreme_rays(rows):
+    """Extreme rays of the pointed cone {x : row.x >= 0} for integer rows,
+    by the double description seeded with the Fraction inverse of the first
+    independent rows, and each pair's adjacency tested ray by ray.  The
+    oracle of ``polyhedra.extreme_rays_of_inequalities``."""
+    rows = [tuple(r) for r in rows]
+    n = len(rows[0])
+    _, base_idx = row_echelon(list(zip(*rows)))
+    if len(base_idx) < n:
+        raise NonPointedConeError("constraint matrix is rank deficient")
+    inv = invert([rows[i] for i in base_idx])
+    rays = []
+    for j in range(n):
+        mask = sum(1 << bi for k, bi in enumerate(base_idx) if k != j)
+        rays.append((linalg.clear_denominators([row[j] for row in inv]), mask))
+    for i, row in enumerate(rows):
+        if i in base_idx:
+            continue
+        vals = [linalg.vec_dot(row, r) for r, _ in rays]
+        new_rays = [(r, mask | (1 << i) if v == 0 else mask)
+                    for v, (r, mask) in zip(vals, rays) if v >= 0]
+        seen = {r for r, _ in new_rays}
+        for kp, (rp, zp) in enumerate(rays):
+            for km, (rm, zm) in enumerate(rays):
+                if vals[kp] <= 0 or vals[km] >= 0:
+                    continue
+                common = zp & zm
+                if any(common & zo == common for ko, (_, zo) in enumerate(rays)
+                       if ko not in (kp, km)):
+                    continue
+                w = linalg.primitive(
+                    [vals[kp] * x - vals[km] * y for x, y in zip(rm, rp)]
+                )
+                if w not in seen:
+                    seen.add(w)
+                    new_rays.append((w, common | (1 << i)))
+        rays = new_rays
+    return sorted(r for r, _ in rays)
+
+
+def inverse_parallelepiped_points(rays):
+    """Parallelepiped points of n independent rays in Z^n from the Fraction
+    inverse of the ray matrix: the origin when |det| = 1, else one point
+    per element of the echelon box.  The oracle of
+    ``polyhedra.parallelepiped_points``."""
+    n = len(rays)
+    if abs(linalg.det(rays)) == 1:
+        return [(0,) * n]
+    cols = list(zip(*rays))
+    rinv = invert(cols)
+    den = math.lcm(*(x.denominator for row in rinv for x in row))
+    radj = [[int(x * den) for x in row] for row in rinv]
+    diagonal = [b[i] for i, b in enumerate(linalg.integer_row_basis(rays))]
+    pts = []
+    for x in itertools.product(*[range(h) for h in diagonal]):
+        lam = [linalg.vec_dot(row, x) % den for row in radj]
+        pts.append(tuple(linalg.vec_dot(row, lam) // den for row in cols))
+    return pts
+
+
+def rank_is_pointed(generators):
+    """Pointedness as rank n of the equations and facets together.  The
+    oracle of the degree test of ``polyhedra.is_pointed``."""
+    gens = [tuple(g) for g in generators if any(g)]
+    if not gens:
+        return True
+    eqs, facets = polyhedra.cone_facets(gens)
+    return linalg.rank(eqs + facets) == len(gens[0])
 
 
 def mat_mul(a, b):

@@ -89,6 +89,35 @@ def test_graph_analyze(tmp_path, capsys):
     ]
 
 
+def test_graph_analyze_enumerates_the_induced_cycles_twice(tmp_path, capsys, monkeypatch):
+    """The odd cycle condition and the edge subring's normality are read off
+    the Hochster configurations the command already holds; only the bowties
+    walk the cycles again."""
+    from monomials import graphs
+
+    from helpers import bowtie_figure_graph
+
+    graph = bowtie_figure_graph()
+    text = f"{graph.s}\n" + "".join(f"{a + 1} {b + 1}\n" for a, b in graph.edges)
+    path = write(tmp_path, "bowtie.txt", text)
+    calls = []
+    induced_cycles = graphs.induced_cycles
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return induced_cycles(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "induced_cycles", counted)
+    code, doc = run_capture(capsys, ["graph-analyze", path])
+    assert code == 0
+    assert len(calls) == 2
+    monkeypatch.setattr(graphs, "induced_cycles", induced_cycles)
+    res = doc["results"]
+    assert res["hochster_configurations"] == 1
+    assert res["odd_cycle_condition"] is graphs.odd_cycle_condition(graph) is False
+    assert res["edge_subring_normal"] is graphs.edge_subring_normal(graph) is False
+
+
 def test_graph_analyze_tests_packing_on_13_vertices_one_isolated(tmp_path, capsys):
     """The packing limit counts the vertices on edges: the path on 12
     vertices plus an isolated 13th gets its packing verdict."""

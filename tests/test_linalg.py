@@ -53,9 +53,10 @@ def test_solve_and_nullspace():
         sol = linalg.solve(mat, rhs)
         assert sol is not None
         assert all(linalg.vec_dot(row, sol) == b for row, b in zip(mat, rhs))
-        for basis_vec in linalg.nullspace(mat):
+        basis, pivots = linalg.integer_nullspace(mat)
+        for basis_vec in basis:
             assert all(linalg.vec_dot(row, basis_vec) == 0 for row in mat)
-        assert linalg.rank(mat) + len(linalg.nullspace(mat)) == n
+        assert linalg.rank(mat) + len(basis) == n == len(pivots) + len(basis)
 
 
 def test_inconsistent_system():
@@ -173,6 +174,7 @@ def test_primitive_and_clear_denominators():
     assert linalg.clear_denominators((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
 
 
-def test_invert_rejects_a_singular_matrix():
+def test_adjugate_rejects_a_singular_matrix():
     with pytest.raises(PreconditionError, match="singular"):
-        linalg.invert([(1, 2), (2, 4)])
+        linalg.adjugate([(1, 2), (2, 4)])
+    assert linalg.adjugate([(1, 2), (3, 4)]) == (-2, [(4, -2), (-3, 1)])

@@ -17,10 +17,12 @@ from monomials.linalg import vec_dot
 from helpers import (
     cycle_graph,
     gcd_of_maximal_minors,
+    nullspace,
     q6_ideal,
     random_squarefree_ideal,
     refuse_smith_forms,
     time_limit,
+    two_disjoint_triangles,
 )
 
 
@@ -42,7 +44,7 @@ def _brute_force_rays(rows):
         sub = [rows[i] for i in subset]
         if linalg.rank(sub) != n - 1:
             continue
-        for w in linalg.nullspace(sub, ncols=n):
+        for w in nullspace(sub, ncols=n):
             for cand in (w, tuple(-x for x in w)):
                 if all(vec_dot(r, cand) >= 0 for r in rows):
                     rays.add(linalg.clear_denominators(cand))
@@ -125,6 +127,35 @@ def test_parallelepiped_counts_index():
     for rays in ([(1, 1, 0), (0, 1, 1)], [(1, 2), (2, 4)]):
         with pytest.raises(PreconditionError):
             polyhedra.parallelepiped_points(rays)
+
+
+def test_hilbert_basis_of_a_rees_cone_builds_no_fraction(monkeypatch):
+    """The cone pipeline is integral from the eliminations on: with the
+    memos cleared, the Hilbert basis of RC(I) for two disjoint triangles
+    constructs no Fraction and runs 7 eliminations (a rank, the null space,
+    the double description's seed and an adjugate for each of the 4
+    simplices whose height bound exceeds 1)."""
+    gens = polyhedra.rees_cone(two_disjoint_triangles().edge_ideal())
+    polyhedra._facet_description.cache.clear()
+    polyhedra._hilbert_basis.cache.clear()
+    counts = {"fractions": 0, "eliminations": 0}
+    new = Fraction.__new__
+    eliminate = linalg._eliminate
+
+    def counted_new(cls, *args, **kwargs):
+        counts["fractions"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_eliminate(mat):
+        counts["eliminations"] += 1
+        return eliminate(mat)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    basis = polyhedra.hilbert_basis(gens)
+    monkeypatch.undo()
+    assert len(basis) == len(gens) + 1  # one element beyond the generators
+    assert counts == {"fractions": 0, "eliminations": 7}
 
 
 def test_cone_facets_lower_dimensional():

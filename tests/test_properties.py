@@ -12,7 +12,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from monomials import closure, codes, core, invariants, linalg, lp, polyhedra, symbolic
-from monomials.errors import BudgetExceededError, PreconditionError
+from monomials.errors import (
+    BudgetExceededError,
+    NonPointedConeError,
+    PreconditionError,
+)
 
 from helpers import (
     all_pairs_hilbert_basis,
@@ -22,14 +26,20 @@ from helpers import (
     column_drop_v_number,
     column_staircase,
     cycle_graph,
+    fraction_seeded_extreme_rays,
     gcd_of_maximal_minors,
     height_bound,
     incidence_extreme_ray_generators,
     incidence_pulling_triangulation,
+    inverse_parallelepiped_points,
+    invert,
     mat_mul,
+    nullspace,
     q6_clutter,
     q6_ideal,
+    rank_is_pointed,
     recursive_maximal_stable_sets,
+    row_echelon,
     smith_normal_form,
     solve_coordinates,
     subset_scan_minimal_covers,
@@ -63,12 +73,16 @@ def all_fractions(rows):
 @SEEDED
 @given(matrices())
 def test_property_rank_plus_nullity_is_the_column_count(mat):
-    basis = linalg.nullspace(mat)
+    """The integer null space is the Fraction oracle's, each vector cleared
+    of denominators, with the oracle's pivot columns."""
+    basis, pivots = linalg.integer_nullspace(mat)
     assert linalg.rank(mat) + len(basis) == len(mat[0])
-    assert all_fractions(basis)
+    assert all(type(x) is int for v in basis for x in v)
+    assert basis == [linalg.clear_denominators(v) for v in nullspace(mat)]
     for v in basis:
         assert all(linalg.vec_dot(row, v) == 0 for row in mat)
-    echelon, pivots = linalg.row_echelon(mat)
+    echelon, oracle_pivots = row_echelon(mat)
+    assert pivots == oracle_pivots
     assert len(echelon) == len(pivots) == linalg.rank(mat)
     assert all_fractions(echelon)
     assert all(row[c] == 1 for row, c in zip(echelon, pivots))
@@ -85,16 +99,27 @@ def test_property_solve_satisfies_the_system(mat, data):
 
 
 @SEEDED
-@given(matrices(square_only=True))
-def test_property_invert_gives_the_identity(mat):
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n)
+))
+def test_property_adjugate_times_the_matrix_is_det_times_identity(mat):
+    """M * adj = adj * M = det * I in integers, and adj / det is the Fraction
+    oracle's inverse; a singular matrix is refused by both."""
     n = len(mat)
     if linalg.rank(mat) < n:
         assert linalg.det(mat) == 0
-        with pytest.raises(PreconditionError):
-            linalg.invert(mat)
+        for routine in (linalg.adjugate, invert):
+            with pytest.raises(PreconditionError):
+                routine(mat)
         return
-    inv = linalg.invert(mat)
+    det, adj = linalg.adjugate(mat)
+    assert type(det) is int and det == linalg.det(mat)
+    assert all(type(x) is int for row in adj for x in row)
+    scaled = [tuple(det * int(i == j) for j in range(n)) for i in range(n)]
+    assert mat_mul(mat, adj) == scaled == mat_mul(adj, mat)
+    inv = invert(mat)
     assert all_fractions(inv)
+    assert [tuple(Fraction(x, det) for x in row) for row in adj] == inv
     identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     assert mat_mul(mat, inv) == identity
     assert mat_mul(inv, mat) == identity
@@ -130,6 +155,54 @@ def test_property_is_pointed_matches_the_lp_oracle(gens):
         b_eq=[0] * len(gens[0]),
     )
     assert polyhedra.is_pointed(gens) == (res.value == 0)
+
+
+def with_a_line(gens):
+    """The generators and the negative of the first: the cone holds a line,
+    and is full-dimensional or flat as the generators are."""
+    return gens + [tuple(-x for x in gens[0])]
+
+
+@settings(SEEDED, max_examples=150)
+@given(st.one_of(
+    generator_sets(st.integers(-2, 2)),
+    generator_sets(st.integers(-2, 2)).map(with_a_line),
+))
+@example([(1, 0), (-1, 0), (0, 1)])
+@example([(1, 1, 0), (-1, -1, 0)])
+@example([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+def test_property_degree_pointedness_matches_the_rank_test(gens):
+    """Every generator has a positive degree iff the equations and facets
+    have rank n; a cone with a line, full-dimensional or flat, is refused
+    by ``hilbert_basis``."""
+    pointed = polyhedra.is_pointed(gens)
+    assert pointed == rank_is_pointed(gens)
+    if not pointed:
+        with pytest.raises(NonPointedConeError):
+            polyhedra.hilbert_basis(gens)
+
+
+def inequality_systems():
+    """2-9 integer rows of full column rank in dimension 2-5."""
+    return st.integers(2, 5).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n + 4
+        )
+    ).filter(lambda rows: linalg.rank(rows) == len(rows[0]))
+
+
+@settings(SEEDED, max_examples=150)
+@given(inequality_systems(), st.data())
+def test_property_double_description_matches_the_fraction_seeded_oracle(rows, data):
+    """The double description seeded from the adjugate, with the counted
+    adjacency test, finds the rays of the Fraction-seeded oracle; so does it
+    on the rows divided by positive integers, as Fractions."""
+    rays = polyhedra.extreme_rays_of_inequalities(rows)
+    assert rays == fraction_seeded_extreme_rays(rows)
+    divisors = [data.draw(st.integers(1, 4)) for _ in rows]
+    rational = [tuple(Fraction(x, d) for x in row) for row, d in zip(rows, divisors)]
+    assert polyhedra.extreme_rays_of_inequalities(rational) == rays
 
 
 @settings(SEEDED, max_examples=100)
@@ -462,6 +535,22 @@ def test_property_dd_round_trip_returns_the_extreme_points(points):
     assert poly.vertices() == extreme
 
 
+@settings(SEEDED, max_examples=100)
+@given(full_dimensional_point_sets(), st.integers(2, 4))
+def test_property_dd_round_trip_on_rational_vertices(points, k):
+    """Facets from the V-description of conv(points / k), whose lifted
+    generators are rational, then its vertices from the facets."""
+    lifted = [p + (1,) for p in points]
+    extreme = sorted(
+        tuple(Fraction(x, k) for x in p) for p, g in zip(points, lifted)
+        if not lp.in_cone(g, [h for h in lifted if h != g])
+    )
+    scaled = [tuple(Fraction(x, k) for x in p) for p in points]
+    eqs, ineqs = polyhedra.inequalities_from_v_description(scaled)
+    assert eqs == []
+    assert polyhedra.RationalPolyhedron(len(points[0]), ineqs).vertices() == extreme
+
+
 def geometric_pull(rs, done):
     """The pulling triangulation by geometry, the oracle of the bitmask
     recursion: every sub-cone gets its own facets from ``cone_facets`` and
@@ -534,7 +623,7 @@ def lattice_cone_facets(generators):
     pivot coordinates in ``cone_facets``."""
     gens = [tuple(g) for g in generators if any(g)]
     equations = [
-        linalg.clear_denominators(v) for v in linalg.nullspace(gens, ncols=len(gens[0]))
+        linalg.clear_denominators(v) for v in nullspace(gens, ncols=len(gens[0]))
     ]
     if not equations:
         return [], polyhedra.extreme_rays_of_inequalities(gens)
@@ -654,8 +743,8 @@ def smith_parallelepiped_points(rays):
     n = len(rays)
     cols = [tuple(r[i] for r in rays) for i in range(n)]  # matrix with ray columns
     u, _, _, factors = smith_normal_form(cols)
-    uinv = [[int(x) for x in row] for row in linalg.invert(u)]
-    rinv = linalg.invert(cols)
+    uinv = [[int(x) for x in row] for row in invert(u)]
+    rinv = invert(cols)
     den = math.lcm(*(x.denominator for row in rinv for x in row))
     radj = [[int(x * den) for x in row] for row in rinv]
     pts = []
@@ -672,6 +761,23 @@ def test_property_unimodular_shortcut_matches_the_smith_path(rays):
     points = polyhedra.parallelepiped_points(rays)
     assert sorted(points) == sorted(smith_parallelepiped_points(rays))
     assert len(points) == abs(linalg.det(rays))
+
+
+def negative_determinant(rays):
+    """The simplex, or, when its determinant is positive, the simplex with
+    its first ray negated."""
+    if linalg.det(rays) > 0:
+        return [tuple(-x for x in rays[0])] + [tuple(r) for r in rays[1:]]
+    return [tuple(r) for r in rays]
+
+
+@SEEDED
+@given(SIMPLICES.map(negative_determinant))
+def test_property_parallelepiped_points_match_the_inverse_oracle(rays):
+    """From the adjugate, the points of the Fraction-inverse oracle, in
+    its order."""
+    assert linalg.det(rays) < 0
+    assert polyhedra.parallelepiped_points(rays) == inverse_parallelepiped_points(rays)
 
 
 def saturated_parallelepiped_points(rays):

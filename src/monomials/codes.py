@@ -8,7 +8,6 @@ rows of the reduced echelon form.
 """
 
 import itertools
-from operator import le
 
 from monomials.core import MonomialIdeal, covering_number, vec_sub_clamped
 from monomials.errors import (
@@ -462,6 +461,18 @@ def associated_primes(ideal):
     )
 
 
+def _box_points_of_degree(bounds, d, head=()):
+    """The points of degree d in the box 0 <= m <= bounds that begin with
+    ``head``, lexicographically decreasing."""
+    i = len(head)
+    if i == len(bounds):
+        if d == 0:
+            yield head
+        return
+    for x in range(min(bounds[i], d), -1, -1):
+        yield from _box_points_of_degree(bounds, d - x, head + (x,))
+
+
 def v_number_monomial(ideal, degree_cap=None):
     """Least degree of a monomial f with (I : f) an associated prime.
 
@@ -474,16 +485,14 @@ def v_number_monomial(ideal, degree_cap=None):
     beyond the generator maxima never change the colon, which bounds the
     candidate box; the witness search is restricted to monomials (the colon
     stays monomial, so the test is exact).  The box is walked degree by
-    degree, and no candidate above the cap is formed.  Raises
+    degree, and no candidate outside it or above the cap is formed.  Raises
     BudgetExceededError when the cap is passed.
     """
     bounds = ideal.max_exponents()
     if degree_cap is None:
         degree_cap = sum(bounds)
     for d in range(min(degree_cap, sum(bounds)) + 1):
-        for m in monomial_basis(ideal.s, d):
-            if not all(map(le, m, bounds)):
-                continue
+        for m in _box_points_of_degree(bounds, d):
             diffs = [vec_sub_clamped(g, m) for g in ideal.gens]
             variables = {c.index(1) for c in diffs if sum(c) == 1}
             if all(any(c[i] for i in variables) for c in diffs):

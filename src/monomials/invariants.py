@@ -107,12 +107,8 @@ def normalization_hilbert_function(ideal, n, verify=True,
     require_box(bounds, budget, "normalization_hilbert_function", "staircase")
     count = staircase_count(bounds, rep.newton_rows(n))
     if verify:
-        e_delta = polyhedra.lattice_points(
-            region.delta_vertices, n, collect=False, budget=budget
-        )
-        e_p0 = polyhedra.lattice_points(
-            region.p0_vertices, n, collect=False, budget=budget
-        )
+        e_delta = polyhedra.lattice_points(region.delta_vertices, n, budget=budget)
+        e_p0 = polyhedra.lattice_points(region.p0_vertices, n, budget=budget)
         if count != e_delta - e_p0:
             raise InternalConsistencyError(
                 f"staircase count {count} != Ehrhart difference {e_delta - e_p0}"

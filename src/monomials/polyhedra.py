@@ -3,8 +3,9 @@
 Provides the linear programming entry points, cone machinery (double
 description; pointedness from the degrees of the generators and extreme
 rays from tight-facet sets, with no LP; pulling triangulation,
-fundamental-parallelepiped lattice points, Hilbert bases), vertex
-enumeration for polyhedra, lattice-point counting with pruning, Ehrhart
+fundamental-parallelepiped lattice points, Hilbert bases), the irreducible
+representation of a Rees cone, which gives the vertices and integrality of
+the covering polyhedron Q(I), lattice-point counting with pruning, Ehrhart
 interpolation, and the minor gcds Delta_r.  Ranks, null spaces, the double
 description's seed, adjugates, echelon lattice bases and invariant factors
 come as integers from the elimination of :mod:`monomials.linalg`, so the
@@ -36,7 +37,7 @@ parallelize over independent inputs if they wish.
 
 import itertools
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, prod
+from math import comb, factorial, prod
 
 from monomials import linalg
 from monomials import lp
@@ -50,7 +51,6 @@ from monomials.errors import (
 from monomials.linalg import clear_denominators, primitive, vec_dot
 
 DEFAULT_POINT_BUDGET = 5_000_000
-DEFAULT_SUBSYSTEM_BUDGET = 300_000
 
 
 # ---------------------------------------------------------------------------
@@ -461,53 +461,6 @@ def _decompose(p, pv, values, terms_left, dead):
 # polyhedra
 # ---------------------------------------------------------------------------
 
-class RationalPolyhedron:
-    """{x : normal.x >= offset} over exact rationals."""
-
-    def __init__(self, dim, inequalities):
-        self.dim = dim
-        self.inequalities = tuple(
-            (tuple(Fraction(c) for c in normal), Fraction(offset))
-            for normal, offset in inequalities
-        )
-        self._vertices = None
-
-    def contains(self, point):
-        return all(
-            vec_dot(normal, point) >= off for normal, off in self.inequalities
-        )
-
-    def vertices(self, budget=DEFAULT_SUBSYSTEM_BUDGET):
-        """All vertices, by enumerating n x n tight subsystems."""
-        if self._vertices is not None:
-            return self._vertices
-        n = self.dim
-        m = len(self.inequalities)
-        if comb(m, n) > budget:
-            raise BudgetExceededError(
-                f"vertex enumeration needs {comb(m, n)} subsystems",
-                needed=comb(m, n),
-                budget=budget,
-                stage="RationalPolyhedron.vertices",
-            )
-        verts = set()
-        for subset in itertools.combinations(range(m), n):
-            rows = [self.inequalities[i][0] for i in subset]
-            rhs = [self.inequalities[i][1] for i in subset]
-            if linalg.rank(rows) < n:
-                continue
-            x = linalg.solve(rows, rhs)
-            if x is not None and self.contains(x):
-                verts.add(tuple(x))
-        self._vertices = sorted(verts)
-        return self._vertices
-
-    def is_integral(self):
-        return all(
-            all(x.denominator == 1 for x in v) for v in self.vertices()
-        )
-
-
 def inequalities_from_v_description(vertices, rays=()):
     """Inequality description of conv(vertices) + cone(rays).
 
@@ -526,23 +479,6 @@ def inequalities_from_v_description(vertices, rays=()):
 # ---------------------------------------------------------------------------
 # covering polyhedron and Rees cone of a monomial ideal
 # ---------------------------------------------------------------------------
-
-def covering_polyhedron(ideal):
-    """Q(I) = {x >= 0 : x A >= 1}."""
-    if ideal.has_zero_row():
-        raise PreconditionError(
-            "covering polyhedron requires every variable to appear"
-        )
-    s = ideal.s
-    ineqs = []
-    for i in range(s):
-        e = [0] * s
-        e[i] = 1
-        ineqs.append((tuple(e), 0))
-    for g in ideal.gens:
-        ineqs.append((g, 1))
-    return RationalPolyhedron(s, ineqs)
-
 
 def rees_cone(ideal):
     """The generators of RC(I), the unit vectors and the lifted generators,
@@ -670,9 +606,9 @@ def _count_box_sum(lo, hi, coeff, rhs):
     return dp[target]
 
 
-def lattice_points_system(eqs, ineqs, lo, hi, collect=True,
-                          budget=DEFAULT_POINT_BUDGET):
-    """Integer points in a box satisfying exact linear constraints.
+def lattice_points_system(eqs, ineqs, lo, hi, budget=DEFAULT_POINT_BUDGET):
+    """The number of integer points in a box satisfying exact linear
+    constraints.
 
     ``eqs``/``ineqs`` are (integer coefficient tuple, integer rhs) pairs for
     coeff.x = rhs resp. coeff.x >= rhs.  Recursion over coordinates with
@@ -683,14 +619,11 @@ def lattice_points_system(eqs, ineqs, lo, hi, collect=True,
     n = len(lo)
     eqs, ineqs, lo, hi = _fold_single_variable(eqs, ineqs, lo, hi)
     if any(l > h for l, h in zip(lo, hi)):
-        return 0 if not collect else []
-    if not collect and not ineqs and len(eqs) == 1:
-        coeffs, rhs = eqs[0]
-        vals = {c for c in coeffs}
-        if len(vals) == 1:
-            c = vals.pop()
-            if c > 0:
-                return _count_box_sum(lo, hi, c, rhs)
+        return 0
+    if not ineqs and len(eqs) == 1:
+        (c, *others), rhs = eqs[0]
+        if c > 0 and all(x == c for x in others):
+            return _count_box_sum(lo, hi, c, rhs)
     # each constraint with its suffix extremes per depth
     cons = []
     for is_eq, system in ((True, eqs), (False, ineqs)):
@@ -702,16 +635,15 @@ def lattice_points_system(eqs, ineqs, lo, hi, collect=True,
                 mins[i] = mins[i + 1] + min(c * lo[i], c * hi[i])
                 maxs[i] = maxs[i + 1] + max(c * lo[i], c * hi[i])
             cons.append((coeffs, rhs, is_eq, mins, maxs))
-    found = [] if collect else None
     tally = [0, 0]
-    _lattice_walk(cons, lo, hi, budget, tally, found, [0] * len(cons), [])
-    return found if collect else tally[1]
+    _lattice_walk(cons, lo, hi, budget, tally, [0] * len(cons), 0)
+    return tally[1]
 
 
-def _lattice_walk(cons, lo, hi, budget, tally, found, partials, prefix):
-    """Visit the box points extending ``prefix`` that can still meet
-    ``cons``; ``tally`` holds the visits and the points found, and ``found``,
-    unless None, the points themselves."""
+def _lattice_walk(cons, lo, hi, budget, tally, partials, depth):
+    """Visit the box points whose first ``depth`` coordinates give the values
+    ``partials`` of ``cons`` and that can still meet them; ``tally`` holds
+    the visits and the points found."""
     tally[0] += 1
     if tally[0] > budget:
         raise BudgetExceededError(
@@ -720,20 +652,15 @@ def _lattice_walk(cons, lo, hi, budget, tally, found, partials, prefix):
             budget=budget,
             stage="lattice_points_system",
         )
-    depth = len(prefix)
     for p, (_, rhs, is_eq, mins, maxs) in zip(partials, cons):
         if p + maxs[depth] < rhs or (is_eq and p + mins[depth] > rhs):
             return
     if depth == len(lo):
         tally[1] += 1
-        if found is not None:
-            found.append(tuple(prefix))
         return
     for v in range(lo[depth], hi[depth] + 1):
         nxt = [p + con[0][depth] * v for p, con in zip(partials, cons)]
-        prefix.append(v)
-        _lattice_walk(cons, lo, hi, budget, tally, found, nxt, prefix)
-        prefix.pop()
+        _lattice_walk(cons, lo, hi, budget, tally, nxt, depth + 1)
 
 
 def _special_count(verts, dilation):
@@ -760,58 +687,25 @@ def _special_count(verts, dilation):
     return None
 
 
-def lattice_points(polytope_vertices, dilation=1, collect=True,
-                   budget=DEFAULT_POINT_BUDGET):
-    """Lattice points (or their count) of ``dilation * conv(vertices)``."""
+def lattice_points(polytope_vertices, dilation=1, budget=DEFAULT_POINT_BUDGET):
+    """The number of lattice points of ``dilation * conv(vertices)``."""
     verts = [tuple(v) for v in polytope_vertices]
-    if any(
-        Fraction(x).denominator != 1 for v in verts for x in v
-    ):
+    if any(Fraction(x).denominator != 1 for v in verts for x in v):
         raise PreconditionError("lattice polytope expected")
     verts = [tuple(int(x) for x in v) for v in verts]
     n = len(verts[0])
     k = dilation
     if k == 0:
-        origin = tuple(0 for _ in range(n))
-        return [origin] if collect else 1
-    if not collect:
-        special = _special_count(verts, k)
-        if special is not None:
-            return special
+        return 1
+    special = _special_count(verts, k)
+    if special is not None:
+        return special
     eqs_h, facets_h = _facet_description(_generator_set(v + (1,) for v in verts))
     eqs = [(e[:-1], -e[-1] * k) for e in eqs_h]
     ineqs = [(f[:-1], -f[-1] * k) for f in facets_h]
     lo = [k * min(v[i] for v in verts) for i in range(n)]
     hi = [k * max(v[i] for v in verts) for i in range(n)]
-    return lattice_points_system(eqs, ineqs, lo, hi, collect=collect,
-                                 budget=budget)
-
-
-def lattice_points_of_polyhedron(poly, dilation=1, collect=True,
-                                 budget=DEFAULT_POINT_BUDGET):
-    """Integer points of ``dilation * P`` for a bounded RationalPolyhedron.
-
-    Works from the inequality description (cleared to integers), so rational
-    vertices are fine; the bounding box comes from the vertex enumeration.
-    """
-    verts = poly.vertices()
-    if not verts:
-        raise PreconditionError("polyhedron is empty")
-    n = poly.dim
-    k = dilation
-    lo = []
-    hi = []
-    for i in range(n):
-        values = [v[i] * k for v in verts]
-        lo.append(ceil(min(values)))
-        hi.append(floor(max(values)))
-    ineqs = []
-    for normal, offset in poly.inequalities:
-        # clearing denominators scales by a positive rational: direction kept
-        row = clear_denominators(tuple(normal) + (offset * k,))
-        ineqs.append((row[:-1], row[-1]))
-    return lattice_points_system([], ineqs, lo, hi, collect=collect,
-                                 budget=budget)
+    return lattice_points_system(eqs, ineqs, lo, hi, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +761,13 @@ def ehrhart_polynomial(polytope_vertices, budget=DEFAULT_POINT_BUDGET):
     diffs = [tuple(x - y for x, y in zip(v, base)) for v in verts[1:]]
     d = linalg.rank(diffs) if diffs else 0
     counts = [
-        lattice_points(verts, dilation=nn, collect=False, budget=budget)
+        lattice_points(verts, dilation=nn, budget=budget)
         for nn in range(d + 1)
     ]
     # exact Vandermonde solve
     rows = [[Fraction(nn**j) for j in range(d + 1)] for nn in range(d + 1)]
     coeffs = linalg.solve(rows, [Fraction(c) for c in counts])
-    check = lattice_points(verts, dilation=d + 1, collect=False, budget=budget)
+    check = lattice_points(verts, dilation=d + 1, budget=budget)
     predicted = sum(c * (d + 1) ** i for i, c in enumerate(coeffs))
     if predicted != check:
         raise InternalConsistencyError(

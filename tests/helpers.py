@@ -10,7 +10,7 @@ import operator
 import signal
 from fractions import Fraction
 
-from monomials import closure, graphs, linalg, polyhedra
+from monomials import closure, graphs, linalg, lp, polyhedra
 from monomials.codes import gf_rank
 from monomials.core import (
     UNIT,
@@ -449,6 +449,41 @@ def rank_is_pointed(generators):
         return True
     eqs, facets = polyhedra.cone_facets(gens)
     return linalg.rank(eqs + facets) == len(gens[0])
+
+
+def subsystem_vertices(dim, inequalities):
+    """The vertices of {x : normal.x >= offset for (normal, offset) in
+    ``inequalities``}, sorted: every point that solves a dim x dim tight
+    subsystem of full rank and meets all the inequalities.  The oracle of
+    the vertices read off a cone's facets."""
+    vertices = set()
+    for subsystem in itertools.combinations(inequalities, dim):
+        rows = [normal for normal, _ in subsystem]
+        if linalg.rank(rows) < dim:
+            continue
+        x = linalg.solve(rows, [offset for _, offset in subsystem])
+        if x is not None and all(
+            linalg.vec_dot(normal, x) >= offset for normal, offset in inequalities
+        ):
+            vertices.add(x)
+    return sorted(vertices)
+
+
+def covering_inequalities(ideal):
+    """Q(I) = {x : x >= 0, x.g >= 1 for every generator g} as (normal,
+    offset) rows."""
+    orthant = [(tuple(int(i == j) for j in range(ideal.s)), 0) for i in range(ideal.s)]
+    return orthant + [(g, 1) for g in ideal.gens]
+
+
+def box_scan_lattice_points(vertices, dilation=1):
+    """The lattice points of dilation * conv(vertices): every point x of the
+    bounding box with (x, dilation) in the cone over the (v, 1), by
+    ``lp.in_cone``.  The oracle of ``polyhedra.lattice_points``, which
+    counts by the facets."""
+    lifted = [tuple(v) + (1,) for v in vertices]
+    box = [range(dilation * min(c), dilation * max(c) + 1) for c in zip(*vertices)]
+    return [x for x in itertools.product(*box) if lp.in_cone(x + (dilation,), lifted)]
 
 
 def mat_mul(a, b):

@@ -157,6 +157,13 @@ def test_precondition_exits_2(tmp_path, capsys):
     assert "squarefree" in doc["error"]
 
 
+def test_resurgence_of_an_ideal_missing_a_variable_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "x.txt", "1 0\n")
+    code, doc = run_capture(capsys, ["resurgence", path])
+    assert code == 2
+    assert "every variable" in doc["error"]
+
+
 def test_budget_exits_3(tmp_path, capsys):
     # relabeled copy of Q6 so no earlier test has cached its powers
     path = write(

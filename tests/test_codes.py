@@ -151,6 +151,7 @@ def test_v_number_monomial_examples():
     c5 = cycle_graph(5).edge_ideal()
     assert codes.v_number_monomial(c5) == 2
     assert codes.v_number_monomial(MonomialIdeal(2, [(1, 0), (0, 1)])) == 0
+    assert codes.v_number_monomial(cycle_graph(18).edge_ideal()) == 5
     with pytest.raises(BudgetExceededError):
         codes.v_number_monomial(c5, degree_cap=1)
 
@@ -170,13 +171,15 @@ def test_v_number_monomial_cap_stops_before_the_box(monkeypatch):
     """On the 18-cycle (2^18 candidates) a cap of 1 forms only the 19
     candidates of degree at most 1, and tests each of them."""
     formed, tested = [], set()
-    basis, clamp = codes.monomial_basis, codes.vec_sub_clamped
+    walk, clamp = codes._box_points_of_degree, codes.vec_sub_clamped
 
-    def monomials(s, d):
-        formed.extend(basis(s, d))
-        return basis(s, d)
+    def points(bounds, d, head=()):
+        for m in walk(bounds, d, head):
+            if not head:  # the walk recurses through this wrapper too
+                formed.append(m)
+            yield m
 
-    monkeypatch.setattr(codes, "monomial_basis", monomials)
+    monkeypatch.setattr(codes, "_box_points_of_degree", points)
     monkeypatch.setattr(
         codes, "vec_sub_clamped", lambda g, m: tested.add(m) or clamp(g, m)
     )

@@ -205,7 +205,7 @@ def test_cover_and_matching_searches_leave_no_reference_cycles():
         assert len(polyhedra.pulling_triangulation(rays)) == 2
         assert len(graphs.induced_cycles(cycle_graph(5))) == 1
         triangle = [(0, 0), (2, 0), (0, 2)]
-        assert len(polyhedra.lattice_points(triangle, dilation=3)) == 28
+        assert polyhedra.lattice_points(triangle, dilation=3) == 28
         assert len(codes.monomial_basis(3, 2)) == 6
         assert polyhedra.monoid_decompose((2, 2), [(1, 0), (0, 1)]) == [
             (1, 0), (1, 0), (0, 1), (0, 1)

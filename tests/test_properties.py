@@ -25,6 +25,7 @@ from helpers import (
     colon_v_number,
     column_drop_v_number,
     column_staircase,
+    covering_inequalities,
     cycle_graph,
     fraction_seeded_extreme_rays,
     gcd_of_maximal_minors,
@@ -44,6 +45,7 @@ from helpers import (
     solve_coordinates,
     subset_scan_minimal_covers,
     subset_scan_weight,
+    subsystem_vertices,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -485,17 +487,19 @@ def test_property_staircase_count_matches_the_ehrhart_difference(ideal, n):
     assert 0 < count <= math.prod(n * d for d in ideal.max_exponents())
 
 
-def covering_ideals():
-    """Squarefree ideals in which every variable appears: each missing
-    variable becomes a generator of its own."""
-    def cover(ideal):
-        gens = list(ideal.gens)
-        for i in range(ideal.s):
-            if all(g[i] == 0 for g in gens):
-                gens.append(tuple(int(j == i) for j in range(ideal.s)))
-        return core.MonomialIdeal(ideal.s, gens)
+def with_every_variable(ideal):
+    """The ideal with each variable that appears in no generator added as a
+    generator of its own."""
+    gens = list(ideal.gens)
+    for i in range(ideal.s):
+        if all(g[i] == 0 for g in gens):
+            gens.append(tuple(int(j == i) for j in range(ideal.s)))
+    return core.MonomialIdeal(ideal.s, gens)
 
-    return squarefree_ideals().map(cover)
+
+def covering_ideals():
+    """Squarefree ideals in which every variable appears."""
+    return squarefree_ideals().map(with_every_variable)
 
 
 @settings(SEEDED, max_examples=60)
@@ -531,8 +535,7 @@ def test_property_dd_round_trip_returns_the_extreme_points(points):
     )
     eqs, ineqs = polyhedra.inequalities_from_v_description(points)
     assert eqs == []
-    poly = polyhedra.RationalPolyhedron(len(points[0]), ineqs)
-    assert poly.vertices() == extreme
+    assert subsystem_vertices(len(points[0]), ineqs) == extreme
 
 
 @settings(SEEDED, max_examples=100)
@@ -548,7 +551,19 @@ def test_property_dd_round_trip_on_rational_vertices(points, k):
     scaled = [tuple(Fraction(x, k) for x in p) for p in points]
     eqs, ineqs = polyhedra.inequalities_from_v_description(scaled)
     assert eqs == []
-    assert polyhedra.RationalPolyhedron(len(points[0]), ineqs).vertices() == extreme
+    assert subsystem_vertices(len(points[0]), ineqs) == extreme
+
+
+@settings(SEEDED, max_examples=150)
+@given(small_ideals().map(with_every_variable))
+def test_property_rees_cone_gives_the_covering_polyhedron(ideal):
+    """On ideals that need not be squarefree, the vertices gamma_i / d_i of
+    Q(I) read off the Rees cone are the vertices of {x >= 0, x.g >= 1} from
+    its tight subsystems, and Q(I) is integral iff every vertex is."""
+    rep = polyhedra.ReesRepresentation(ideal)
+    vertices = subsystem_vertices(ideal.s, covering_inequalities(ideal))
+    assert rep.vertices() == vertices
+    assert rep.integral == all(x.denominator == 1 for v in vertices for x in v)
 
 
 def geometric_pull(rs, done):

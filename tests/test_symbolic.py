@@ -127,6 +127,13 @@ def test_ic_resurgence_examples():
     assert symbolic.ic_resurgence(q6_ideal()).rho == 1
 
 
+def test_ic_resurgence_needs_every_variable():
+    """Q(I) of (x) in two variables is unbounded along y, so rho_ic is not
+    read off its vertices."""
+    with pytest.raises(PreconditionError, match="every variable"):
+        symbolic.ic_resurgence(MonomialIdeal(2, [(1, 0)]))
+
+
 def test_resurgence_duality_random():
     rng = random.Random(137)
     for _ in range(12):

@@ -12,7 +12,7 @@ Normality by powers and the normalization index read the gaps, the first
 generator of closure(I^n) outside I*closure(I^(n-1)), and never build I^n.
 """
 
-from monomials import polyhedra
+from monomials import lp, polyhedra
 from monomials.core import (
     MonomialIdeal,
     divides,
@@ -47,12 +47,14 @@ def membership(a, ideal, n=1, witness=True, verify=False):
     a = tuple(a)
     if len(a) != ideal.s:
         raise PreconditionError("exponent length mismatch")
+    if any(x < 0 for x in a):
+        raise PreconditionError(f"negative exponent in {a}")
     if n < 1:
         raise PreconditionError("power must be >= 1")
-    value, y = polyhedra.lp_optimize(
-        ideal.incidence_matrix(), a, sense="max", verify=False
-    )
-    answer = value >= n
+    result = lp.exact_lp([1] * len(ideal.gens), a_ub=ideal.incidence_matrix(), b_ub=a)
+    if result.status != lp.OPTIMAL:
+        raise InternalConsistencyError(f"membership LP at {a} is {result.status}")
+    answer = result.value >= n
     if verify:
         facet_answer = rees_representation(ideal).newton_polyhedron_contains(a, n)
         if facet_answer != answer:
@@ -60,7 +62,7 @@ def membership(a, ideal, n=1, witness=True, verify=False):
                 f"LP and facet membership disagree at {a}, n={n}"
             )
     if witness:
-        return answer, (y if answer else None)
+        return answer, (result.x if answer else None)
     return answer
 
 
@@ -257,7 +259,7 @@ def closure_report(ideal, up_to=None, method="both", budget=DEFAULT_BOX_BUDGET):
     return ClosureReport(ideal, reported, verdict, index)
 
 
-def is_gr_reduced(ideal, budget=DEFAULT_BOX_BUDGET):
+def is_gr_reduced(ideal):
     """Reducedness of the associated graded ring: normal Rees algebra and r=p."""
     if not ideal.is_squarefree():
         raise PreconditionError("gr-reducedness test requires a squarefree ideal")
@@ -266,4 +268,4 @@ def is_gr_reduced(ideal, budget=DEFAULT_BOX_BUDGET):
     rep = rees_representation(ideal)
     if not rep.integral:
         return False
-    return bool(is_normal(ideal, method="hilbert", budget=budget))
+    return bool(is_normal(ideal, method="hilbert"))

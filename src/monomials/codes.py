@@ -402,52 +402,40 @@ def v_number_points(points):
 def irreducible_components(ideal):
     """Irredundant irreducible decomposition of a monomial ideal.
 
-    Splits a mixed generator into its pure-power parts recursively; the
-    supports of the components are the associated primes.
+    Keeps the inclusion-minimal ones of :func:`_irreducible_split`'s
+    components.  That is exact because an irreducible monomial ideal Q is
+    meet-prime: if J_1 & ... & J_k lies in Q, some J_j does, as the lcm of
+    monomials outside Q stays outside Q.  So a component is redundant iff
+    it contains another.  The supports of the components are the
+    associated primes.
     """
-    target = ideal
+    components = _irreducible_split(ideal)
+    return [
+        comp for comp in components
+        if not any(other != comp and comp.contains_ideal(other) for other in components)
+    ]
+
+
+def _irreducible_split(ideal):
+    """The distinct irreducible ideals, in the order found, whose
+    intersection is the ideal: a mixed generator is split into its
+    pure-power parts recursively."""
     work = [tuple(sorted(ideal.gens))]
     components = []
     while work:
         gens = work.pop()
-        split = None
-        for g in gens:
-            nz = [i for i, x in enumerate(g) if x]
-            if len(nz) > 1:
-                split = g
-                break
+        split = next((g for g in gens if sum(1 for x in g if x) > 1), None)
         if split is None:
-            components.append(gens)
+            comp = MonomialIdeal(ideal.s, gens)
+            if comp not in components:
+                components.append(comp)
             continue
-        nz = [i for i, x in enumerate(split) if x]
         rest = [h for h in gens if h != split]
-        for i in nz:
-            part = [0] * len(split)
-            part[i] = split[i]
-            work.append(
-                tuple(sorted(set(rest + [tuple(part)])))
-            )
-    ideals = []
-    seen = set()
-    for gens in components:
-        comp = MonomialIdeal(target.s, gens)
-        if comp not in seen:
-            seen.add(comp)
-            ideals.append(comp)
-    # drop redundant components one at a time until the list is irredundant
-    changed = True
-    while changed and len(ideals) > 1:
-        changed = False
-        for i, comp in enumerate(ideals):
-            others = [c for j, c in enumerate(ideals) if j != i]
-            inter = others[0]
-            for c in others[1:]:
-                inter = inter.intersect(c)
-            if comp.contains_ideal(inter):
-                ideals.pop(i)
-                changed = True
-                break
-    return ideals
+        for i, x in enumerate(split):
+            if x:
+                part = tuple(x if j == i else 0 for j in range(len(split)))
+                work.append(tuple(sorted(set(rest + [part]))))
+    return components
 
 
 def associated_primes(ideal):

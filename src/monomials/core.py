@@ -700,12 +700,10 @@ class Graph:
         loops = [(index[v],) for v in self.loops if v in index]
         return Graph(len(vertices), edges + loops, multigraph=self.multigraph)
 
-    def two_coloring(self, vertices=None):
-        """A proper 2-coloring of the induced subgraph, or None."""
-        if vertices is None:
-            vertices = range(self.s)
+    def two_coloring(self):
+        """A proper 2-coloring of the graph, or None."""
         color = {}
-        for v0 in vertices:
+        for v0 in range(self.s):
             if v0 in color:
                 continue
             color[v0] = 0

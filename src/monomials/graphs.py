@@ -23,11 +23,10 @@ from monomials.linalg import integer_row_basis, rank as mat_rank
 class CycleRecord:
     """An induced cycle, stored with a canonical vertex rotation."""
 
-    __slots__ = ("vertices", "induced", "odd")
+    __slots__ = ("vertices", "odd")
 
-    def __init__(self, vertices, induced=True):
+    def __init__(self, vertices):
         self.vertices = tuple(vertices)
-        self.induced = induced
         self.odd = len(self.vertices) % 2 == 1
 
     def __len__(self):

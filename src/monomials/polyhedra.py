@@ -1,12 +1,13 @@
 """Exact rational polyhedral kernel.
 
-Provides the linear programming entry points, cone machinery (double
-description; pointedness from the degrees of the generators and extreme
-rays from tight-facet sets, with no LP; pulling triangulation,
-fundamental-parallelepiped lattice points, Hilbert bases), the irreducible
-representation of a Rees cone, which gives the vertices and integrality of
-the covering polyhedron Q(I), lattice-point counting with pruning, Ehrhart
-interpolation, and the minor gcds Delta_r.  Ranks, null spaces, the double
+Provides cone machinery (double description; pointedness from the degrees
+of the generators and extreme rays from tight-facet sets; pulling
+triangulation, fundamental-parallelepiped lattice points, Hilbert bases),
+the irreducible representation of a Rees cone, which gives the vertices
+and integrality of the covering polyhedron Q(I), lattice-point counting
+with pruning, Ehrhart interpolation, and the minor gcds Delta_r.  No
+linear program runs here: the covering program's optimum at alpha is
+min <alpha, u> over the vertices u of Q(I).  Ranks, null spaces, the double
 description's seed, adjugates, echelon lattice bases and invariant factors
 come as integers from the elimination of :mod:`monomials.linalg`, so the
 cone pipeline builds no Fraction.
@@ -40,7 +41,6 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from monomials import linalg
-from monomials import lp
 from monomials.core import memo
 from monomials.errors import (
     BudgetExceededError,
@@ -51,43 +51,6 @@ from monomials.errors import (
 from monomials.linalg import clear_denominators, primitive, vec_dot
 
 DEFAULT_POINT_BUDGET = 5_000_000
-
-
-# ---------------------------------------------------------------------------
-# linear programming entry points (membership tests live on top of these)
-# ---------------------------------------------------------------------------
-
-def lp_optimize(a_matrix, alpha, sense="max", verify=True):
-    """Solve one of the two covering/packing programs from the membership test.
-
-    ``sense="max"``: maximize y_1+...+y_m subject to A y <= alpha, y >= 0.
-    ``sense="min"``: minimize alpha.x subject to x A >= 1, x >= 0.
-
-    A is given by rows (s x m).  With ``verify`` the other program is solved
-    too and exact strong duality is asserted.
-    """
-    rows = [list(map(Fraction, r)) for r in a_matrix]
-    alpha = [Fraction(x) for x in alpha]
-    m = len(rows[0]) if rows else 0
-    if sense == "max":
-        res = lp.exact_lp([1] * m, a_ub=rows, b_ub=alpha, maximize=True)
-    elif sense == "min":
-        cols = [[-rows[i][j] for i in range(len(rows))] for j in range(m)]
-        res = lp.exact_lp(alpha, a_ub=cols, b_ub=[-1] * m, maximize=False)
-    else:
-        raise PreconditionError(f"unknown sense {sense!r}")
-    if res.status == lp.UNBOUNDED:
-        raise PreconditionError("linear program is unbounded")
-    if res.status == lp.INFEASIBLE:
-        raise PreconditionError("linear program is infeasible")
-    if verify:
-        other = lp_optimize(a_matrix, alpha, "min" if sense == "max" else "max",
-                            verify=False)
-        if other[0] != res.value:
-            raise InternalConsistencyError(
-                f"strong duality violated: {res.value} vs {other[0]}"
-            )
-    return res.value, res.x
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +474,9 @@ class ReesRepresentation:
         if eqs:
             raise InternalConsistencyError("Rees cone should be full-dimensional")
         self.facets = tuple(facets)
-        gd = []
-        others = []
-        for f in facets:
-            if f[-1] < 0:
-                gd.append((f[:-1], -f[-1]))
-            else:
-                others.append(f)
-        gd.sort(key=lambda t: (t[1], t[0]))
+        gd = sorted(((f[:-1], -f[-1]) for f in facets if f[-1] < 0),
+                    key=lambda t: (t[1], t[0]))
         self.gamma_d = tuple(gd)
-        self.other_facets = tuple(others)
         self.r = sum(1 for _, d in gd if d == 1)
         self.p = len(gd)
 
@@ -581,13 +537,9 @@ def _fold_single_variable(eqs, ineqs, lo, hi):
     return rest_eq, rest_ineq, lo, hi
 
 
-def _count_box_sum(lo, hi, coeff, rhs):
-    """Count integer x with lo<=x<=hi and coeff*sum(x) = rhs, by DP."""
-    if rhs % coeff:
-        return 0
-    total = rhs // coeff
-    shift = sum(lo)
-    target = total - shift
+def _count_box_sum(lo, hi, total):
+    """Count integer x with lo<=x<=hi and sum(x) = total, by DP."""
+    target = total - sum(lo)
     if target < 0:
         return 0
     dp = [0] * (target + 1)
@@ -611,19 +563,14 @@ def lattice_points_system(eqs, ineqs, lo, hi, budget=DEFAULT_POINT_BUDGET):
     constraints.
 
     ``eqs``/``ineqs`` are (integer coefficient tuple, integer rhs) pairs for
-    coeff.x = rhs resp. coeff.x >= rhs.  Recursion over coordinates with
-    interval pruning; when, after folding single-variable constraints into
-    the box, a lone all-equal-coefficient sum equality remains, counting
-    falls back to exact dynamic programming.
+    coeff.x = rhs resp. coeff.x >= rhs.  Single-variable constraints are
+    folded into the box, then a recursion over coordinates counts with
+    interval pruning.
     """
     n = len(lo)
     eqs, ineqs, lo, hi = _fold_single_variable(eqs, ineqs, lo, hi)
     if any(l > h for l, h in zip(lo, hi)):
         return 0
-    if not ineqs and len(eqs) == 1:
-        (c, *others), rhs = eqs[0]
-        if c > 0 and all(x == c for x in others):
-            return _count_box_sum(lo, hi, c, rhs)
     # each constraint with its suffix extremes per depth
     cons = []
     for is_eq, system in ((True, eqs), (False, ineqs)):
@@ -680,7 +627,7 @@ def _special_count(verts, dilation):
     if all(set(v) <= {0, 1} for v in vs) and len(vs) == comb(n, k):
         # every 0/1 vector of weight k: the hypersimplex; dilated points are
         # exactly {0 <= x_i <= dilation, sum x = dilation*k}
-        return _count_box_sum([0] * n, [dilation] * n, 1, dilation * k)
+        return _count_box_sum([0] * n, [dilation] * n, dilation * k)
     simplex = {tuple(k if i == j else 0 for i in range(n)) for j in range(n)}
     if vs == simplex:
         return comb(dilation * k + n - 1, n - 1)

@@ -71,35 +71,39 @@ def symbolic_power_via_primes(ideal, n):
     return result
 
 
-def is_simis(ideal, budget=closure_mod.DEFAULT_BOX_BUDGET):
+def is_simis(ideal):
     """I^n = I^(n) for all n, equivalently the max-flow min-cut property:
     normal Rees algebra plus integral Q(I)."""
     _covers(ideal)  # squarefree guard
     rep = closure_mod.rees_representation(ideal)
     if not rep.integral:
         return False
-    return bool(closure_mod.is_normal(ideal, method="hilbert", budget=budget))
+    return bool(closure_mod.is_normal(ideal, method="hilbert"))
 
 
 def mfmc_spot_check(ideal, max_entry=3):
     """Directly verify integral optima of the LP-duality equation.
 
-    For every non-negative alpha with entries <= max_entry, both the
-    covering minimum and the packing maximum must be attained integrally.
-    Exponential in s; evidence only, the equivalence test is is_simis.
+    For every non-negative alpha with entries <= max_entry, the LP optimum
+    min <alpha, u> over the vertices u of Q(I), which by LP duality is the
+    packing program's maximum, must be attained both by a cover (the
+    covering minimum) and by an integer packing.  Weak duality, packing <=
+    LP <= covering, is asserted at every alpha.  Exponential in s;
+    evidence only, the equivalence test is is_simis.
     """
-    s = ideal.s
     gens = ideal.gens
     covers = _covers(ideal)
-    for alpha in itertools.product(range(max_entry + 1), repeat=s):
-        lp_value, _ = polyhedra.lp_optimize(
-            ideal.incidence_matrix(), alpha, sense="max", verify=True
-        )
+    vertices = closure_mod.rees_representation(ideal).vertices()
+    for alpha in itertools.product(range(max_entry + 1), repeat=ideal.s):
+        lp_value = min(vec_dot(alpha, u) for u in vertices)
         best_cover = min(sum(alpha[i] for i in c) for c in covers)
-        if Fraction(best_cover) != lp_value:
-            return False
-        best_packing = _integer_packing(gens, 0, tuple(alpha), 0, 0)
-        if Fraction(best_packing) != lp_value:
+        best_packing = _integer_packing(gens, 0, alpha, 0, 0)
+        if not best_packing <= lp_value <= best_cover:
+            raise InternalConsistencyError(
+                f"weak duality fails at alpha={alpha}: packing {best_packing}, "
+                f"LP {lp_value}, covering {best_cover}"
+            )
+        if best_packing != best_cover:
             return False
     return True
 
@@ -125,7 +129,7 @@ def _packing_bound(gens, j, remaining):
     return left // min(degs)
 
 
-def symbolic_rees_generators(ideal, budget=closure_mod.DEFAULT_BOX_BUDGET):
+def symbolic_rees_generators(ideal):
     """Hilbert basis of the Simis cone: the symbolic Rees algebra generators.
 
     The Simis cone sits in R^{s+1}, cut out by non-negativity and by

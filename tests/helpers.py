@@ -330,6 +330,20 @@ def refuse_smith_forms(monkeypatch):
     polyhedra._hilbert_basis.cache.clear()
 
 
+def refuse_simplex(monkeypatch):
+    """Make ``lp.exact_lp`` raise, so a test fails at once where the exact
+    simplex would run (``lp.feasible`` and ``lp.in_cone`` call it too).  The
+    Rees-cone memos are cleared, so the guarded cones are computed, not
+    read from an earlier test's result."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact simplex ran")
+
+    monkeypatch.setattr(lp, "exact_lp", refuse)
+    closure.rees_representation.cache.clear()
+    polyhedra._facet_description.cache.clear()
+    polyhedra._hilbert_basis.cache.clear()
+
+
 def row_echelon(rows):
     """Reduced row echelon form by plain Fraction Gauss-Jordan: (echelon
     rows, pivot column indices).  The oracle of the integer eliminations of
@@ -484,6 +498,42 @@ def box_scan_lattice_points(vertices, dilation=1):
     lifted = [tuple(v) + (1,) for v in vertices]
     box = [range(dilation * min(c), dilation * max(c) + 1) for c in zip(*vertices)]
     return [x for x in itertools.product(*box) if lp.in_cone(x + (dilation,), lifted)]
+
+
+def packing_lp(rows, alpha):
+    """The exact simplex on max y_1 + ... + y_m subject to A y <= alpha,
+    y >= 0, with A given by its s rows."""
+    return lp.exact_lp([1] * len(rows[0]), a_ub=rows, b_ub=alpha)
+
+
+def covering_lp(gens, alpha):
+    """The exact simplex on min alpha.x subject to x.g >= 1 for every g in
+    ``gens``, x >= 0."""
+    return lp.exact_lp(
+        alpha, a_ub=[[-x for x in g] for g in gens], b_ub=[-1] * len(gens),
+        maximize=False,
+    )
+
+
+def reintersecting_irreducible_components(components):
+    """The irredundant decomposition by dropping, one at a time, the first
+    component that contains the intersection of all the others, until none
+    does: the oracle of the inclusion-minimal components that
+    ``codes.irreducible_components`` keeps."""
+    ideals = list(components)
+    changed = True
+    while changed and len(ideals) > 1:
+        changed = False
+        for i, comp in enumerate(ideals):
+            others = [c for j, c in enumerate(ideals) if j != i]
+            inter = others[0]
+            for c in others[1:]:
+                inter = inter.intersect(c)
+            if comp.contains_ideal(inter):
+                ideals.pop(i)
+                changed = True
+                break
+    return ideals
 
 
 def mat_mul(a, b):

@@ -35,6 +35,12 @@ def test_membership_examples():
     assert not closure.membership((1, 1, 1), triangle, 2, witness=False)
 
 
+def test_membership_refuses_a_negative_exponent():
+    """Refused before the LP, whose A y <= a would be infeasible."""
+    with pytest.raises(PreconditionError, match="negative exponent"):
+        closure.membership((1, -1), MonomialIdeal(2, [(1, 0), (0, 1)]))
+
+
 def test_membership_oracle_equivalence():
     """LP membership iff (t^a)^p lies in I^{pn} for some small p."""
     rng = random.Random(71)

@@ -2,33 +2,27 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from monomials import lp
 from monomials.core import MonomialIdeal
-from monomials.errors import PreconditionError
-from monomials.polyhedra import lp_optimize
 
-from helpers import cycle_graph
+from helpers import covering_lp, cycle_graph, packing_lp
 
 
 def test_spec_examples():
-    value, _ = lp_optimize([[1, 0], [0, 1]], [3, 2], "max")
-    assert value == 5
+    assert packing_lp([[1, 0], [0, 1]], [3, 2]).value == 5
     ci = MonomialIdeal(2, [(2, 0), (0, 2)])
-    value, witness = lp_optimize(ci.incidence_matrix(), [1, 1], "max")
-    assert value == 1 and witness == (Fraction(1, 2), Fraction(1, 2))
+    res = packing_lp(ci.incidence_matrix(), [1, 1])
+    assert res.value == 1 and res.x == (Fraction(1, 2), Fraction(1, 2))
     triangle = cycle_graph(3).edge_ideal()
-    value, _ = lp_optimize(triangle.incidence_matrix(), [1, 1, 1], "max")
-    assert value == Fraction(3, 2)
+    assert packing_lp(triangle.incidence_matrix(), [1, 1, 1]).value == Fraction(3, 2)
 
 
 def test_min_form_duality():
     triangle = cycle_graph(3).edge_ideal()
-    vmax, _ = lp_optimize(triangle.incidence_matrix(), [1, 1, 1], "max")
-    vmin, x = lp_optimize(triangle.incidence_matrix(), [1, 1, 1], "min")
-    assert vmax == vmin == Fraction(3, 2)
-    assert x == (Fraction(1, 2),) * 3
+    vmax = packing_lp(triangle.incidence_matrix(), [1, 1, 1]).value
+    res = covering_lp(triangle.gens, [1, 1, 1])
+    assert vmax == res.value == Fraction(3, 2)
+    assert res.x == (Fraction(1, 2),) * 3
 
 
 def test_unbounded_and_infeasible():
@@ -36,8 +30,8 @@ def test_unbounded_and_infeasible():
     assert res.status == lp.UNBOUNDED
     res = lp.exact_lp([1], a_ub=[[1], [-1]], b_ub=[1, -2])
     assert res.status == lp.INFEASIBLE
-    with pytest.raises(PreconditionError):
-        lp_optimize([[0, 0]], [-1], "max")  # A y <= -1 with A = 0: infeasible
+    # A y <= -1 with A = 0
+    assert packing_lp([[0, 0]], [-1]).status == lp.INFEASIBLE
 
 
 def _brute_force_max(c, a_ub, b_ub):

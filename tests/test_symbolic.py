@@ -13,6 +13,7 @@ from helpers import (
     random_clutter_height2,
     random_graph,
     random_squarefree_ideal,
+    refuse_simplex,
 )
 
 
@@ -88,6 +89,26 @@ def test_mfmc():
     # Q6 fails MFMC with an integrality gap already at alpha = (1,...,1)
     assert not symbolic.is_simis(q6_ideal())
     assert not symbolic.mfmc_spot_check(q6_ideal(), max_entry=1)
+
+
+def test_the_mfmc_and_closure_paths_run_no_simplex(monkeypatch):
+    """The LP value of the MFMC check is read off the vertices of Q(I);
+    Simis, ic-resurgence, closures and symbolic powers need no LP either.
+    Only closure.membership still runs the simplex."""
+    refuse_simplex(monkeypatch)
+    c4 = cycle_graph(4).edge_ideal()
+    c5 = cycle_graph(5).edge_ideal()
+    triangle = cycle_graph(3).edge_ideal()
+    assert symbolic.mfmc_spot_check(c4, max_entry=2)
+    assert not symbolic.mfmc_spot_check(triangle, max_entry=1)
+    assert symbolic.is_simis(c4) and not symbolic.is_simis(c5)
+    assert symbolic.ic_resurgence(c5).rho == Fraction(6, 5)
+    cubes = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
+    assert not closure.closure_report(cubes).normality.normal
+    assert closure.normalization_index(cubes) == 2
+    assert symbolic.symbolic_power(c5, 3) != ideal_power(c5, 3)
+    with pytest.raises(AssertionError, match="simplex"):
+        closure.membership((1, 1, 1), triangle)
 
 
 def test_mfmc_implies_packing():

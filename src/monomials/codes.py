@@ -419,7 +419,10 @@ def irreducible_components(ideal):
 def _irreducible_split(ideal):
     """The distinct irreducible ideals, in the order found, whose
     intersection is the ideal: a mixed generator is split into its
-    pure-power parts recursively."""
+    pure-power parts recursively.  Each part drops the generators it
+    divides, so every generator list stays minimal (no other generator
+    divides a part, as none divides the generator it comes from) and no
+    redundant generator is split again."""
     work = [tuple(sorted(ideal.gens))]
     components = []
     while work:
@@ -434,7 +437,7 @@ def _irreducible_split(ideal):
         for i, x in enumerate(split):
             if x:
                 part = tuple(x if j == i else 0 for j in range(len(split)))
-                work.append(tuple(sorted(set(rest + [part]))))
+                work.append(tuple(sorted([h for h in rest if h[i] < x] + [part])))
     return components
 
 
@@ -469,7 +472,8 @@ def v_number_monomial(ideal, degree_cap=None):
     variables.  The colon is generated by the differences c_g = (g - m)+ of
     the generators g; with U the indices i where some c_g is the variable
     e_i, it is generated by variables iff every c_g has a positive entry in
-    U.  When t^m lies in I some c_g is 0, so the test fails.  Exponents
+    U.  When t^m lies in I some c_g is 0, so the test fails, and the
+    differences after the first zero one are not formed.  Exponents
     beyond the generator maxima never change the colon, which bounds the
     candidate box; the witness search is restricted to monomials (the colon
     stays monomial, so the test is exact).  The box is walked degree by
@@ -481,7 +485,10 @@ def v_number_monomial(ideal, degree_cap=None):
         degree_cap = sum(bounds)
     for d in range(min(degree_cap, sum(bounds)) + 1):
         for m in _box_points_of_degree(bounds, d):
-            diffs = [vec_sub_clamped(g, m) for g in ideal.gens]
+            diffs = (vec_sub_clamped(g, m) for g in ideal.gens)
+            diffs = list(itertools.takewhile(any, diffs))
+            if len(diffs) < len(ideal.gens):  # t^m lies in I
+                continue
             variables = {c.index(1) for c in diffs if sum(c) == 1}
             if all(any(c[i] for i in variables) for c in diffs):
                 return d

@@ -554,46 +554,61 @@ def _is_konig_family(family):
     return _least_cover(list(family), 0, nu + 1) == nu
 
 
-def _minor_children(family):
-    """The deletion and the contraction of each vertex of a bitmask clutter,
-    except those that are no minor: a contraction turning an edge empty (the
-    unit ideal) and a deletion removing every edge (the zero ideal)."""
-    for bit in _bits(_mask_union(family)):
-        deleted = frozenset(e for e in family if not e & bit)
-        if deleted:
-            yield deleted
-        if bit not in family:
-            yield _minimal_masks(e & ~bit for e in family)
+def _without_singletons(family):
+    """A bitmask clutter without its one-vertex edges.  An edge {v} meets no
+    other edge, so it adds 1 to both tau and nu; deleting v drops it and
+    contracting v gives the unit ideal.  So the family is Koenig iff the
+    rest is, and the minors of the two differ only by {v}."""
+    return frozenset(e for e in family if e & (e - 1))
 
 
 def has_packing_property(ideal, limit=12):
     """All minors (including the ideal itself) satisfy the Koenig property.
 
-    The minors are walked on bitmask edges from the support clutter: each
-    step deletes a vertex (substitutes 0: drops the edges through it) or
-    contracts it (substitutes 1: clears its bit and keeps the minimal edges),
-    and every distinct family is tested once.  Deletions and contractions
-    commute with each other and with minimalization, so the families reached
-    are the minors by the substitutions of {keep, 0, 1}^s, up to isolated
-    vertices, which change neither tau nor nu.  A substitution collapsing to
-    the unit or zero ideal gives no minor and is not walked through.
-    ``limit`` caps the number of variables that occur in some generator,
-    which is what the walk's cost follows.
+    The minors are walked on bitmask edges from the support clutter, with
+    the singleton edges stripped from every family (:func:`_without_singletons`).
+    A node is a family with the vertices not yet decided, those above a
+    threshold; its children keep, delete (substitute 0: drop the edges
+    through it) or contract (substitute 1: clear its bit and keep the
+    minimal edges) its lowest undecided vertex that still occurs.  So the
+    walk runs through the substitutions of {keep, 0, 1}^s in vertex order,
+    and every distinct family is tested once.  A deletion removing every
+    edge (the zero ideal) gives no minor; a stripped family has no singleton
+    edge, so no contraction gives the unit ideal; and a family left empty by
+    the strip has only Koenig minors.  Isolated vertices change neither tau
+    nor nu.  ``limit`` caps the number of variables that occur in some
+    generator, which is what the walk's cost follows.
     """
     if not ideal.is_squarefree():
         raise PreconditionError("packing property requires a squarefree ideal")
     start = frozenset(_mask(support(g)) for g in ideal.gens)
     _require_size("has_packing_property", _mask_union(start).bit_count(), limit)
-    seen = {start}
-    stack = [start]
+    start = _without_singletons(start)
+    tested = set()
+    seen = {(start, 1)}
+    stack = [(start, 1)] if start else []
     while stack:
-        family = stack.pop()
-        if not _is_konig_family(family):
-            return False
-        for child in _minor_children(family):
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
+        family, low = stack.pop()
+        if family not in tested:
+            if not _is_konig_family(family):
+                return False
+            tested.add(family)
+        undecided = _mask_union(family) & -low  # the vertices from low up
+        if not undecided:
+            continue
+        bit = undecided & -undecided
+        deleted = frozenset(e for e in family if not e & bit)
+        # the edges through bit stay incomparable without it, and none of
+        # them can contain an edge that misses bit
+        cut = [e ^ bit for e in family if e & bit]
+        contracted = _without_singletons(
+            cut + [e for e in deleted if not any(c & e == c for c in cut)]
+        )
+        for child in (family, deleted, contracted):
+            node = (child, bit << 1)
+            if child and node not in seen:
+                seen.add(node)
+                stack.append(node)
     return True
 
 

@@ -252,21 +252,24 @@ def invariant_factors(matrix):
 
 
 def saturation_basis(rows):
-    """Basis of (Q-row-span of rows) intersected with Z^n.
-
-    The saturation is the integer kernel of the span's equations E: an
-    echelon basis of the rows (column i of E, e_i) ends in the rows whose
-    first len(E) entries are 0, and these rows without those entries are a
-    basis of the kernel.
-    """
+    """Basis of (Q-row-span of rows) intersected with Z^n: the integer
+    kernel of the span's equations, :func:`integer_nullspace`."""
     rows = [tuple(map(int, r)) for r in rows if any(r)]
     if not rows:
         return []
-    n = len(rows[0])
-    eqs, _ = integer_nullspace(rows)
-    k = len(eqs)
+    return integer_kernel_basis(integer_nullspace(rows)[0], len(rows[0]))
+
+
+def integer_kernel_basis(equations, n):
+    """Basis of {x in Z^n : e.x = 0 for each e in equations}.
+
+    An echelon basis of the rows (column i of the equations, e_i) ends in
+    the rows whose first len(equations) entries are 0, and these rows
+    without those entries are a basis of the kernel.
+    """
+    k = len(equations)
     lifted = [
-        tuple(e[i] for e in eqs) + tuple(int(i == j) for j in range(n))
+        tuple(e[i] for e in equations) + tuple(int(i == j) for j in range(n))
         for i in range(n)
     ]
     return [b[k:] for b in integer_row_basis(lifted) if not any(b[:k])]

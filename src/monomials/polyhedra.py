@@ -27,21 +27,25 @@ the recursion bounds each simplex's |det|, and a bound of 1 certifies a
 unimodular simplex with no determinant (pulling triangulations with
 heights, Bruns and Ichim, J. Algebra 324 (2010)).  Hilbert-basis
 candidates are reduced in the order of their degree, the sum of their
-facet values, each against the irreducibles found so far (Bruns, Ichim
-and Söger, J. Symb. Comp. 74 (2016)).  No Smith normal form runs
-anywhere: lattices are read off echelon bases.  Facet descriptions and
-Hilbert bases are memoized per generator set, so every caller shares them.
+facet values: the extreme rays are kept with no test, and every other
+candidate is tested against the irreducibles found so far of at most half
+its degree (Bruns, Ichim and Söger, J. Symb. Comp. 74 (2016)).  No Smith
+normal form runs anywhere: lattices are read off echelon bases.  Null
+spaces, facet descriptions and Hilbert bases are memoized per generator
+set, so every caller shares them; one null space tells a flat cone from a
+full-dimensional one and starts its facet description.
 
 Currently everything is sequential; operations are pure, so callers may
 parallelize over independent inputs if they wish.
 """
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, factorial, prod
 
 from monomials import linalg
-from monomials.core import memo
+from monomials.core import divides, memo
 from monomials.errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -121,11 +125,11 @@ def cone_facets(generators):
     Returns (equations, facets): integer vectors with
     cone = {x : e.x = 0 for e in equations, f.x >= 0 for f in facets}.
     """
-    gens = [tuple(g) for g in generators if any(g)]
+    gens = tuple(tuple(g) for g in generators if any(g))
     if not gens:
         raise PreconditionError("cone has no non-zero generators")
     n = len(gens[0])
-    equations, pivots = linalg.integer_nullspace(gens)
+    equations, pivots = _span(gens)
     if not equations:
         return [], extreme_rays_of_inequalities(gens)
     # the span maps isomorphically onto its pivot coordinates, so each facet
@@ -135,6 +139,14 @@ def cone_facets(generators):
         on_pivots = dict(zip(pivots, f))
         facets.append(tuple(on_pivots.get(c, 0) for c in range(n)))
     return sorted(equations), sorted(facets)
+
+
+@memo
+def _span(rows):
+    """``linalg.integer_nullspace`` of a tuple of rows: the equations of
+    their span with its pivot columns, from one elimination shared by
+    :func:`cone_facets` and the flat-cone test of :func:`_hilbert_basis`."""
+    return linalg.integer_nullspace(rows)
 
 
 def _generator_set(generators):
@@ -337,12 +349,20 @@ def _hilbert_basis(gens):
     and only the origin there, so it is skipped with no determinant.  The
     candidates, the extreme rays and those points, are then taken in
     increasing degree (the sum of the facet values, positive on the pointed
-    cone), and each is kept unless an element kept before reduces it: a
-    reducer g != h has h - g in the cone, so no facet value of g exceeds
-    that of h, and its degree is smaller.
+    cone).  The primitive vector of an extreme ray is irreducible, so the
+    rays are kept with no test.  Every other candidate h is kept unless a
+    kept element reduces it: a reducer g != h has h - g in the cone, so no
+    facet value of g exceeds that of h.  If h is reducible, it is a sum of
+    at least two basis elements, and as the degree is additive one of them
+    has degree <= deg(h) // 2; so h is tested only against the kept elements
+    of that degree, which come first in degree order.  Whether the cone is
+    flat is read off the null space that its facet description shares
+    (:func:`_span`).
     """
-    if linalg.rank(gens) < len(gens[0]):
-        return hilbert_basis_in_lattice(gens, linalg.saturation_basis(gens))
+    equations, _ = _span(gens)
+    if equations:
+        basis = linalg.integer_kernel_basis(equations, len(gens[0]))
+        return hilbert_basis_in_lattice(gens, basis)
     _, facets = _facet_description(gens)
     table = facet_values(gens, facets)
     if not _pointed(table):
@@ -355,12 +375,18 @@ def _hilbert_basis(gens):
         for pt in parallelepiped_points(simplex):
             if any(pt) and pt not in candidates:
                 candidates[pt] = tuple(vec_dot(f, pt) for f in facets)
-    # h - g lies in the cone iff no facet value of g exceeds that of h; then
-    # g != h has the smaller degree, the sum of the facet values
-    kept = {}
+    # h - g lies in the cone iff no facet value of g exceeds that of h
+    kept, values, degrees = [], [], []  # in increasing degree
     for h, hv in sorted(candidates.items(), key=lambda item: sum(item[1])):
-        if not any(all(x <= y for x, y in zip(gv, hv)) for gv in kept.values()):
-            kept[h] = hv
+        degree = sum(hv)
+        if h not in rays and any(
+            divides(gv, hv)
+            for gv in itertools.islice(values, bisect_right(degrees, degree // 2))
+        ):
+            continue
+        kept.append(h)
+        values.append(hv)
+        degrees.append(degree)
     return tuple(sorted(kept))
 
 

@@ -10,7 +10,7 @@ import operator
 import signal
 from fractions import Fraction
 
-from monomials import closure, graphs, linalg, lp, polyhedra
+from monomials import closure, core, graphs, linalg, lp, polyhedra
 from monomials.codes import gf_rank
 from monomials.core import (
     UNIT,
@@ -299,6 +299,67 @@ def all_pairs_hilbert_basis(generators):
             for g in candidates
         )
     ))
+
+def degree_ordered_hilbert_basis(generators):
+    """The Hilbert basis of a pointed cone from the library's candidates
+    (extreme rays and parallelepiped points), each taken in increasing
+    degree and tested against every element kept before it, extreme rays
+    included; a flat cone is first written in a saturated basis of its
+    span.  The oracle of the half-degree reduction of
+    ``polyhedra.hilbert_basis``, which keeps the rays untested."""
+    gens = sorted({tuple(g) for g in generators if any(g)})
+    if linalg.rank(gens) < len(gens[0]):
+        basis = linalg.saturation_basis(gens)
+        coords = linalg.lattice_coordinates(gens, basis)
+        columns = list(zip(*basis))
+        return tuple(sorted(
+            tuple(linalg.vec_dot(h, col) for col in columns)
+            for h in degree_ordered_hilbert_basis(coords)
+        ))
+    _, facets = polyhedra.cone_facets(gens)
+    rays = polyhedra.extreme_ray_generators(polyhedra.facet_values(gens, facets))
+    candidates = dict(rays)
+    for simplex, _ in polyhedra.pulling_triangulation(rays):
+        for pt in polyhedra.parallelepiped_points(simplex):
+            if any(pt) and pt not in candidates:
+                candidates[pt] = tuple(linalg.vec_dot(f, pt) for f in facets)
+    kept = {}
+    for h, hv in sorted(candidates.items(), key=lambda item: sum(item[1])):
+        if not any(all(x <= y for x, y in zip(gv, hv)) for gv in kept.values()):
+            kept[h] = hv
+    return tuple(sorted(kept))
+
+
+def _minor_children(family):
+    """The deletion and the contraction of each vertex of a bitmask clutter,
+    except those that are no minor: a contraction turning an edge empty (the
+    unit ideal) and a deletion removing every edge (the zero ideal)."""
+    for bit in core._bits(core._mask_union(family)):
+        deleted = frozenset(e for e in family if not e & bit)
+        if deleted:
+            yield deleted
+        if bit not in family:
+            yield core._minimal_masks(e & ~bit for e in family)
+
+
+def every_vertex_minor_walk(ideal):
+    """The packing property by a walk that deletes and contracts every
+    vertex of every family reached, singleton edges kept, each distinct
+    family tested for Koenig once.  The oracle of the ordered walk of
+    ``core.has_packing_property``."""
+    start = frozenset(core._mask(core.support(g)) for g in ideal.gens)
+    seen = {start}
+    stack = [start]
+    while stack:
+        family = stack.pop()
+        if not core._is_konig_family(family):
+            return False
+        for child in _minor_children(family):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return True
+
 
 @contextlib.contextmanager
 def time_limit(seconds):

@@ -190,6 +190,24 @@ def test_v_number_monomial_cap_stops_before_the_box(monkeypatch):
     assert len(formed) == len(tested) == 19
 
 
+def test_v_number_monomial_stops_the_differences_at_a_zero_one(monkeypatch):
+    """On the 18-cycle (v-number 5) the 4,874 candidates tested form
+    66,422 clamped differences, not 18 for each (87,732): a candidate in I
+    stops at its first zero difference."""
+    calls, tested = [0], set()
+    clamp = codes.vec_sub_clamped
+
+    def counted(g, m):
+        calls[0] += 1
+        tested.add(m)
+        return clamp(g, m)
+
+    monkeypatch.setattr(codes, "vec_sub_clamped", counted)
+    assert codes.v_number_monomial(cycle_graph(18).edge_ideal()) == 5
+    assert len(tested) == 4874
+    assert calls[0] == 66422
+
+
 def test_v_number_basic_laws():
     rng = random.Random(173)
     from helpers import random_squarefree_ideal
@@ -200,6 +218,24 @@ def test_v_number_basic_laws():
         prime = all(sum(g) == 1 for g in ideal.gens)
         assert (v == 0) == prime
         assert v >= 0
+
+
+def test_irreducible_split_drops_the_generators_a_part_divides(monkeypatch):
+    """Each part drops the generators it divides, so none of them is split
+    again: this ideal's split reaches 18 leaves (it reached 64, for 48
+    distinct components), 16 distinct, of which 7 are kept."""
+    ideal = MonomialIdeal(
+        4, [(0, 3, 0, 3), (2, 1, 3, 3), (3, 0, 0, 2), (3, 2, 2, 1)]
+    )
+    leaves = []
+    build = codes.MonomialIdeal
+    monkeypatch.setattr(
+        codes, "MonomialIdeal", lambda s, gens: leaves.append(gens) or build(s, gens)
+    )
+    split = codes._irreducible_split(ideal)
+    monkeypatch.undo()
+    assert (len(leaves), len(split)) == (18, 16)
+    assert len(codes.irreducible_components(ideal)) == 7
 
 
 def test_irreducible_decomposition():

@@ -170,6 +170,21 @@ def test_packing_property():
     assert not has_packing_property(q6_ideal())
 
 
+def test_packing_verdicts_beside_singleton_edges():
+    """A singleton edge changes no verdict: beside a triangle the clutter
+    still fails, beside a 4-cycle and an edge it still packs; a 3-uniform
+    Koenig clutter fails through its contraction at 5, a triangle."""
+    assert not has_packing_property(Clutter(4, [(0,), (1, 2), (2, 3), (1, 3)]).edge_ideal())
+    assert has_packing_property(Clutter(5, [(0,), (1, 2), (2, 3), (3, 4), (1, 4)]).edge_ideal())
+    assert has_packing_property(
+        Clutter(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]).edge_ideal()
+    )
+    assert has_packing_property(Clutter(3, [(0,), (1,), (2,)]).edge_ideal())
+    uniform = Clutter(6, [(0, 1, 5), (0, 2, 5), (1, 2, 5), (1, 3, 5), (1, 4, 5)])
+    assert is_konig(uniform)
+    assert not has_packing_property(uniform.edge_ideal())
+
+
 def test_bipartite_graphs_pack():
     rng = random.Random(17)
     for _ in range(12):

@@ -161,6 +161,14 @@ def test_saturation_basis():
     assert linalg.coordinates_in_basis((1, 2), basis) is not None
 
 
+def test_integer_kernel_basis():
+    # {x in Z^3 : x1 + 2 x2 = 0 = x3}: spanned by (2, -1, 0), not by (4, -2, 0)
+    basis = linalg.integer_kernel_basis([(1, 2, 0), (0, 0, 1)], 3)
+    assert len(basis) == 1
+    assert linalg.coordinates_in_basis((2, -1, 0), basis) is not None
+    assert len(linalg.integer_kernel_basis([], 2)) == 2
+
+
 def test_lattice_coordinates_refuse_dependent_rows():
     with pytest.raises(PreconditionError, match="independent"):
         linalg.lattice_coordinates([(2, 4)], [(1, 2), (2, 4)])

@@ -134,10 +134,12 @@ def test_parallelepiped_counts_index():
 def test_hilbert_basis_of_a_rees_cone_builds_no_fraction(monkeypatch):
     """The cone pipeline is integral from the eliminations on: with the
     memos cleared, the Hilbert basis of RC(I) for two disjoint triangles
-    constructs no Fraction and runs 7 eliminations (a rank, the null space,
-    the double description's seed and an adjugate for each of the 4
-    simplices whose height bound exceeds 1)."""
+    constructs no Fraction and runs 6 eliminations (the null space, which
+    both the flat-cone test and the facet description read, the double
+    description's seed and an adjugate for each of the 4 simplices whose
+    height bound exceeds 1)."""
     gens = polyhedra.rees_cone(two_disjoint_triangles().edge_ideal())
+    polyhedra._span.cache.clear()
     polyhedra._facet_description.cache.clear()
     polyhedra._hilbert_basis.cache.clear()
     counts = {"fractions": 0, "eliminations": 0}
@@ -157,7 +159,22 @@ def test_hilbert_basis_of_a_rees_cone_builds_no_fraction(monkeypatch):
     basis = polyhedra.hilbert_basis(gens)
     monkeypatch.undo()
     assert len(basis) == len(gens) + 1  # one element beyond the generators
-    assert counts == {"fractions": 0, "eliminations": 7}
+    assert counts == {"fractions": 0, "eliminations": 6}
+
+
+def test_a_candidate_whose_only_reducer_has_half_its_degree():
+    """cone((1, -1), (2, 1)) has |det| 3 and facets (1, 1), (1, -2): its
+    parallelepiped points are (1, 0) and (2, 0) = 2 (1, 0), of degrees 2
+    and 4, and (1, 0) is the only element that reduces (2, 0).  A reducer
+    bound below deg // 2 would keep (2, 0)."""
+    gens = [(1, -1), (2, 1)]
+    _, facets = polyhedra.cone_facets(gens)
+    assert sorted(polyhedra.parallelepiped_points(gens)) == [(0, 0), (1, 0), (2, 0)]
+    assert [sum(vec_dot(f, p) for f in facets) for p in [(1, 0), (2, 0)]] == [2, 4]
+    assert not any(
+        polyhedra.cone_contains((2 - g[0], -g[1]), [], facets) for g in gens
+    )
+    assert polyhedra.hilbert_basis(gens) == ((1, -1), (1, 0), (2, 1))
 
 
 def test_cone_facets_lower_dimensional():

@@ -28,6 +28,8 @@ from helpers import (
     covering_inequalities,
     covering_lp,
     cycle_graph,
+    degree_ordered_hilbert_basis,
+    every_vertex_minor_walk,
     fraction_seeded_extreme_rays,
     gcd_of_maximal_minors,
     height_bound,
@@ -718,10 +720,10 @@ def test_property_tight_facet_extreme_rays_match_the_rank_criterion(gens):
     assert incidence_extreme_ray_generators(gens, polyhedra.cone_facets(gens)) == expected
 
 
-def staircase_rees_cones():
-    """RC(x^a, y^(a-1), z^(a-3)) for a = 4..9: non-unimodular simplices
+def staircase_rees_cones(max_a=9):
+    """RC(x^a, y^(a-1), z^(a-3)) for a = 4..max_a: non-unimodular simplices
     whose |det| grows with a."""
-    return st.integers(4, 9).map(
+    return st.integers(4, max_a).map(
         lambda a: polyhedra.rees_cone(
             core.MonomialIdeal(3, [(a, 0, 0), (0, a - 1, 0), (0, 0, a - 3)])
         )
@@ -988,6 +990,37 @@ def test_property_flat_hilbert_bases_match_the_ambient_pipeline(gens):
     assert polyhedra.hilbert_basis(gens) == expected
 
 
+@settings(SEEDED, max_examples=200)
+@given(st.one_of(
+    pointed_cones(),
+    graph_rees_cones(),
+    staircase_rees_cones(max_a=12),
+    edge_vectors().map(lambda vs: [v + (1,) for v in vs]),
+))
+def test_property_half_degree_reduction_matches_the_all_kept_loop(gens):
+    """Keeping the extreme rays untested and testing every other candidate
+    against the kept elements of at most half its degree gives the basis of
+    the loop that tests every candidate against everything kept; the flat
+    cones (half of ``pointed_cones`` and the lifted edge vectors) go through
+    ``hilbert_basis_in_lattice``."""
+    assert polyhedra.hilbert_basis(gens) == degree_ordered_hilbert_basis(gens)
+
+
+@settings(SEEDED, max_examples=60)
+@given(edge_vectors())
+def test_property_half_degree_reduction_in_the_lattice_of_the_generators(gens):
+    """In the lattice the generators span, which need not be saturated
+    (``graphs`` asks for the Hilbert basis of the edge vectors there)."""
+    basis = linalg.integer_row_basis(gens)
+    coords = linalg.lattice_coordinates(gens, basis)
+    columns = list(zip(*basis))
+    expected = tuple(sorted(
+        tuple(linalg.vec_dot(h, col) for col in columns)
+        for h in degree_ordered_hilbert_basis(coords)
+    ))
+    assert polyhedra.hilbert_basis_in_lattice(gens, basis) == expected
+
+
 def mu_grows_by_construction(ideal):
     """Some one-monomial enlargement of I inside its bounding box has more
     minimal generators, found by building each enlargement."""
@@ -1109,6 +1142,26 @@ def test_property_bitmask_covers_match_the_frozenset_oracle(clutter):
         assert covers == subset_scan_minimal_covers(clutter)
     used = set().union(*clutter.edges)
     assert clutter.has_isolated_vertex() == (len(used) < clutter.s)
+
+
+@settings(SEEDED, max_examples=300)
+@given(clutters(max_s=7).filter(lambda clutter: clutter.edges))
+@example(core.Clutter(4, [(0,), (1, 2), (2, 3), (1, 3)]))  # an edge {0} beside a triangle
+@example(core.Clutter(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]))  # C4 and an edge
+@example(q6_clutter())
+@example(core.Clutter(6, [(0, 1, 5), (0, 2, 5), (1, 2, 5), (1, 3, 5), (1, 4, 5)]))
+@example(core.Clutter(3, [(0,), (1,), (2,)]))
+@example(core.Clutter(5, [(0, 1, 2), (0, 3, 4), (1, 3), (2, 4)]))
+def test_property_ordered_minor_walk_matches_the_every_vertex_walk(clutter):
+    """Singleton edges, isolated vertices and disconnected clutters
+    included.  The 3-uniform example is Koenig, but contracting 5 leaves a
+    triangle.  In the last one, contracting 1 turns {1, 3} into {3}, which
+    lies in {0, 3, 4}: a walk that kept {0, 3, 4} would strip {3} and find
+    {0, 2}, {0, 3, 4}, {2, 4}, which is not Koenig."""
+    ideal = clutter.edge_ideal()
+    expected = every_vertex_minor_walk(ideal)
+    assert core.has_packing_property(ideal) == expected
+    assert packs_by_every_substitution(ideal) == expected
 
 
 def graphs_with_loops(max_s=9):

@@ -345,13 +345,21 @@ _COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(argv):
+    """The parser of the command line ``argv``.  When ``argv`` opens with a
+    subcommand, only that subparser is built, which parses ``argv`` as the
+    full parser would; otherwise all of them are, so that help, usage and
+    error text name every subcommand."""
     parser = argparse.ArgumentParser(
         prog="monomials",
         description="Exact computations with monomial ideals and their blowup algebras",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _, extra) in _COMMANDS.items():
+    names = argv[:1] if argv[:1] and argv[0] in _COMMANDS else list(_COMMANDS)
+    # a lone subparser gets the usage metavar argparse gives the full set
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, _, _, extra = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in _COMMON + extra:
             p.add_argument(flag, **kwargs)
@@ -359,7 +367,7 @@ def build_parser():
 
 
 def run(argv):
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     options = {
         k: v
         for k, v in sorted(vars(args).items())

@@ -11,7 +11,7 @@ import itertools
 from collections import OrderedDict
 from functools import wraps
 from math import prod
-from operator import add, floordiv, le
+from operator import add, floordiv, itemgetter, le
 
 from monomials.errors import BudgetExceededError, PreconditionError
 
@@ -247,6 +247,22 @@ def ideal_power(ideal, n):
     return power
 
 
+def _by_bound(bounds, rows):
+    """The box and the system with their coordinates sorted by bound, stably,
+    and that order: the staircase walks the box in it, so the largest bound
+    is the closed-form last coordinate and the next largest the inner one.
+    The weights are checked here, before they are permuted."""
+    rows = [(tuple(w), c) for w, c in rows]
+    for w, _ in rows:
+        if len(w) != len(bounds) or any(x < 0 for x in w):
+            raise PreconditionError(
+                f"staircase weights {w} must be {len(bounds)} non-negative integers"
+            )
+    order = sorted(range(len(bounds)), key=bounds.__getitem__)
+    permuted = [(tuple(w[i] for i in order), c) for w, c in rows]
+    return order, [bounds[i] for i in order], permuted
+
+
 def _inner_rows(bounds, rows):
     """The column thresholds of the box of the first s-1 coordinates, one
     inner row at a time, in lex order.  An inner row is the columns (p, x)
@@ -254,7 +270,8 @@ def _inner_rows(bounds, rows):
     coordinate x; a column's threshold is the least last coordinate t with
     (p, x, t) in {a : w.a >= c for (w, c) in rows}, or last + 1 for none.
     Yields (p, x0, ts): the columns x < x0 are empty, and ts holds the
-    thresholds of the columns x0..inner.
+    thresholds of the columns x0..inner.  The weights must be non-negative
+    tuples of length s (see :func:`_by_bound`).
 
     Row (w, c) asks for w_last * t >= -q with q = w_head.(p, x) - c, so it
     empties a column exactly when q < f = -w_last * last (f = 0 for a flat
@@ -263,17 +280,14 @@ def _inner_rows(bounds, rows):
     the room grows by w_inner per step.  So the empty columns are the
     x < x0 = max ceil(-g / w_inner) over the rows with g < 0, and a row with
     g < 0 and w_inner = 0 empties the whole inner row.  From x0 on, the
-    threshold is max(0, last - floor((g + w_inner * x) / w_last)) over the
-    rows with w_last > 0.  Non-negative weights make the set upward closed,
-    so these bounds are exact.  With s = 1 the one column is the inner row
-    of the box [0, 0] x [0, last].
+    threshold is the largest of the rows' max(0, last - floor((g + w_inner
+    * x) / w_last)) over the rows with w_last > 0.  A row's list of these
+    over x = 0..inner depends only on its room g, so each row keeps its
+    lists by room for the length of one call, and an inner row slices them
+    at x0.  Non-negative weights make the set upward closed, so these
+    bounds are exact.  With s = 1 the one column is the inner row of the
+    box [0, 0] x [0, last].
     """
-    rows = [(tuple(w), c) for w, c in rows]
-    for w, _ in rows:
-        if len(w) != len(bounds) or any(x < 0 for x in w):
-            raise PreconditionError(
-                f"staircase weights {w} must be {len(bounds)} non-negative integers"
-            )
     pad = (0,) * (len(bounds) == 1)
     *outer, inner, last = pad + tuple(bounds)
     # a row with c <= 0 holds on the whole box; the rows with w_inner = 0 first
@@ -281,7 +295,7 @@ def _inner_rows(bounds, rows):
     width = inner + 1
     fixed = sum(not w[-2] for w, _ in rows)
     steps = [w[-2] for w, _ in rows[fixed:]]
-    rising = [(i, w[-2], w[-1]) for i, (w, _) in enumerate(rows) if w[-1]]
+    rising = [(i, w[-2], w[-1], {}) for i, (w, _) in enumerate(rows) if w[-1]]
     weights = [[w[i] for w, _ in rows] for i in range(len(outer))]  # by coordinate
     p = [0] * len(outer)
     # level[k]: the rooms at (p, 0) with the coordinates from k on set to 0
@@ -291,10 +305,20 @@ def _inner_rows(bounds, rows):
         x0, ts = width, []
         if min(g[:fixed], default=0) >= 0:
             x0 = min(width, -min([0, *map(floordiv, g[fixed:], steps)]))
-            cols = range(x0, width)
-            ts = [0] * len(cols)
-            for i, step, up in rising:
-                ts = list(map(max, ts, [last - (g[i] + step * x) // up for x in cols]))
+        if x0 < width:
+            lists = []
+            for i, step, up, by_room in rising:
+                room = g[i]
+                thresholds = by_room.get(room)
+                if thresholds is None:
+                    thresholds = by_room[room] = [
+                        max(0, last - (room + step * x) // up) for x in range(width)
+                    ]
+                lists.append(thresholds[x0:])
+            if len(lists) > 1:
+                ts = list(map(max, *lists))
+            else:
+                ts = lists[0] if lists else [0] * (width - x0)
         yield tuple(p), x0, ts
         i = len(outer) - 1
         while i >= 0 and p[i] == outer[i]:
@@ -308,14 +332,16 @@ def _inner_rows(bounds, rows):
 
 def staircase(bounds, rows):
     """Minimal points, in lexicographic order, of {a : w.a >= c for (w, c) in
-    rows} with every w >= 0 in the box prod [0, b_i]: the (p, x, t) whose
-    column threshold t lies below u, the least threshold over the lower
-    neighbours (last + 1 for none).  One inner row at a time (see
+    rows} with every w >= 0 in the box prod [0, b_i].  The box is walked with
+    its coordinates sorted by bound (see :func:`_by_bound`), and the points
+    found are mapped back and sorted.  A point of the walk is a (p, x, t)
+    whose column threshold t lies below u, the least threshold over the
+    lower neighbours (last + 1 for none).  One inner row at a time (see
     :func:`_inner_rows`): its x0 empty columns go into ``seen`` at once as
     last + 1, none of them kept; for the others, u is the element-wise
     minimum of the left neighbour in the row and the slices of ``seen`` that
-    hold the earlier inner rows (p - e_i, x).  Nothing is sorted or
-    rescanned."""
+    hold the earlier inner rows (p - e_i, x)."""
+    order, bounds, rows = _by_bound(bounds, rows)
     *head, last = bounds
     none = last + 1
     strides = [prod(b + 1 for b in head[i + 1:]) for i in range(len(head) - 1)]
@@ -330,7 +356,13 @@ def staircase(bounds, rows):
             us = map(min, left, *lower) if lower else left
             kept += [p + (x, t) for (x, t), u in zip(enumerate(ts, x0), us) if t < u]
             seen += ts
-    return [a[1:] for a in kept] if len(bounds) == 1 else kept
+    if len(bounds) == 1:
+        return [a[1:] for a in kept]
+    if order != sorted(order):
+        # coordinate k of the walk is coordinate order[k] of the box
+        back = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+        kept = sorted(map(back, kept))
+    return kept
 
 
 def require_box(bounds, budget, stage, label):
@@ -346,7 +378,8 @@ def require_box(bounds, budget, stage, label):
 def staircase_count(bounds, rows):
     """Number of box points outside {a : w.a >= c for (w, c) in rows}, w >= 0:
     the sum of the column thresholds, x0 * (last + 1) for the empty columns
-    at the start of each inner row."""
+    at the start of each inner row, over the walk of :func:`staircase`."""
+    _, bounds, rows = _by_bound(bounds, rows)
     none = bounds[-1] + 1
     return sum(x0 * none + sum(ts) for _, x0, ts in _inner_rows(bounds, rows))
 

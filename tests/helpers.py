@@ -893,6 +893,82 @@ def column_staircase(bounds, rows):
     return kept, sum(seen)
 
 
+def _rowwise_inner_rows(bounds, rows):
+    """The column thresholds of the box of the first s-1 coordinates, one
+    inner row (the columns (p, x) that differ only in the innermost head
+    coordinate x) at a time, in lex order and in the given coordinate order.
+    Yields (p, x0, ts): the columns x < x0 are empty, and ts holds the
+    thresholds of the columns x0..inner, every row's list built afresh.
+
+    Each row keeps its room g = w_head.(p, 0) - c + w_last * last, which
+    grows by w_inner per step along the inner row; the columns with a
+    negative room in some row are empty, and from x0 on the threshold is
+    max(0, last - floor((g + w_inner * x) / w_last)) over the rows with
+    w_last > 0.
+    """
+    rows = [(tuple(w), c) for w, c in rows]
+    for w, _ in rows:
+        if len(w) != len(bounds) or any(x < 0 for x in w):
+            raise PreconditionError(
+                f"staircase weights {w} must be {len(bounds)} non-negative integers"
+            )
+    pad = (0,) * (len(bounds) == 1)
+    *outer, inner, last = pad + tuple(bounds)
+    rows = sorted(((pad + w, c) for w, c in rows if c > 0), key=lambda r: r[0][-2] > 0)
+    width = inner + 1
+    fixed = sum(not w[-2] for w, _ in rows)
+    steps = [w[-2] for w, _ in rows[fixed:]]
+    rising = [(i, w[-2], w[-1]) for i, (w, _) in enumerate(rows) if w[-1]]
+    weights = [[w[i] for w, _ in rows] for i in range(len(outer))]  # by coordinate
+    p = [0] * len(outer)
+    # level[k]: the rooms at (p, 0) with the coordinates from k on set to 0
+    level = [[w[-1] * last - c for w, c in rows]] * (len(outer) + 1)
+    while True:
+        g = level[-1]
+        x0, ts = width, []
+        if min(g[:fixed], default=0) >= 0:
+            x0 = min(width, -min([0, *map(operator.floordiv, g[fixed:], steps)]))
+            cols = range(x0, width)
+            ts = [0] * len(cols)
+            for i, step, up in rising:
+                ts = list(map(max, ts, [last - (g[i] + step * x) // up for x in cols]))
+        yield tuple(p), x0, ts
+        i = len(outer) - 1
+        while i >= 0 and p[i] == outer[i]:
+            p[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        p[i] += 1
+        level[i + 1:] = [list(map(operator.add, level[i + 1], weights[i]))] * (
+            len(outer) - i
+        )
+
+
+def rowwise_staircase(bounds, rows):
+    """The staircase of {a : w.a >= c for (w, c) in rows}, w >= 0, one inner
+    row at a time in the given coordinate order, with no threshold list kept
+    from one inner row to the next: a column is kept when its threshold lies
+    below the least threshold over its left neighbour and the slices of the
+    earlier inner rows (p - e_i, x).  Returns the minimal points, in lex
+    order with nothing sorted, and the count outside."""
+    *head, last = bounds
+    none = last + 1
+    strides = [math.prod(b + 1 for b in head[i + 1:]) for i in range(len(head) - 1)]
+    seen = []
+    kept = []
+    for p, x0, ts in _rowwise_inner_rows(bounds, rows):
+        n = len(seen) + x0
+        seen += [none] * x0
+        if ts:
+            left = [none] + ts[:-1]
+            lower = [seen[n - k : n - k + len(ts)] for y, k in zip(p, strides) if y]
+            us = map(min, left, *lower) if lower else left
+            kept += [p + (x, t) for (x, t), u in zip(enumerate(ts, x0), us) if t < u]
+            seen += ts
+    return ([a[1:] for a in kept] if len(bounds) == 1 else kept), sum(seen)
+
+
 def solve_coordinates(vector, basis):
     """Integer coordinates of vector in the lattice basis, or None, from one
     ``linalg.solve`` of the system with the basis rows as columns.  The

@@ -323,6 +323,77 @@ def test_closed_pipe_exits_141_without_a_traceback(tmp_path):
     assert proc.stderr == b""
 
 
+def test_a_fresh_import_of_the_cli_loads_every_layer():
+    """Importing the CLI loads every module of the library, so that a
+    tracer installed after that one import finds each layer in
+    ``sys.modules``."""
+    layers = [
+        "core", "linalg", "lp", "polyhedra", "closure", "graphs", "symbolic",
+        "invariants", "codes", "cli",
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = (
+        "import sys, monomials.cli; "
+        f"print([m for m in {layers!r} if 'monomials.' + m not in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _every_option(name):
+    """A command line of subcommand ``name`` that sets each of its options
+    to a value other than its default."""
+    argv = [name, "in.txt", "--out", "o.json", "--budget-points", "5",
+            "--budget-cycles", "6"]
+    for flag, kwargs in cli._COMMANDS[name][3]:
+        if kwargs.get("action") == "store_true":
+            argv.append(flag)
+        elif "choices" in kwargs:
+            argv += [flag, next(c for c in kwargs["choices"] if c != kwargs["default"])]
+        else:
+            argv += [flag, "2" if kwargs.get("type") is int else "1..2"]
+    return argv
+
+
+def _parse(parser, argv):
+    """(namespace or exit status, stdout, stderr) of parsing ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_the_requested_subparser_parses_as_the_full_parser(name):
+    """A parser built for ``argv`` gives the namespace, help and error text of
+    the parser with every subcommand."""
+    for argv in (
+        [name, "in.txt"], _every_option(name), [name, "--help"], [name],
+        [name, "in.txt", "--no-such-option"], [name, "in.txt", "--budget-points", "x"],
+    ):
+        assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser([]), argv)
+
+
+def test_only_a_named_subcommand_narrows_the_parser():
+    """Without a subcommand first, every subparser is built, so the
+    top-level help and errors name them all; with one, the others are
+    unknown to the parser."""
+    for argv in ([], ["--help"], ["no-such-command", "in.txt"]):
+        assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser([]), argv)
+    assert "arguments are required: command\n" in _parse(cli.build_parser([]), [])[2]
+    parser = cli.build_parser(["mfull", "in.txt"])
+    assert _parse(parser, ["mfull", "in.txt"])[0]["command"] == "mfull"
+    assert _parse(parser, ["cremona", "in.txt"])[0] == 2
+    assert _parse(cli.build_parser([]), ["cremona", "in.txt"])[0]["command"] == "cremona"
+
+
 def test_empty_range_exits_2(tmp_path, capsys):
     path = write(tmp_path, "c3.txt", "1 1 0\n0 1 1\n1 0 1\n")
     code, doc = run_capture(capsys, ["containment", path, "--r", "3..1"])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from monomials import codes, graphs, invariants, polyhedra
+from monomials import codes, core, graphs, invariants, polyhedra
 from monomials.core import (
     Clutter,
     Graph,
@@ -21,6 +21,8 @@ from monomials.core import (
     matching_number,
     minimal_generating_set,
     minor,
+    staircase,
+    staircase_count,
     vec_add,
 )
 from monomials.errors import BudgetExceededError, PreconditionError
@@ -285,3 +287,21 @@ def test_height_and_primes_of_a_non_squarefree_ideal_use_minimal_supports():
     mixed = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 1), (1, 0, 1)])
     assert mixed.height() == 2
     assert mixed.minimal_primes() == [(0, 1), (0, 2)]
+
+
+def test_staircase_keeps_threshold_lists_per_row_and_room():
+    """At x = 0 both rows have room 0, but t >= 3 - 2x and t >= 3 - x give
+    different thresholds from x = 1 on; a list shared by room alone would
+    keep (1, 1)."""
+    rows = [((2, 1), 3), ((1, 1), 3)]
+    assert staircase((2, 3), rows) == [(0, 3), (1, 2), (2, 1)]
+    assert staircase_count((2, 3), rows) == 3 + 2 + 1
+
+
+def test_staircase_walks_the_box_by_bound_and_sorts_what_it_finds():
+    """The walk puts the larger bound last, so it meets (2, 0) before
+    (1, 1); the answer is still in lex order."""
+    order, bounds, rows = core._by_bound((3, 1, 3, 0), [((1, 2, 3, 4), 5)])
+    assert (order, bounds, rows) == ([3, 1, 0, 2], [0, 1, 3, 3], [((4, 2, 1, 3), 5)])
+    assert staircase((2, 1), [((1, 1), 2)]) == [(1, 1), (2, 0)]
+    assert staircase_count((2, 1), [((1, 1), 2)]) == 3

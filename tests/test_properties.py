@@ -45,6 +45,7 @@ from helpers import (
     rank_is_pointed,
     recursive_maximal_stable_sets,
     reintersecting_irreducible_components,
+    rowwise_staircase,
     row_echelon,
     smith_normal_form,
     solve_coordinates,
@@ -305,8 +306,42 @@ def test_property_staircase_matches_a_sorted_box_scan(case):
     expected = brute_staircase(bounds, satisfies(rows))
     assert predicate_staircase(bounds, satisfies(rows)) == expected
     assert column_staircase(bounds, rows) == expected
+    assert rowwise_staircase(bounds, rows) == expected
     assert core.staircase(bounds, rows) == expected[0]
     assert core.staircase_count(bounds, rows) == expected[1]
+
+
+@SEEDED
+@given(BOXED_SYSTEMS)
+# unsorted bounds: the walk's coordinate order is (1, 0, 2)
+@example(((3, 1, 4), [((1, 2, 1), 4), ((2, 0, 1), 3)]))
+# tied bounds keep the given order
+@example(((2, 2, 2), [((1, 1, 1), 3), ((0, 2, 1), 2)]))
+# two rising rows with room 0 at p = 0 but different steps
+@example(((2, 3), [((2, 1), 3), ((1, 1), 3)]))
+def test_property_staircase_matches_the_rowwise_oracle(case):
+    """The walk in bound order with the thresholds kept per room gives what
+    the row-by-row walk in the given order gives."""
+    bounds, rows = case
+    kept, count = rowwise_staircase(bounds, rows)
+    assert core.staircase(bounds, rows) == kept
+    assert core.staircase_count(bounds, rows) == count
+
+
+@SEEDED
+@given(BOXED_SYSTEMS, st.data())
+def test_property_permuting_the_coordinates_permutes_the_staircase(case, data):
+    bounds, rows = case
+    perm = data.draw(st.permutations(range(len(bounds))))
+    moved = tuple(bounds[i] for i in perm)
+    moved_rows = [(tuple(w[i] for i in perm), c) for w, c in rows]
+    kept = core.staircase(bounds, rows)
+    expected = sorted(tuple(a[i] for i in perm) for a in kept)
+    assert core.staircase(moved, moved_rows) == expected
+    assert core.staircase_count(moved, moved_rows) == core.staircase_count(bounds, rows)
+    assert rowwise_staircase(moved, moved_rows) == (
+        expected, core.staircase_count(bounds, rows)
+    )
 
 
 @SEEDED

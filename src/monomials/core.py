@@ -405,7 +405,7 @@ def alexander_dual(ideal):
         raise PreconditionError("Alexander dual requires a squarefree ideal")
     covers = ideal.clutter().minimal_covers()
     gens = [tuple(1 if i in c else 0 for i in range(ideal.s)) for c in covers]
-    return MonomialIdeal(ideal.s, gens)
+    return MonomialIdeal._from_minimal(ideal.s, sorted(gens))  # covers are minimal
 
 
 def minor(ideal, assignment):
@@ -702,19 +702,13 @@ class Graph:
         return Clutter(self.s, edges + [(v,) for v in self.loops])
 
     def edge_ideal(self):
-        gens = []
-        for a, b in self.edges:
-            g = [0] * self.s
-            g[a] = 1
-            g[b] = 1
-            gens.append(tuple(g))
-        for v in self.loops:
-            g = [0] * self.s
-            g[v] = 2
-            gens.append(tuple(g))
-        if not gens:
+        """x_a x_b for each edge and x_v^2 for each loop: distinct monomials
+        of degree 2, so no one divides another and none is minimalized."""
+        if not self.edges and not self.loops:
             raise PreconditionError("graph has no edges; edge ideal is zero")
-        return MonomialIdeal(self.s, gens)
+        gens = [tuple(int(v in e) for v in range(self.s)) for e in self.edges]
+        gens += [tuple(2 * (v == w) for v in range(self.s)) for w in self.loops]
+        return MonomialIdeal._from_minimal(self.s, sorted(gens))
 
     def components(self):
         """Vertex sets of the connected components (isolated vertices count)."""

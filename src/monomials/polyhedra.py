@@ -25,8 +25,11 @@ rays on a facet of the top cone; Ziegler, Lectures on Polytopes, Lecture
 2).  Its entries are lattice heights: the product of the apex heights down
 the recursion bounds each simplex's |det|, and a bound of 1 certifies a
 unimodular simplex with no determinant (pulling triangulations with
-heights, Bruns and Ichim, J. Algebra 324 (2010)).  Hilbert-basis
-candidates are reduced in the order of their degree, the sum of their
+heights, Bruns and Ichim, J. Algebra 324 (2010)).  A compressed cone, whose
+extreme rays all have facet values 0 or 1 (Sullivant, Tohoku Math. J. 58
+(2006)), is not triangulated: every apex height is 1, so every simplex is
+unimodular and the Hilbert basis is the extreme rays.  In any other cone
+the candidates are reduced in the order of their degree, the sum of their
 facet values: the extreme rays are kept with no test, and every other
 candidate is tested against the irreducibles found so far of at most half
 its degree (Bruns, Ichim and Söger, J. Symb. Comp. 74 (2016)).  No Smith
@@ -174,15 +177,6 @@ def cone_contains(point, equations, facets):
     return all(vec_dot(e, point) == 0 for e in equations) and all(
         vec_dot(f, point) >= 0 for f in facets
     )
-
-
-def is_pointed(generators):
-    """No non-trivial non-negative combination of the generators is zero:
-    :func:`_pointed` on the facet-value table."""
-    gens = _generator_set(generators)
-    if not gens:
-        return True
-    return _pointed(facet_values(gens, _facet_description(gens)[1]))
 
 
 def _pointed(table):
@@ -346,7 +340,11 @@ def _hilbert_basis(gens):
     its zeros, triangulate them (pulling order, on ray bitmasks below the
     top cone), and collect the fundamental-parallelepiped lattice points of
     each simplicial piece.  A simplex whose height bound is 1 has |det| = 1
-    and only the origin there, so it is skipped with no determinant.  The
+    and only the origin there, so it is skipped with no determinant.  If
+    no facet value of an extreme ray exceeds 1 (a compressed cone;
+    Sullivant, Tohoku Math. J. 58 (2006)), the triangulation is not built:
+    each factor of a bound is an apex height f_j.a > 0, so every bound is 1
+    and the Hilbert basis is the extreme rays.  The
     candidates, the extreme rays and those points, are then taken in
     increasing degree (the sum of the facet values, positive on the pointed
     cone).  The primitive vector of an extreme ray is irreducible, so the
@@ -368,6 +366,8 @@ def _hilbert_basis(gens):
     if not _pointed(table):
         raise NonPointedConeError("Hilbert basis requires a pointed cone")
     rays = extreme_ray_generators(table)
+    if max(map(max, rays.values())) <= 1:  # compressed: every bound is 1
+        return tuple(rays)
     candidates = dict(rays)
     for simplex, bound in pulling_triangulation(rays):
         if bound == 1:  # |det| = 1: the origin is the only point

@@ -203,6 +203,15 @@ def connected_atlas_graphs(max_nodes=6):
     return out
 
 
+def loop_multigraphs(rng, count):
+    """Random multigraphs on 1-7 vertices with 1-3 loops."""
+    for _ in range(count):
+        s = rng.randint(1, 7)
+        pairs = [(a, b) for a in range(s) for b in range(a + 1, s) if rng.random() < 0.4]
+        loops = [(v,) for v in rng.sample(range(s), rng.randint(1, min(3, s)))]
+        yield Graph(s, pairs + loops, multigraph=True)
+
+
 def gcd_of_maximal_minors(rays):
     d = len(rays)
     return math.gcd(*(
@@ -516,9 +525,20 @@ def inverse_parallelepiped_points(rays):
     return pts
 
 
+def is_pointed(generators):
+    """No non-trivial non-negative combination of the generators is zero:
+    ``polyhedra._pointed``, the degree test that ``hilbert_basis`` runs, on
+    the facet-value table of the shared facet description."""
+    gens = polyhedra._generator_set(generators)
+    if not gens:
+        return True
+    _, facets = polyhedra._facet_description(gens)
+    return polyhedra._pointed(polyhedra.facet_values(gens, facets))
+
+
 def rank_is_pointed(generators):
     """Pointedness as rank n of the equations and facets together.  The
-    oracle of the degree test of ``polyhedra.is_pointed``."""
+    oracle of the degree test of :func:`is_pointed`."""
     gens = [tuple(g) for g in generators if any(g)]
     if not gens:
         return True

@@ -28,7 +28,9 @@ from monomials.core import (
 from monomials.errors import BudgetExceededError, PreconditionError
 
 from helpers import (
+    connected_atlas_graphs,
     cycle_graph,
+    loop_multigraphs,
     path_graph,
     q6_clutter,
     q6_ideal,
@@ -129,6 +131,42 @@ def test_alexander_dual_involution_random():
     for _ in range(30):
         ideal = random_squarefree_ideal(rng, rng.randint(3, 8))
         assert alexander_dual(alexander_dual(ideal)) == ideal
+
+
+def test_edge_ideals_and_alexander_duals_match_the_minimalizing_constructor():
+    """``Graph.edge_ideal`` and ``alexander_dual`` build their ideals from
+    lists that are already minimal, with no minimalization; each equals
+    ``MonomialIdeal(s, gens)`` on generators written out here: the edges
+    and loops in the order given, and every vertex cover, not only the
+    minimal ones."""
+    def dual_by_every_cover(ideal):
+        supports = [core.support(g) for g in ideal.gens]
+        covers = [
+            tuple(int(v in c) for v in range(ideal.s))
+            for k in range(1, ideal.s + 1)
+            for c in itertools.combinations(range(ideal.s), k)
+            if all(e & set(c) for e in supports)
+        ]
+        return MonomialIdeal(ideal.s, covers)
+
+    def check(expected, built):
+        assert built == expected and expected == built
+        assert built.gens == expected.gens and hash(built) == hash(expected)
+        assert all(type(x) is int for g in built.gens for x in g)
+
+    rng = random.Random(29)
+    corpus = connected_atlas_graphs(6) + list(loop_multigraphs(rng, 150))
+    assert len(corpus) == 292
+    for graph in corpus:
+        rows = [(e, 1) for e in graph.edges] + [((v,), 2) for v in graph.loops]
+        written = [tuple(x if v in e else 0 for v in range(graph.s)) for e, x in rows]
+        ideal = graph.edge_ideal()
+        check(MonomialIdeal(graph.s, written[::-1]), ideal)
+        if not graph.loops:
+            check(dual_by_every_cover(ideal), alexander_dual(ideal))
+    for _ in range(150):
+        ideal = random_squarefree_ideal(rng, rng.randint(1, 7))
+        check(dual_by_every_cover(ideal), alexander_dual(ideal))
 
 
 def test_alexander_dual_rejects_non_squarefree():

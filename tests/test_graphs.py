@@ -13,6 +13,7 @@ from helpers import (
     connected_atlas_graphs,
     cycle_graph,
     edge_scan_odd_cycle_condition,
+    loop_multigraphs,
     neighborhood_hochster_configurations,
     pair_loop_bowties,
     path_graph,
@@ -145,15 +146,6 @@ def test_odd_cycle_condition_and_subring_normality():
     assert graphs.odd_cycle_condition(cycle_graph(4))
     with pytest.raises(PreconditionError):
         graphs.edge_subring_normal(two_disjoint_triangles())
-
-
-def loop_multigraphs(rng, count):
-    """Random multigraphs on 1-7 vertices with 1-3 loops."""
-    for _ in range(count):
-        s = rng.randint(1, 7)
-        pairs = [(a, b) for a in range(s) for b in range(a + 1, s) if rng.random() < 0.4]
-        loops = [(v,) for v in rng.sample(range(s), rng.randint(1, min(3, s)))]
-        yield Graph(s, pairs + loops, multigraph=True)
 
 
 def test_odd_cycle_pairs_match_the_pair_loops():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from monomials import linalg, lp, polyhedra
+from monomials.core import Graph, alexander_dual
 from monomials.errors import (
     BudgetExceededError,
     NonPointedConeError,
@@ -14,16 +15,21 @@ from monomials.errors import (
 from monomials.linalg import vec_dot
 
 from helpers import (
+    bowtie_figure_graph,
     box_scan_lattice_points,
+    connected_atlas_graphs,
     covering_inequalities,
     cycle_graph,
+    degree_ordered_hilbert_basis,
     gcd_of_maximal_minors,
+    is_pointed,
     nullspace,
     q6_ideal,
     random_squarefree_ideal,
     refuse_smith_forms,
     subsystem_vertices,
     time_limit,
+    triangles_joined_by_path,
     two_disjoint_triangles,
 )
 
@@ -336,11 +342,67 @@ def test_one_facet_description_and_hilbert_basis_per_generator_set(monkeypatch):
     polyhedra._facet_description.cache.clear()
     polyhedra._hilbert_basis.cache.clear()
     square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
-    assert polyhedra.is_pointed(square)
+    assert is_pointed(square)
     basis = polyhedra.hilbert_basis(square)
     assert (0, 0, 1) in basis and len(basis) == 5
     assert polyhedra.hilbert_basis(square[::-1] + square[:2] + [(0, 0, 0)]) is basis
     assert counted == {"cone_facets": 1, "pulling_triangulation": 1}
+
+
+def test_a_compressed_cone_is_not_triangulated(monkeypatch):
+    """No extreme ray of the Rees cone of a bipartite graph has a facet
+    value above 1, so its Hilbert basis is its extreme rays, read with no
+    triangulation; one ray value of 2 on the square cone triangulates it,
+    and only then is (0, 0, 1) found."""
+    calls = []
+    original = polyhedra.pulling_triangulation
+
+    def count(rays):
+        calls.append(rays)
+        return original(rays)
+
+    monkeypatch.setattr(polyhedra, "pulling_triangulation", count)
+    polyhedra._facet_description.cache.clear()
+    polyhedra._hilbert_basis.cache.clear()
+    for graph in [cycle_graph(4), cycle_graph(6), Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])]:
+        gens = polyhedra.rees_cone(graph.edge_ideal())
+        _, facets = polyhedra.cone_facets(gens)
+        rays = polyhedra.extreme_ray_generators(polyhedra.facet_values(gens, facets))
+        assert max(map(max, rays.values())) == 1
+        assert polyhedra.hilbert_basis(gens) == tuple(rays) == gens
+    assert calls == []
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    basis = polyhedra.hilbert_basis(square)
+    assert len(calls) == 1
+    assert basis == tuple(sorted(square + [(0, 0, 1)]))
+
+
+def test_atlas_rees_cones_match_the_degree_ordered_oracle():
+    """On the 142 connected graphs on at most 6 vertices, the Hilbert bases
+    of RC(I), of the lifted edge cone (v_j, 1) and of RC(I^vee) equal those
+    of the oracle, which always triangulates; most of these cones are
+    compressed, and the lifted edge cones are flat.  Every one of them is
+    normal, so four graphs with two vertex-disjoint triangles follow, whose
+    RC(I) and lifted edge cone have a Hilbert basis larger than their
+    generators."""
+    atlas = connected_atlas_graphs(6)
+    assert len(atlas) == 142
+    larger = [
+        two_disjoint_triangles(),
+        triangles_joined_by_path(2),
+        triangles_joined_by_path(3),
+        bowtie_figure_graph(),
+    ]
+    for graph, grows in [(g, False) for g in atlas] + [(g, True) for g in larger]:
+        ideal = graph.edge_ideal()
+        cones = [
+            polyhedra.rees_cone(ideal),
+            [g + (1,) for g in ideal.gens],
+            polyhedra.rees_cone(alexander_dual(ideal)),
+        ]
+        bases = [polyhedra.hilbert_basis(gens) for gens in cones]
+        assert bases == [degree_ordered_hilbert_basis(gens) for gens in cones]
+        assert [len(b) > len(g) for b, g in zip(bases, cones)] == [grows, grows, False]
 
 
 def test_a_nonnegative_flat_hilbert_basis_needs_no_smith_form(monkeypatch):

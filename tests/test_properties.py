@@ -37,6 +37,7 @@ from helpers import (
     incidence_pulling_triangulation,
     inverse_parallelepiped_points,
     invert,
+    is_pointed,
     mat_mul,
     nullspace,
     packing_lp,
@@ -162,7 +163,7 @@ def test_property_is_pointed_matches_the_lp_oracle(gens):
         a_eq=[list(col) for col in zip(*gens)],
         b_eq=[0] * len(gens[0]),
     )
-    assert polyhedra.is_pointed(gens) == (res.value == 0)
+    assert is_pointed(gens) == (res.value == 0)
 
 
 def with_a_line(gens):
@@ -184,7 +185,7 @@ def test_property_degree_pointedness_matches_the_rank_test(gens):
     """Every generator has a positive degree iff the equations and facets
     have rank n; a cone with a line, full-dimensional or flat, is refused
     by ``hilbert_basis``."""
-    pointed = polyhedra.is_pointed(gens)
+    pointed = is_pointed(gens)
     assert pointed == rank_is_pointed(gens)
     if not pointed:
         with pytest.raises(NonPointedConeError):

@@ -232,9 +232,12 @@ def minimal_generating_set(gens, s=None):
 
 
 def ideal_product(a, b):
-    """Minimal generators of the product of two monomial ideals."""
+    """Minimal generators of the product of two monomial ideals.  The sums
+    of validated generators are valid, so they are only minimalized."""
+    if a.s != b.s:
+        raise PreconditionError("ambient mismatch")
     sums = {vec_add(g, h) for g in a.gens for h in b.gens}
-    return MonomialIdeal(a.s, sums)
+    return MonomialIdeal._from_minimal(a.s, _minimalize(sums))
 
 
 def ideal_power(ideal, n):

@@ -350,6 +350,7 @@ def ehrhart_normality_criterion(graph, budget=14):
         raise InternalConsistencyError(
             f"Delta_r = {delta} but {c1} non-bipartite components"
         )
+    by_hochster = edge_ideal_normal(graph, budget=budget)
     if c1 == 0:
         by_smith = True
     elif c1 == 1:
@@ -358,11 +359,12 @@ def ehrhart_normality_criterion(graph, budget=14):
             for comp in graph.components()
             if not graph.induced(comp).is_bipartite()
         )
-        by_smith = delta == 1 and edge_ideal_normal(graph.induced(comp), budget)
+        by_smith = delta == 1 and (
+            by_hochster if len(comp) == graph.s  # it induces the graph itself
+            else edge_ideal_normal(graph.induced(comp), budget)
+        )
     else:
         by_smith = False
-
-    by_hochster = edge_ideal_normal(graph, budget=budget)
 
     ideal = graph.edge_ideal()
     by_hilbert = bool(closure_mod.is_normal(ideal, method="hilbert"))

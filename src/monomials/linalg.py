@@ -1,17 +1,16 @@
 """Exact linear algebra over the rationals and the integers.
 
 Matrices are lists/tuples of row tuples.  Ranks, null spaces, independent
-rows, adjugates, determinants, solutions and lattice coordinates run on one
-fraction-free integer Gauss-Jordan elimination (after Bareiss, Math. Comp.
-22 (1968), but each changed row is divided by the gcd of its entries);
-rational rows are first scaled by their own denominators.  Their results
-are integers read straight off the eliminated rows: primitive null-space
-vectors with the pivot columns, the first independent rows with the
-adjugate columns that seed a double description, and (det, adjugate)
-pairs.  Only :func:`det` and :func:`solve`, whose values are rational,
-return :class:`fractions.Fraction`.  Integer lattices (echelon bases,
-saturations, invariant factors) use gcd row operations on plain ints, so
-everything stays exact at any size.
+rows, adjugates, determinants and solutions run on one fraction-free integer
+Gauss-Jordan elimination (after Bareiss, Math. Comp. 22 (1968), but each
+changed row is divided by the gcd of its entries); rational rows are first
+scaled by their own denominators.  Their results are integers read straight
+off the eliminated rows: null spaces with their pivot columns, the adjugate
+columns that seed a double description with a null space from the same
+pass, and (det, adjugate) pairs.  Only :func:`det` and :func:`solve` return
+:class:`fractions.Fraction`.  Integer lattices (echelon bases, saturations,
+invariant factors) use gcd row operations on plain ints, and coordinates in
+an echelon basis come by back substitution, so all stays exact at any size.
 """
 
 from fractions import Fraction
@@ -146,7 +145,7 @@ def integer_nullspace(rows):
 
 
 def independent_rows(rows):
-    """(indices, duals) from one elimination of [rows^T | I].
+    """(indices, duals, kernel) from one elimination of [rows^T | I].
 
     ``indices`` are the first rows that span the row space (the pivot
     columns of the transpose).  Each index k gets a primitive integer
@@ -154,6 +153,8 @@ def independent_rows(rows):
     indices i: the elimination ends in [R | E] with E * rows^T = R, and row
     k of R is zero at every pivot column but its own.  With n indices, y_k
     is a positive multiple of column k of the adjugate of the chosen rows.
+    The rows of [R | E] with a pivot in the identity block have R = 0, so
+    (E invertible) their E parts are a basis of the null space, ``kernel``.
     """
     m = len(rows)
     n = len(rows[0])
@@ -165,7 +166,8 @@ def independent_rows(rows):
         primitive(row[m:] if row[c] > 0 else [-x for x in row[m:]])
         for row, c in zip(mat, indices)
     ]
-    return indices, duals
+    kernel = [primitive(row[m:]) for row in mat[len(indices):]]  # pivots >= m
+    return indices, duals, kernel
 
 
 def adjugate(rows):
@@ -276,35 +278,24 @@ def integer_kernel_basis(equations, n):
 
 
 def lattice_coordinates(vectors, basis):
-    """Integer coordinates of each vector in the lattice basis (independent
-    rows), or None for a vector outside the lattice, from one elimination.
-
-    The reduced echelon form of [basis | I] is [R | E] with R = E * basis,
-    as the basis rows are independent.  A vector v of the row space is
-    y * R with y its entries at the pivot columns, and its coordinates are
-    y * E.  Both are checked in integers, with d the lcm of the pivots:
-    d * (y * R) = d * v, and d divides d * (y * E).
+    """Integer coordinates of each vector in an echelon lattice basis (from
+    :func:`integer_row_basis` or :func:`integer_kernel_basis`: leading
+    columns increase, leading entries are positive), or None for a vector
+    outside the lattice, by back substitution: top down, the residue's entry
+    at a row's leading column, which the rows below have 0, must be a
+    multiple of the row's, and the last residue must be 0.
     """
-    if not basis:
-        return [None] * len(vectors)
-    n, k = len(basis[0]), len(basis)
-    mat = [[*map(int, b)] + [int(i == j) for j in range(k)] for i, b in enumerate(basis)]
-    pivots, _, _ = _eliminate(mat)
-    if len(pivots) < k or pivots[-1] >= n:
-        raise PreconditionError("lattice basis rows must be independent")
-    d = lcm(*(row[c] for row, c in zip(mat, pivots)))
-    columns = list(zip(*[[x * (d // r[c]) for x in r] for r, c in zip(mat, pivots)]))
+    leads = [next((j for j, x in enumerate(b) if x), -1) for b in basis]
+    if leads != sorted(set(leads)) or any(b[c] <= 0 for b, c in zip(basis, leads)):
+        raise PreconditionError("lattice basis rows must be independent, in echelon form")
     coords = []
     for v in vectors:
-        y = [v[c] for c in pivots]
-        image = [vec_dot(y, col) for col in columns]
-        if image[:n] != [d * x for x in v] or any(x % d for x in image[n:]):
-            coords.append(None)
-        else:
-            coords.append(tuple(x // d for x in image[n:]))
+        y = []
+        for b, c in zip(basis, leads):
+            q, r = divmod(v[c], b[c])
+            if r:
+                break
+            v = [x - q * z for x, z in zip(v, b)]
+            y.append(q)
+        coords.append(tuple(y) if len(y) == len(basis) and not any(v) else None)
     return coords
-
-
-def coordinates_in_basis(vector, basis):
-    """Integer coordinates of vector in the given lattice basis, or None."""
-    return lattice_coordinates([vector], basis)[0]

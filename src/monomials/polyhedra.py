@@ -35,8 +35,9 @@ candidate is tested against the irreducibles found so far of at most half
 its degree (Bruns, Ichim and Söger, J. Symb. Comp. 74 (2016)).  No Smith
 normal form runs anywhere: lattices are read off echelon bases.  Null
 spaces, facet descriptions and Hilbert bases are memoized per generator
-set, so every caller shares them; one null space tells a flat cone from a
-full-dimensional one and starts its facet description.
+set, so every caller shares them; one memoized elimination per generator
+set gives the null space, which tells a flat cone from a full-dimensional
+one, and the seed of its double description.
 
 Currently everything is sequential; operations are pure, so callers may
 parallelize over independent inputs if they wish.
@@ -69,10 +70,10 @@ def extreme_rays_of_inequalities(rows):
 
     Incremental double description on integer rows (rational rows are
     scaled by their denominators), seeded with the simplex of the first
-    independent rows, whose rays are the adjugate's columns.  Two rays are
-    adjacent iff no third ray is tight on every row both are tight on
-    (Fukuda and Prodon, 1996).  Raises NonPointedConeError when
-    rank(rows) < dim (lineality present).
+    independent rows, whose rays are the adjugate's columns, read off the
+    memoized :func:`_span` of the rows.  Two rays are adjacent iff no third
+    ray is tight on every row both are tight on (Fukuda and Prodon, 1996).
+    Raises NonPointedConeError when rank(rows) < dim (lineality present).
     """
     rows = [tuple(r) for r in rows]
     if not all(type(x) is int for r in rows for x in r):
@@ -80,7 +81,7 @@ def extreme_rays_of_inequalities(rows):
     if not rows:
         raise NonPointedConeError("no constraints: cone is all of space")
     n = len(rows[0])
-    base_idx, duals = linalg.independent_rows(rows)
+    base_idx, duals, _ = _span(tuple(rows))
     if len(base_idx) < n:
         raise NonPointedConeError("constraint matrix is rank deficient")
     base = sum(1 << i for i in base_idx)
@@ -127,14 +128,16 @@ def cone_facets(generators):
 
     Returns (equations, facets): integer vectors with
     cone = {x : e.x = 0 for e in equations, f.x >= 0 for f in facets}.
+    The cone is full-dimensional iff its :func:`_span` has no null space; a
+    flat cone's equations and pivots come from :func:`linalg.integer_nullspace`.
     """
     gens = tuple(tuple(g) for g in generators if any(g))
     if not gens:
         raise PreconditionError("cone has no non-zero generators")
-    n = len(gens[0])
-    equations, pivots = _span(gens)
-    if not equations:
+    if not _span(gens)[2]:
         return [], extreme_rays_of_inequalities(gens)
+    n = len(gens[0])
+    equations, pivots = linalg.integer_nullspace(gens)
     # the span maps isomorphically onto its pivot coordinates, so each facet
     # has one primitive normal supported on them
     facets = []
@@ -146,10 +149,11 @@ def cone_facets(generators):
 
 @memo
 def _span(rows):
-    """``linalg.integer_nullspace`` of a tuple of rows: the equations of
-    their span with its pivot columns, from one elimination shared by
-    :func:`cone_facets` and the flat-cone test of :func:`_hilbert_basis`."""
-    return linalg.integer_nullspace(rows)
+    """``linalg.independent_rows`` of a tuple of rows: the double
+    description's seed and the equations of the rows' span, from one
+    elimination shared by :func:`cone_facets`, its double description and
+    the flat-cone test of :func:`_hilbert_basis`."""
+    return linalg.independent_rows(rows)
 
 
 def _generator_set(generators):
@@ -163,14 +167,6 @@ def _facet_description(generators):
     """``cone_facets`` of ``generators``, a :func:`_generator_set`: one
     description per generator set, shared by its callers."""
     return cone_facets(generators)
-
-
-def _lattice_coordinates(vectors, basis):
-    """Integer coordinates of each vector in the lattice basis."""
-    coords = linalg.lattice_coordinates(vectors, basis)
-    if None in coords:
-        raise InternalConsistencyError("a generator lies outside the lattice")
-    return coords
 
 
 def cone_contains(point, equations, facets):
@@ -353,13 +349,12 @@ def _hilbert_basis(gens):
     facet value of g exceeds that of h.  If h is reducible, it is a sum of
     at least two basis elements, and as the degree is additive one of them
     has degree <= deg(h) // 2; so h is tested only against the kept elements
-    of that degree, which come first in degree order.  Whether the cone is
-    flat is read off the null space that its facet description shares
-    (:func:`_span`).
+    of that degree, which come first in degree order.  A flat cone's lattice
+    is the integer kernel of any basis of its null space (:func:`_span`).
     """
-    equations, _ = _span(gens)
-    if equations:
-        basis = linalg.integer_kernel_basis(equations, len(gens[0]))
+    kernel = _span(gens)[2]
+    if kernel:
+        basis = linalg.integer_kernel_basis(kernel, len(gens[0]))
         return hilbert_basis_in_lattice(gens, basis)
     _, facets = _facet_description(gens)
     table = facet_values(gens, facets)
@@ -399,7 +394,9 @@ def hilbert_basis_in_lattice(generators, basis):
     their cone is full-dimensional when the basis has their rank; the
     Hilbert basis found there is mapped back to Z^n.
     """
-    coords = _lattice_coordinates(generators, basis)
+    coords = linalg.lattice_coordinates(generators, basis)
+    if None in coords:
+        raise InternalConsistencyError("a generator lies outside the lattice")
     columns = list(zip(*basis))
     return tuple(sorted(
         tuple(vec_dot(h, col) for col in columns) for h in hilbert_basis(coords)

@@ -999,6 +999,42 @@ def solve_coordinates(vector, basis):
     return tuple(int(x) for x in sol)
 
 
+def eliminated_lattice_coordinates(vectors, basis):
+    """Integer coordinates of each vector in the lattice basis (independent
+    rows), or None for a vector outside the lattice, from one elimination.
+
+    The reduced echelon form of [basis | I] is [R | E] with R = E * basis,
+    as the basis rows are independent.  A vector v of the row space is
+    y * R with y its entries at the pivot columns, and its coordinates are
+    y * E.  Both are checked in integers, with d the lcm of the pivots:
+    d * (y * R) = d * v, and d divides d * (y * E).  The oracle of
+    ``linalg.lattice_coordinates``, which needs an echelon basis.
+    """
+    if not basis:
+        return [None] * len(vectors)
+    n, k = len(basis[0]), len(basis)
+    mat = [[*map(int, b)] + [int(i == j) for j in range(k)] for i, b in enumerate(basis)]
+    pivots, _, _ = linalg._eliminate(mat)
+    if len(pivots) < k or pivots[-1] >= n:
+        raise PreconditionError("lattice basis rows must be independent")
+    d = math.lcm(*(row[c] for row, c in zip(mat, pivots)))
+    columns = list(zip(*[[x * (d // r[c]) for x in r] for r, c in zip(mat, pivots)]))
+    coords = []
+    for v in vectors:
+        y = [v[c] for c in pivots]
+        image = [linalg.vec_dot(y, col) for col in columns]
+        if image[:n] != [d * x for x in v] or any(x % d for x in image[n:]):
+            coords.append(None)
+        else:
+            coords.append(tuple(x // d for x in image[n:]))
+    return coords
+
+
+def coordinates_in_basis(vector, basis):
+    """Integer coordinates of vector in the given lattice basis, or None."""
+    return linalg.lattice_coordinates([vector], basis)[0]
+
+
 def power_oracle(a, ideal, n, max_p=None):
     """The (t^a)^p in I^{pn} oracle for closure membership.
 

@@ -17,6 +17,7 @@ from monomials.core import (
     divides,
     has_packing_property,
     ideal_power,
+    ideal_product,
     is_konig,
     matching_number,
     minimal_generating_set,
@@ -238,6 +239,34 @@ def test_intersection():
     a = MonomialIdeal(2, [(2, 0)])
     b = MonomialIdeal(2, [(0, 3)])
     assert a.intersect(b).gens == ((2, 3),)
+
+
+def test_ideal_product_refuses_ideals_of_different_rings():
+    """The product of ideals in 2 and 3 variables is refused in both
+    orders, as an intersection is, instead of truncating the sums."""
+    a = MonomialIdeal(2, [(1, 0), (0, 1)])
+    b = MonomialIdeal(3, [(1, 0, 0), (0, 0, 1)])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(PreconditionError, match="ambient mismatch"):
+            ideal_product(x, y)
+        with pytest.raises(PreconditionError, match="ambient mismatch"):
+            x.intersect(y)
+
+
+def test_ideal_product_matches_the_minimalizing_constructor():
+    """The minimalized sums equal ``MonomialIdeal`` of all pairwise sums,
+    in gens, equality and hash, with int entries, on seeded pairs."""
+    rng = random.Random(29)
+    for _ in range(200):
+        s = rng.randint(1, 5)
+        a = random_ideal(rng, s, max_exp=3, max_gens=5)
+        b = random_ideal(rng, s, max_exp=3, max_gens=5)
+        product = ideal_product(a, b)
+        oracle = MonomialIdeal(s, [vec_add(g, h) for g in a.gens for h in b.gens])
+        assert product == oracle and oracle == product
+        assert product.gens == oracle.gens and hash(product) == hash(oracle)
+        assert product.s == s
+        assert all(type(x) is int for g in product.gens for x in g)
 
 
 def test_cover_and_matching_searches_leave_no_reference_cycles():

@@ -9,7 +9,12 @@ import pytest
 from monomials import linalg
 from monomials.errors import InternalConsistencyError, PreconditionError
 
-from helpers import mat_mul, smith_normal_form
+from helpers import (
+    coordinates_in_basis,
+    eliminated_lattice_coordinates,
+    mat_mul,
+    smith_normal_form,
+)
 
 
 def random_matrix(rng, m, n, lo=-4, hi=4):
@@ -145,27 +150,27 @@ def test_integer_row_basis_spans_same_lattice():
         for row in mat:
             if not any(row):
                 continue
-            assert linalg.coordinates_in_basis(row, basis) is not None
+            assert coordinates_in_basis(row, basis) is not None
         # and conversely each basis vector lies in the row lattice
         joint = linalg.integer_row_basis(list(mat) + list(basis))
         for b in joint:
-            assert linalg.coordinates_in_basis(b, basis) is not None
+            assert coordinates_in_basis(b, basis) is not None
 
 
 def test_saturation_basis():
     basis = linalg.saturation_basis([(2, 0), (0, 2)])
     # saturation of the full-rank lattice is all of Z^2
-    assert linalg.coordinates_in_basis((1, 0), basis) is not None
-    assert linalg.coordinates_in_basis((0, 1), basis) is not None
+    assert coordinates_in_basis((1, 0), basis) is not None
+    assert coordinates_in_basis((0, 1), basis) is not None
     basis = linalg.saturation_basis([(2, 4)])
-    assert linalg.coordinates_in_basis((1, 2), basis) is not None
+    assert coordinates_in_basis((1, 2), basis) is not None
 
 
 def test_integer_kernel_basis():
     # {x in Z^3 : x1 + 2 x2 = 0 = x3}: spanned by (2, -1, 0), not by (4, -2, 0)
     basis = linalg.integer_kernel_basis([(1, 2, 0), (0, 0, 1)], 3)
     assert len(basis) == 1
-    assert linalg.coordinates_in_basis((2, -1, 0), basis) is not None
+    assert coordinates_in_basis((2, -1, 0), basis) is not None
     assert len(linalg.integer_kernel_basis([], 2)) == 2
 
 
@@ -175,6 +180,17 @@ def test_lattice_coordinates_refuse_dependent_rows():
     assert linalg.lattice_coordinates([(3, 6), (1, 1), (1, 3)], [(1, 2), (0, 2)]) == [
         (3, 0), None, None
     ]
+
+
+def test_lattice_coordinates_refuse_a_basis_not_in_echelon_form():
+    """Back substitution needs increasing leading columns with positive
+    entries there; rows out of order, a negative or repeated leading column
+    and a zero row are refused, independent or not."""
+    for basis in ([(0, 1), (1, 0)], [(-1, 0), (0, 1)], [(1, 1), (1, 0)], [(1, 2), (0, 0)]):
+        with pytest.raises(PreconditionError, match="echelon"):
+            linalg.lattice_coordinates([(1, 1)], basis)
+    assert eliminated_lattice_coordinates([(1, 1)], [(0, 1), (1, 0)]) == [(1, 1)]
+    assert linalg.lattice_coordinates([(1, 1)], [(1, 0), (0, 1)]) == [(1, 1)]
 
 
 def test_primitive_and_clear_denominators():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from monomials import linalg, lp, polyhedra
+from monomials import closure, linalg, lp, polyhedra
 from monomials.core import Graph, alexander_dual
 from monomials.errors import (
     BudgetExceededError,
@@ -18,6 +18,7 @@ from helpers import (
     bowtie_figure_graph,
     box_scan_lattice_points,
     connected_atlas_graphs,
+    coordinates_in_basis,
     covering_inequalities,
     cycle_graph,
     degree_ordered_hilbert_basis,
@@ -140,10 +141,10 @@ def test_parallelepiped_counts_index():
 def test_hilbert_basis_of_a_rees_cone_builds_no_fraction(monkeypatch):
     """The cone pipeline is integral from the eliminations on: with the
     memos cleared, the Hilbert basis of RC(I) for two disjoint triangles
-    constructs no Fraction and runs 6 eliminations (the null space, which
-    both the flat-cone test and the facet description read, the double
-    description's seed and an adjugate for each of the 4 simplices whose
-    height bound exceeds 1)."""
+    constructs no Fraction and runs 5 eliminations (one for the null space,
+    which both the flat-cone test and the facet description read, together
+    with the double description's seed, and an adjugate for each of the 4
+    simplices whose height bound exceeds 1)."""
     gens = polyhedra.rees_cone(two_disjoint_triangles().edge_ideal())
     polyhedra._span.cache.clear()
     polyhedra._facet_description.cache.clear()
@@ -165,7 +166,47 @@ def test_hilbert_basis_of_a_rees_cone_builds_no_fraction(monkeypatch):
     basis = polyhedra.hilbert_basis(gens)
     monkeypatch.undo()
     assert len(basis) == len(gens) + 1  # one element beyond the generators
-    assert counts == {"fractions": 0, "eliminations": 6}
+    assert counts == {"fractions": 0, "eliminations": 5}
+
+
+def count_eliminations(monkeypatch, fn, *args):
+    """``fn(*args)``, with the cone memos cleared first, and the number of
+    eliminations it ran."""
+    for cached in (polyhedra._span, polyhedra._facet_description,
+                   polyhedra._hilbert_basis, closure.rees_representation):
+        cached.cache.clear()
+    eliminate, count = linalg._eliminate, [0]
+
+    def counted(mat):
+        count[0] += 1
+        return eliminate(mat)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    value = fn(*args)
+    monkeypatch.undo()
+    return value, count[0]
+
+
+def test_a_fresh_rees_representation_runs_one_elimination(monkeypatch):
+    """RC(I) is full-dimensional: the elimination that finds it no equation
+    also seeds the double description of its facets."""
+    for graph in (two_disjoint_triangles(), cycle_graph(4)):
+        rep, count = count_eliminations(
+            monkeypatch, closure.rees_representation, graph.edge_ideal()
+        )
+        assert rep.facets and count == 1
+
+
+def test_the_hilbert_basis_of_a_lifted_edge_cone_runs_two_eliminations(monkeypatch):
+    """The cone over the lifted edge vectors (v, 1) of C4 or C5 is flat.  One
+    elimination gives its equations, back substitution its lattice
+    coordinates with none, and one more elimination finds the cone
+    full-dimensional in those coordinates and seeds its double description.
+    No simplex there needs an adjugate."""
+    for graph in (cycle_graph(4), cycle_graph(5)):
+        cols = [g + (1,) for g in graph.edge_ideal().gens]
+        basis, count = count_eliminations(monkeypatch, polyhedra.hilbert_basis, cols)
+        assert basis == tuple(sorted(cols)) and count == 2
 
 
 def test_a_candidate_whose_only_reducer_has_half_its_degree():
@@ -263,7 +304,7 @@ def test_a_mixed_sign_flat_cone_needs_no_smith_form(monkeypatch):
         assert min(vec_dot(f, g) for g in gens) == 0
     basis = linalg.saturation_basis(gens)
     assert len(basis) == len(gens)
-    assert all(linalg.coordinates_in_basis(g, basis) is not None for g in gens)
+    assert all(coordinates_in_basis(g, basis) is not None for g in gens)
     assert gcd_of_maximal_minors(basis) == 1
     hilbert = polyhedra.hilbert_basis(gens)
     assert len(hilbert) == 16

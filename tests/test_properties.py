@@ -25,10 +25,12 @@ from helpers import (
     colon_v_number,
     column_drop_v_number,
     column_staircase,
+    coordinates_in_basis,
     covering_inequalities,
     covering_lp,
     cycle_graph,
     degree_ordered_hilbert_basis,
+    eliminated_lattice_coordinates,
     every_vertex_minor_walk,
     fraction_seeded_extreme_rays,
     gcd_of_maximal_minors,
@@ -704,7 +706,7 @@ def lattice_cone_facets(generators):
     if not equations:
         return [], polyhedra.extreme_rays_of_inequalities(gens)
     sat = linalg.saturation_basis(gens)
-    coords = [linalg.coordinates_in_basis(g, sat) for g in gens]
+    coords = [coordinates_in_basis(g, sat) for g in gens]
     return sorted(equations), sorted(
         linalg.clear_denominators(linalg.solve(sat, f))
         for f in polyhedra.extreme_rays_of_inequalities(coords)
@@ -866,7 +868,7 @@ def saturated_parallelepiped_points(rays):
     if d == n:
         return polyhedra.parallelepiped_points(rays)
     sat = linalg.saturation_basis(rays)
-    coords = [linalg.coordinates_in_basis(r, sat) for r in rays]
+    coords = [coordinates_in_basis(r, sat) for r in rays]
     return [
         tuple(sum(c[i] * sat[i][j] for i in range(d)) for j in range(n))
         for c in saturated_parallelepiped_points(coords)
@@ -891,7 +893,7 @@ def test_property_saturation_basis_is_a_saturated_basis_of_the_span(rows):
     stalling the suite."""
     basis = linalg.saturation_basis(rows)
     assert len(basis) == linalg.rank(rows)
-    assert all(linalg.coordinates_in_basis(r, basis) is not None for r in rows)
+    assert all(coordinates_in_basis(r, basis) is not None for r in rows)
     assert gcd_of_maximal_minors(basis) == 1
 
 
@@ -928,6 +930,61 @@ def test_property_one_elimination_matches_per_vector_solves(rows, data):
         solve_coordinates(v, basis) for v in vectors
     ]
     assert all(c is not None for c in linalg.lattice_coordinates(rows, basis))
+
+
+@SEEDED
+@given(integer_matrices(st.integers(-3, 3), 4, 5), st.data())
+def test_property_back_substitution_matches_the_elimination_oracle(rows, data):
+    """Back substitution in the echelon bases of the row lattice and of the
+    rows' integer kernel agrees with the elimination of [basis | I] and with
+    one solve per vector: on lattice points, on their halves and nudged
+    neighbours, and on the other basis's vectors, which lie off the span
+    (a non-zero row is not orthogonal to itself)."""
+    n = len(rows[0])
+    row_basis = linalg.integer_row_basis(rows)
+    kernel_basis = linalg.integer_kernel_basis(rows, n)
+    for basis, off_span in ((row_basis, kernel_basis), (kernel_basis, row_basis)):
+        if not basis:
+            continue
+        coefficients = st.tuples(*[st.integers(-3, 3)] * len(basis))
+        combos = [
+            tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(n))
+            for cs in data.draw(st.lists(coefficients, min_size=1, max_size=3))
+        ]
+        halves = [tuple(x // 2 for x in v) for v in combos]
+        nudged = [v[:-1] + (v[-1] + 1,) for v in combos]
+        vectors = combos + halves + nudged + list(off_span)
+        coords = linalg.lattice_coordinates(vectors, basis)
+        assert coords == eliminated_lattice_coordinates(vectors, basis)
+        assert coords == [solve_coordinates(v, basis) for v in vectors]
+        assert None not in coords[:len(combos)]
+        assert coords[len(vectors) - len(off_span):] == [None] * len(off_span)
+
+
+@SEEDED
+@given(integer_matrices(st.integers(-3, 3), 6, 5))
+def test_property_the_seed_elimination_gives_the_null_space(rows):
+    """``independent_rows`` reads a basis of the null space off the
+    elimination that seeds the double description: n - rank primitive
+    vectors that annihilate every row and span the space of
+    ``integer_nullspace``.  Its indices are the rows that raise the rank of
+    the rows before them, and each dual is positive on its own row and 0
+    on the other chosen rows."""
+    indices, duals, kernel = linalg.independent_rows(rows)
+    n, rank = len(rows[0]), linalg.rank(rows)
+    assert len(kernel) == n - rank == linalg.rank(kernel)
+    assert all(v == linalg.primitive(v) and any(v) for v in kernel)
+    assert all(linalg.vec_dot(row, v) == 0 for row in rows for v in kernel)
+    nullspace_basis, _ = linalg.integer_nullspace(rows)
+    assert linalg.rank(kernel + nullspace_basis) == len(nullspace_basis)
+    assert indices == [
+        i for i in range(len(rows))
+        if linalg.rank(rows[:i + 1]) > linalg.rank(rows[:i])
+    ]
+    for k, y in zip(indices, duals):
+        for i in indices:
+            value = linalg.vec_dot(rows[i], y)
+            assert value > 0 if i == k else value == 0
 
 
 def pivot_product(basis):

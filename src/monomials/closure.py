@@ -6,7 +6,10 @@ f, with f[:-1] >= 0 as the cone holds each e_i.  So after computing the
 Rees cone facets once per ideal, a closure's minimal generators are read
 off that system by :func:`monomials.core.staircase` over a candidate box,
 each column's threshold in closed form.  The LP membership test is kept
-alongside for its rational witnesses.
+alongside for its rational witnesses: the packing program
+max{|y| : A y <= a, y >= 0} has a feasible origin, so :mod:`monomials.lp`
+starts it from the slack basis with no first phase.  Where its optimum is
+not unique, the witness is one optimal y, the one Bland's rule reaches.
 
 Normality by powers and the normalization index read the gaps, the first
 generator of closure(I^n) outside I*closure(I^(n-1)), and never build I^n.

@@ -327,6 +327,9 @@ def gmd_and_vasconcelos(points, d, r, budget=200_000):
 class WeightReport:
     """Per-degree weight table, v-number and regularity threshold of a set.
 
+    The table holds δ_1..δ_3 of each degree's code, or δ_1..δ_k when its
+    dimension k is below 3.
+
     The codes are built for d = 1, 2, ... until one has dimension |X|: that
     degree is the threshold.  The v-number is the first degree whose code's
     reduced basis has a row of weight one (see :func:`v_number_points`).
@@ -338,7 +341,7 @@ class WeightReport:
 
     __slots__ = ("points", "weights", "v_number", "threshold")
 
-    def __init__(self, points, max_r=3):
+    def __init__(self, points):
         self.points = points
         self.v_number = None
         table = {}
@@ -346,7 +349,7 @@ class WeightReport:
             code = EvaluationCode(points, d)
             if self.v_number is None and _has_weight_one_row(code.basis):
                 self.v_number = d
-            table[d] = tuple(weight_hierarchy(code, min(max_r, code.dimension)))
+            table[d] = tuple(weight_hierarchy(code, min(3, code.dimension)))
             if code.dimension == len(points):
                 break
         self.threshold = d

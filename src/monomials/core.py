@@ -441,18 +441,17 @@ class Clutter:
 
     __slots__ = ("s", "edges")
 
-    def __init__(self, s, edges, check=True):
+    def __init__(self, s, edges):
         edges = sorted({tuple(sorted(set(e))) for e in edges})
-        if check:
-            if any(not e for e in edges):
-                raise PreconditionError("clutter edges must be non-empty")
-            if any(not 0 <= v < s for e in edges for v in e):
-                raise PreconditionError("vertex index out of range")
-            for e, f in itertools.combinations(edges, 2):
-                if set(e) <= set(f) or set(f) <= set(e):
-                    raise PreconditionError(
-                        f"edges {e} and {f} are inclusion-comparable"
-                    )
+        if any(not e for e in edges):
+            raise PreconditionError("clutter edges must be non-empty")
+        if any(not 0 <= v < s for e in edges for v in e):
+            raise PreconditionError("vertex index out of range")
+        for e, f in itertools.combinations(edges, 2):
+            if set(e) <= set(f) or set(f) <= set(e):
+                raise PreconditionError(
+                    f"edges {e} and {f} are inclusion-comparable"
+                )
         self.s = s
         self.edges = tuple(edges)
 

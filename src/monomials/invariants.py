@@ -209,18 +209,18 @@ class SubringRegularityReport:
         )
 
 
-def subring_regularity(ideal, check_normal=True,
-                       budget=polyhedra.DEFAULT_POINT_BUDGET):
+def subring_regularity(ideal, budget=polyhedra.DEFAULT_POINT_BUDGET):
     """reg K[I] for a normal uniform monomial ideal, via its Newton polytope.
 
     The generalized descent theorem identifies K[Iz] with the Ehrhart ring
     of the Newton polytope, so the regularity is the h-polynomial degree and
     the a-invariant is reg - rank(A).  Non-normal or non-uniform input is
-    refused: the identification needs both hypotheses.
+    refused: the identification needs both hypotheses, so both are always
+    checked, normality by the Hilbert basis of the Rees cone.
     """
     if not ideal.is_uniform():
         raise PreconditionError("subring regularity needs a uniform ideal")
-    if check_normal and not closure_mod.is_normal(ideal, method="hilbert"):
+    if not closure_mod.is_normal(ideal, method="hilbert"):
         raise PreconditionError("subring regularity needs a normal ideal")
     data = polyhedra.ehrhart_polynomial(list(ideal.gens), budget=budget)
     reg = data.h_degree
@@ -320,9 +320,10 @@ def mu_maximality_sweep(ideal):
 # Cremona monomial maps
 # ---------------------------------------------------------------------------
 
-def is_cremona_monomial(monomials, degree=None):
+def is_cremona_monomial(monomials):
     """Does the uniform tuple of s monomials in s variables define a
-    Cremona map?  Exactly when |det A| equals the common degree."""
+    Cremona map?  Exactly when |det A| equals the common degree, which is
+    read off the monomials."""
     gens = [tuple(int(x) for x in g) for g in monomials]
     s = len(gens)
     if any(len(g) != s for g in gens):
@@ -331,8 +332,6 @@ def is_cremona_monomial(monomials, degree=None):
     if len(degs) != 1:
         raise PreconditionError("monomials must have a common degree")
     d = degs.pop()
-    if degree is not None and degree != d:
-        raise PreconditionError(f"stated degree {degree} but monomials have {d}")
     for i in range(s):
         if all(g[i] == 0 for g in gens):
             raise PreconditionError("every variable must appear")

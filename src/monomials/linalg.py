@@ -8,7 +8,7 @@ scaled by their own denominators.  Their results are integers read straight
 off the eliminated rows: null spaces with their pivot columns, the adjugate
 columns that seed a double description with a null space from the same
 pass, and (det, adjugate) pairs.  Only :func:`det` and :func:`solve` return
-:class:`fractions.Fraction`.  Integer lattices (echelon bases, saturations,
+:class:`fractions.Fraction`.  Integer lattices (echelon bases, kernel lattices,
 invariant factors) use gcd row operations on plain ints, and coordinates in
 an echelon basis come by back substitution, so all stays exact at any size.
 """
@@ -251,15 +251,6 @@ def invariant_factors(matrix):
         for j in range(i + 1, r):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     return d + [0] * (size - r)
-
-
-def saturation_basis(rows):
-    """Basis of (Q-row-span of rows) intersected with Z^n: the integer
-    kernel of the span's equations, :func:`integer_nullspace`."""
-    rows = [tuple(map(int, r)) for r in rows if any(r)]
-    if not rows:
-        return []
-    return integer_kernel_basis(integer_nullspace(rows)[0], len(rows[0]))
 
 
 def integer_kernel_basis(equations, n):

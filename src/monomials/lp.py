@@ -1,16 +1,21 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact simplex over the rationals for the packing program.
 
-All variables are implicitly non-negative.  Pivoting follows Bland's rule
-(lowest eligible index enters; among minimum-ratio rows the one whose basic
-variable has the lowest index leaves), which rules out cycling and makes
-every run deterministic.
+Membership in the closure of I^n compares n with the optimum of the
+packing program max{|y| : A y <= a, y >= 0}, the LP dual of min <a, x> over
+the covering polyhedron Q(I).  Its right-hand side a is non-negative, so the
+origin is feasible and the slack basis starts the simplex: no first phase
+runs, and the program is optimal or unbounded.  All variables are
+non-negative.  Pivoting follows Bland's rule (lowest eligible index enters;
+among minimum-ratio rows the one whose basic variable has the lowest index
+leaves), which rules out cycling and makes every run deterministic.
 """
 
 from fractions import Fraction
 
+from monomials.errors import PreconditionError
+
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
 
 
 class LPResult:
@@ -64,104 +69,28 @@ def _run_simplex(rows, b, basis, zrow):
         total += _pivot(rows, b, basis, zrow, leave, enter)
 
 
-def exact_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=True):
-    """Optimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0."""
-    a_ub = [list(map(Fraction, r)) for r in (a_ub or [])]
-    b_ub = [Fraction(x) for x in (b_ub or [])]
-    a_eq = [list(map(Fraction, r)) for r in (a_eq or [])]
-    b_eq = [Fraction(x) for x in (b_eq or [])]
+def exact_lp(c, a_ub, b_ub):
+    """Maximize c.x subject to a_ub x <= b_ub, x >= 0, where b_ub >= 0.
+
+    The slack variables are the starting basis, with value 0 and reduced
+    costs c; a negative entry of b_ub is refused, as the origin would not
+    be feasible.
+    """
+    b = [Fraction(x) for x in b_ub]
+    if any(x < 0 for x in b):
+        raise PreconditionError("the simplex needs b >= 0, a feasible origin")
     nvar = len(c)
-    c = [Fraction(x) for x in c]
-    if not maximize:
-        flipped = exact_lp([-x for x in c], a_ub, b_ub, a_eq, b_eq, maximize=True)
-        if flipped.status == OPTIMAL:
-            return LPResult(OPTIMAL, -flipped.value, flipped.x)
-        return flipped
-
-    nslack = len(a_ub)
-    rows = []
-    b = []
-    for i, (row, bi) in enumerate(zip(a_ub, b_ub)):
-        full = row + [Fraction(0)] * nslack
-        full[nvar + i] = Fraction(1)
-        rows.append(full)
-        b.append(bi)
-    for row, bi in zip(a_eq, b_eq):
-        rows.append(row + [Fraction(0)] * nslack)
-        b.append(bi)
-    m = len(rows)
-    if m == 0:
-        if any(x > 0 for x in c):
-            return LPResult(UNBOUNDED)
-        return LPResult(OPTIMAL, Fraction(0), tuple(Fraction(0) for _ in range(nvar)))
-    for i in range(m):
-        if b[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            b[i] = -b[i]
-
-    ntot = nvar + nslack
-    # phase 1: artificial variable per row, maximize minus their sum
-    for i in range(m):
-        for j in range(m):
-            rows[i].append(Fraction(int(i == j)))
-    basis = [ntot + i for i in range(m)]
-    zrow = []
-    for j in range(ntot + m):
-        cj = Fraction(-1) if j >= ntot else Fraction(0)
-        zrow.append(cj + sum(rows[i][j] for i in range(m)))
-    zval = -sum(b)
-    gained = _run_simplex(rows, b, basis, zrow)
-    if gained is None:
-        raise AssertionError("phase 1 cannot be unbounded")
-    if zval + gained != 0:
-        return LPResult(INFEASIBLE)
-    # drive artificials out of the basis, dropping redundant rows
-    drop = []
-    for i in range(m):
-        if basis[i] >= ntot:
-            piv = next((j for j in range(ntot) if rows[i][j] != 0), None)
-            if piv is None:
-                drop.append(i)
-            else:
-                _pivot(rows, b, basis, zrow, i, piv)
-    if drop:
-        rows = [r for i, r in enumerate(rows) if i not in drop]
-        b = [x for i, x in enumerate(b) if i not in drop]
-        basis = [x for i, x in enumerate(basis) if i not in drop]
-    rows = [r[:ntot] for r in rows]
-
-    # phase 2: real objective
-    cfull = c + [Fraction(0)] * nslack
-    zrow = []
-    for j in range(ntot):
-        zrow.append(cfull[j] - sum(cfull[basis[i]] * rows[i][j] for i in range(len(rows))))
-    zval = sum(cfull[basis[i]] * b[i] for i in range(len(rows)))
-    gained = _run_simplex(rows, b, basis, zrow)
-    if gained is None:
+    m = len(b)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
+        for i, row in enumerate(a_ub)
+    ]
+    basis = [nvar + i for i in range(m)]
+    zrow = [Fraction(x) for x in c] + [Fraction(0)] * m
+    value = _run_simplex(rows, b, basis, zrow)
+    if value is None:
         return LPResult(UNBOUNDED)
-    zval += gained
-    x = [Fraction(0)] * ntot
-    for i, bi in enumerate(basis):
-        x[bi] = b[i]
-    return LPResult(OPTIMAL, zval, tuple(x[:nvar]))
-
-
-def feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, nvar=None):
-    """Is {x >= 0 : a_ub x <= b_ub, a_eq x = b_eq} non-empty?"""
-    if nvar is None:
-        if a_ub:
-            nvar = len(a_ub[0])
-        elif a_eq:
-            nvar = len(a_eq[0])
-        else:
-            return True
-    res = exact_lp([0] * nvar, a_ub, b_ub, a_eq, b_eq)
-    return res.status == OPTIMAL
-
-
-def in_cone(point, generators):
-    """Is point a non-negative rational combination of the generators?"""
-    if not generators:
-        return all(x == 0 for x in point)
-    cols = list(zip(*generators))
-    return feasible(a_eq=cols, b_eq=list(point), nvar=len(generators))
+    x = [Fraction(0)] * (nvar + m)
+    for i, j in enumerate(basis):
+        x[j] = b[i]
+    return LPResult(OPTIMAL, value, tuple(x[:nvar]))

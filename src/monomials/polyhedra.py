@@ -5,7 +5,9 @@ of the generators and extreme rays from tight-facet sets; pulling
 triangulation, fundamental-parallelepiped lattice points, Hilbert bases),
 the irreducible representation of a Rees cone, which gives the vertices
 and integrality of the covering polyhedron Q(I), lattice-point counting
-with pruning, Ehrhart interpolation, and the minor gcds Delta_r.  No
+with pruning (a walk over the bounding box, pruned by the facets and
+equations; those on one coordinate are dropped, as they are sides of the
+box), Ehrhart interpolation, and the minor gcds Delta_r.  No
 linear program runs here: the covering program's optimum at alpha is
 min <alpha, u> over the vertices u of Q(I).  Ranks, null spaces, the double
 description's seed, adjugates, echelon lattice bases and invariant factors
@@ -403,65 +405,6 @@ def hilbert_basis_in_lattice(generators, basis):
     ))
 
 
-def monoid_decompose(point, basis, max_terms=64):
-    """Express a lattice point as an N-combination of basis elements.
-
-    Depth-first certificate search; returns the list of summands or None.
-    Used to witness-check Hilbert bases.  A summand b of p leaves p - b in
-    cone(basis), so b is tried only if f.b <= f.p for every facet f; on a
-    pointed cone this bounds the depth by the facet sum of p.
-    """
-    point = tuple(point)
-    basis = [tuple(b) for b in basis if any(b)]
-    if not any(point):
-        return []
-    if not basis:
-        return None
-    eqs, facets = _facet_description(_generator_set(basis))
-    if any(vec_dot(e, point) for e in eqs):
-        return None
-    values = [(b, tuple(vec_dot(f, b) for f in facets)) for b in basis]
-    start = tuple(vec_dot(f, point) for f in facets)
-    return _decompose(point, start, values, max_terms, {})
-
-
-def _decompose(p, pv, values, terms_left, dead):
-    """Summands of ``p`` (facet values ``pv``) from the (element, facet values)
-    pairs, or None; ``dead`` maps a point to the most terms that failed."""
-    if not any(p):
-        return []
-    if terms_left <= dead.get(p, 0):
-        return None
-    for b, bv in values:
-        if all(x <= y for x, y in zip(bv, pv)):
-            rest = tuple(x - y for x, y in zip(p, b))
-            rest_values = tuple(y - x for x, y in zip(bv, pv))
-            sub = _decompose(rest, rest_values, values, terms_left - 1, dead)
-            if sub is not None:
-                return [b] + sub
-    dead[p] = terms_left
-    return None
-
-
-# ---------------------------------------------------------------------------
-# polyhedra
-# ---------------------------------------------------------------------------
-
-def inequalities_from_v_description(vertices, rays=()):
-    """Inequality description of conv(vertices) + cone(rays).
-
-    Homogenizes at height 1 and reads facets of the resulting cone.
-    Returns (equations, inequalities) with entries (normal, offset), meaning
-    normal.x = offset resp. normal.x >= offset.
-    """
-    lifted = [tuple(v) + (1,) for v in vertices]
-    lifted += [tuple(r) + (0,) for r in rays]
-    eqs, facets = cone_facets(lifted)
-    eq_out = [(e[:-1], -e[-1]) for e in eqs]
-    ineq_out = [(f[:-1], -f[-1]) for f in facets]
-    return eq_out, ineq_out
-
-
 # ---------------------------------------------------------------------------
 # covering polyhedron and Rees cone of a monomial ideal
 # ---------------------------------------------------------------------------
@@ -529,56 +472,14 @@ class ReesRepresentation:
 # lattice point enumeration
 # ---------------------------------------------------------------------------
 
-def _fold_single_variable(eqs, ineqs, lo, hi):
-    """Fold +-c*e_i constraints into the box; returns surviving constraints."""
-    lo = list(lo)
-    hi = list(hi)
-    rest_eq = []
-    rest_ineq = []
-    for coeffs, rhs, is_eq in (
-        [(c, r, True) for c, r in eqs] + [(c, r, False) for c, r in ineqs]
-    ):
-        nz = [i for i, c in enumerate(coeffs) if c]
-        if len(nz) == 1:
-            i = nz[0]
-            c = coeffs[i]
-            if is_eq:
-                if rhs % c == 0:
-                    v = rhs // c
-                    lo[i] = max(lo[i], v)
-                    hi[i] = min(hi[i], v)
-                else:
-                    hi[i] = lo[i] - 1  # infeasible
-            elif c > 0:
-                lo[i] = max(lo[i], -(-rhs // c))  # ceil
-            else:
-                hi[i] = min(hi[i], rhs // c)  # floor for negative coefficient
-        elif is_eq:
-            rest_eq.append((coeffs, rhs))
-        else:
-            rest_ineq.append((coeffs, rhs))
-    return rest_eq, rest_ineq, lo, hi
-
-
-def _count_box_sum(lo, hi, total):
-    """Count integer x with lo<=x<=hi and sum(x) = total, by DP."""
-    target = total - sum(lo)
-    if target < 0:
-        return 0
-    dp = [0] * (target + 1)
-    dp[0] = 1
-    for i in range(len(lo)):
-        width = hi[i] - lo[i]
-        ndp = [0] * (target + 1)
-        run = 0
-        # prefix-sum window of width+1
-        for t in range(target + 1):
-            run += dp[t]
-            if t - width - 1 >= 0:
-                run -= dp[t - width - 1]
-            ndp[t] = run
-        dp = ndp
-    return dp[target]
+def _count_box_sum(n, width, total):
+    """Count integer x in [0, width]^n with sum(x) = total, by inclusion-
+    exclusion over the j coordinates forced above width."""
+    return sum(
+        (-1) ** j * comb(n, j) * comb(total - j * (width + 1) + n - 1, n - 1)
+        for j in range(n + 1)
+        if total >= j * (width + 1)
+    )
 
 
 def lattice_points_system(eqs, ineqs, lo, hi, budget=DEFAULT_POINT_BUDGET):
@@ -586,12 +487,11 @@ def lattice_points_system(eqs, ineqs, lo, hi, budget=DEFAULT_POINT_BUDGET):
     constraints.
 
     ``eqs``/``ineqs`` are (integer coefficient tuple, integer rhs) pairs for
-    coeff.x = rhs resp. coeff.x >= rhs.  Single-variable constraints are
-    folded into the box, then a recursion over coordinates counts with
-    interval pruning.
+    coeff.x = rhs resp. coeff.x >= rhs.  A recursion over coordinates counts
+    with interval pruning: a prefix is dropped as soon as some constraint
+    cannot be met by any completion in the box.
     """
     n = len(lo)
-    eqs, ineqs, lo, hi = _fold_single_variable(eqs, ineqs, lo, hi)
     if any(l > h for l, h in zip(lo, hi)):
         return 0
     # each constraint with its suffix extremes per depth
@@ -650,7 +550,7 @@ def _special_count(verts, dilation):
     if all(set(v) <= {0, 1} for v in vs) and len(vs) == comb(n, k):
         # every 0/1 vector of weight k: the hypersimplex; dilated points are
         # exactly {0 <= x_i <= dilation, sum x = dilation*k}
-        return _count_box_sum([0] * n, [dilation] * n, dilation * k)
+        return _count_box_sum(n, dilation, dilation * k)
     simplex = {tuple(k if i == j else 0 for i in range(n)) for j in range(n)}
     if vs == simplex:
         return comb(dilation * k + n - 1, n - 1)
@@ -658,21 +558,26 @@ def _special_count(verts, dilation):
 
 
 def lattice_points(polytope_vertices, dilation=1, budget=DEFAULT_POINT_BUDGET):
-    """The number of lattice points of ``dilation * conv(vertices)``."""
+    """The number of lattice points of ``dilation * conv(vertices)``, for a
+    dilation >= 0."""
     verts = [tuple(v) for v in polytope_vertices]
     if any(Fraction(x).denominator != 1 for v in verts for x in v):
         raise PreconditionError("lattice polytope expected")
     verts = [tuple(int(x) for x in v) for v in verts]
     n = len(verts[0])
     k = dilation
+    if k < 0:
+        raise PreconditionError("dilation must be non-negative")
     if k == 0:
         return 1
     special = _special_count(verts, k)
     if special is not None:
         return special
     eqs_h, facets_h = _facet_description(_generator_set(v + (1,) for v in verts))
-    eqs = [(e[:-1], -e[-1] * k) for e in eqs_h]
-    ineqs = [(f[:-1], -f[-1] * k) for f in facets_h]
+    # A primitive row on one variable is +-e_i at k*min or k*max of the
+    # vertices' coordinate i, a bound the box already has: drop it.
+    eqs = [(e[:-1], -e[-1] * k) for e in eqs_h if sum(map(bool, e[:-1])) != 1]
+    ineqs = [(f[:-1], -f[-1] * k) for f in facets_h if sum(map(bool, f[:-1])) != 1]
     lo = [k * min(v[i] for v in verts) for i in range(n)]
     hi = [k * max(v[i] for v in verts) for i in range(n)]
     return lattice_points_system(eqs, ineqs, lo, hi, budget=budget)

@@ -318,7 +318,7 @@ def degree_ordered_hilbert_basis(generators):
     ``polyhedra.hilbert_basis``, which keeps the rays untested."""
     gens = sorted({tuple(g) for g in generators if any(g)})
     if linalg.rank(gens) < len(gens[0]):
-        basis = linalg.saturation_basis(gens)
+        basis = saturation_basis(gens)
         coords = linalg.lattice_coordinates(gens, basis)
         columns = list(zip(*basis))
         return tuple(sorted(
@@ -401,10 +401,10 @@ def refuse_smith_forms(monkeypatch):
 
 
 def refuse_simplex(monkeypatch):
-    """Make ``lp.exact_lp`` raise, so a test fails at once where the exact
-    simplex would run (``lp.feasible`` and ``lp.in_cone`` call it too).  The
-    Rees-cone memos are cleared, so the guarded cones are computed, not
-    read from an earlier test's result."""
+    """Make ``lp.exact_lp`` raise, so a test fails at once where the
+    library's simplex would run (``feasible`` and ``in_cone`` are oracles
+    here, on :func:`two_phase_lp`).  The Rees-cone memos are cleared, so the
+    guarded cones are computed, not read from an earlier test's result."""
     def refuse(*args, **kwargs):
         raise AssertionError("the exact simplex ran")
 
@@ -574,26 +574,192 @@ def covering_inequalities(ideal):
 def box_scan_lattice_points(vertices, dilation=1):
     """The lattice points of dilation * conv(vertices): every point x of the
     bounding box with (x, dilation) in the cone over the (v, 1), by
-    ``lp.in_cone``.  The oracle of ``polyhedra.lattice_points``, which
+    :func:`in_cone`.  The oracle of ``polyhedra.lattice_points``, which
     counts by the facets."""
     lifted = [tuple(v) + (1,) for v in vertices]
     box = [range(dilation * min(c), dilation * max(c) + 1) for c in zip(*vertices)]
-    return [x for x in itertools.product(*box) if lp.in_cone(x + (dilation,), lifted)]
+    return [x for x in itertools.product(*box) if in_cone(x + (dilation,), lifted)]
 
 
 def packing_lp(rows, alpha):
-    """The exact simplex on max y_1 + ... + y_m subject to A y <= alpha,
+    """The library's simplex on max y_1 + ... + y_m subject to A y <= alpha,
     y >= 0, with A given by its s rows."""
     return lp.exact_lp([1] * len(rows[0]), a_ub=rows, b_ub=alpha)
 
 
 def covering_lp(gens, alpha):
-    """The exact simplex on min alpha.x subject to x.g >= 1 for every g in
-    ``gens``, x >= 0."""
-    return lp.exact_lp(
+    """The two-phase simplex on min alpha.x subject to x.g >= 1 for every g
+    in ``gens``, x >= 0."""
+    return two_phase_lp(
         alpha, a_ub=[[-x for x in g] for g in gens], b_ub=[-1] * len(gens),
         maximize=False,
     )
+
+
+INFEASIBLE = "infeasible"
+
+
+def two_phase_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=True):
+    """Optimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0, by the
+    two-phase simplex on ``lp._pivot`` and ``lp._run_simplex``: phase 1
+    maximizes minus the sum of one artificial variable per row, whose basis
+    is feasible for any right-hand side.  The oracle of ``lp.exact_lp``,
+    which runs phase 2 only, from the slack basis of a program with b >= 0.
+    """
+    a_ub = [list(map(Fraction, r)) for r in (a_ub or [])]
+    b_ub = [Fraction(x) for x in (b_ub or [])]
+    a_eq = [list(map(Fraction, r)) for r in (a_eq or [])]
+    b_eq = [Fraction(x) for x in (b_eq or [])]
+    nvar = len(c)
+    c = [Fraction(x) for x in c]
+    if not maximize:
+        flipped = two_phase_lp([-x for x in c], a_ub, b_ub, a_eq, b_eq)
+        if flipped.status == lp.OPTIMAL:
+            return lp.LPResult(lp.OPTIMAL, -flipped.value, flipped.x)
+        return flipped
+
+    nslack = len(a_ub)
+    rows = []
+    b = []
+    for i, (row, bi) in enumerate(zip(a_ub, b_ub)):
+        full = row + [Fraction(0)] * nslack
+        full[nvar + i] = Fraction(1)
+        rows.append(full)
+        b.append(bi)
+    for row, bi in zip(a_eq, b_eq):
+        rows.append(row + [Fraction(0)] * nslack)
+        b.append(bi)
+    m = len(rows)
+    if m == 0:
+        if any(x > 0 for x in c):
+            return lp.LPResult(lp.UNBOUNDED)
+        return lp.LPResult(lp.OPTIMAL, Fraction(0), tuple(Fraction(0) for _ in range(nvar)))
+    for i in range(m):
+        if b[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            b[i] = -b[i]
+
+    ntot = nvar + nslack
+    # phase 1: artificial variable per row, maximize minus their sum
+    for i in range(m):
+        for j in range(m):
+            rows[i].append(Fraction(int(i == j)))
+    basis = [ntot + i for i in range(m)]
+    zrow = []
+    for j in range(ntot + m):
+        cj = Fraction(-1) if j >= ntot else Fraction(0)
+        zrow.append(cj + sum(rows[i][j] for i in range(m)))
+    zval = -sum(b)
+    gained = lp._run_simplex(rows, b, basis, zrow)
+    if gained is None:
+        raise AssertionError("phase 1 cannot be unbounded")
+    if zval + gained != 0:
+        return lp.LPResult(INFEASIBLE)
+    # drive artificials out of the basis, dropping redundant rows
+    drop = []
+    for i in range(m):
+        if basis[i] >= ntot:
+            piv = next((j for j in range(ntot) if rows[i][j] != 0), None)
+            if piv is None:
+                drop.append(i)
+            else:
+                lp._pivot(rows, b, basis, zrow, i, piv)
+    if drop:
+        rows = [r for i, r in enumerate(rows) if i not in drop]
+        b = [x for i, x in enumerate(b) if i not in drop]
+        basis = [x for i, x in enumerate(basis) if i not in drop]
+    rows = [r[:ntot] for r in rows]
+
+    # phase 2: real objective
+    cfull = c + [Fraction(0)] * nslack
+    zrow = []
+    for j in range(ntot):
+        zrow.append(cfull[j] - sum(cfull[basis[i]] * rows[i][j] for i in range(len(rows))))
+    zval = sum(cfull[basis[i]] * b[i] for i in range(len(rows)))
+    gained = lp._run_simplex(rows, b, basis, zrow)
+    if gained is None:
+        return lp.LPResult(lp.UNBOUNDED)
+    zval += gained
+    x = [Fraction(0)] * ntot
+    for i, bi in enumerate(basis):
+        x[bi] = b[i]
+    return lp.LPResult(lp.OPTIMAL, zval, tuple(x[:nvar]))
+
+
+def feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, nvar=None):
+    """Is {x >= 0 : a_ub x <= b_ub, a_eq x = b_eq} non-empty?"""
+    if nvar is None:
+        if a_ub:
+            nvar = len(a_ub[0])
+        elif a_eq:
+            nvar = len(a_eq[0])
+        else:
+            return True
+    res = two_phase_lp([0] * nvar, a_ub, b_ub, a_eq, b_eq)
+    return res.status == lp.OPTIMAL
+
+
+def in_cone(point, generators):
+    """Is point a non-negative rational combination of the generators?"""
+    if not generators:
+        return all(x == 0 for x in point)
+    cols = list(zip(*generators))
+    return feasible(a_eq=cols, b_eq=list(point), nvar=len(generators))
+
+
+def monoid_decompose(point, basis, max_terms=64):
+    """Express a lattice point as an N-combination of basis elements.
+
+    Depth-first certificate search; returns the list of summands or None.
+    Used to witness-check Hilbert bases.  A summand b of p leaves p - b in
+    cone(basis), so b is tried only if f.b <= f.p for every facet f; on a
+    pointed cone this bounds the depth by the facet sum of p.
+    """
+    point = tuple(point)
+    basis = [tuple(b) for b in basis if any(b)]
+    if not any(point):
+        return []
+    if not basis:
+        return None
+    eqs, facets = polyhedra._facet_description(polyhedra._generator_set(basis))
+    if any(linalg.vec_dot(e, point) for e in eqs):
+        return None
+    values = [(b, tuple(linalg.vec_dot(f, b) for f in facets)) for b in basis]
+    start = tuple(linalg.vec_dot(f, point) for f in facets)
+    return _decompose(point, start, values, max_terms, {})
+
+
+def _decompose(p, pv, values, terms_left, dead):
+    """Summands of ``p`` (facet values ``pv``) from the (element, facet values)
+    pairs, or None; ``dead`` maps a point to the most terms that failed."""
+    if not any(p):
+        return []
+    if terms_left <= dead.get(p, 0):
+        return None
+    for b, bv in values:
+        if all(x <= y for x, y in zip(bv, pv)):
+            rest = tuple(x - y for x, y in zip(p, b))
+            rest_values = tuple(y - x for x, y in zip(bv, pv))
+            sub = _decompose(rest, rest_values, values, terms_left - 1, dead)
+            if sub is not None:
+                return [b] + sub
+    dead[p] = terms_left
+    return None
+
+
+def inequalities_from_v_description(vertices, rays=()):
+    """Inequality description of conv(vertices) + cone(rays).
+
+    Homogenizes at height 1 and reads facets of the resulting cone.
+    Returns (equations, inequalities) with entries (normal, offset), meaning
+    normal.x = offset resp. normal.x >= offset.
+    """
+    lifted = [tuple(v) + (1,) for v in vertices]
+    lifted += [tuple(r) + (0,) for r in rays]
+    eqs, facets = polyhedra.cone_facets(lifted)
+    eq_out = [(e[:-1], -e[-1]) for e in eqs]
+    ineq_out = [(f[:-1], -f[-1]) for f in facets]
+    return eq_out, ineq_out
 
 
 def reintersecting_irreducible_components(components):
@@ -1028,6 +1194,15 @@ def eliminated_lattice_coordinates(vectors, basis):
         else:
             coords.append(tuple(x // d for x in image[n:]))
     return coords
+
+
+def saturation_basis(rows):
+    """Basis of (Q-row-span of rows) intersected with Z^n: the integer
+    kernel of the span's equations, ``linalg.integer_nullspace``."""
+    rows = [tuple(map(int, r)) for r in rows if any(r)]
+    if not rows:
+        return []
+    return linalg.integer_kernel_basis(linalg.integer_nullspace(rows)[0], len(rows[0]))
 
 
 def coordinates_in_basis(vector, basis):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -455,27 +456,73 @@ def run_on_bytes(data, argv):
     return code, json.loads(out.getvalue())
 
 
+def uniform_files():
+    """One to five exponent rows of s = 1..4 entries, all of one degree d =
+    1..3, so that some are Cremona candidates: s monomials of degree d."""
+    def rows(s, d):
+        return [
+            b" ".join(b"%d" % x for x in v)
+            for v in itertools.product(range(d + 1), repeat=s) if sum(v) == d
+        ]
+    return st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+        lambda sd: st.lists(st.sampled_from(rows(*sd)), min_size=1, max_size=5)
+    ).map(lambda rs: b"\n".join(rs) + b"\n")
+
+
+def fuzz_report(data, argv):
+    """Run ``argv`` on ``data``: the report names the command, the exit is
+    0, 2 or 3, and an exit 3 carries the stage and a need over the budget.
+    Returns the exit code and the report."""
+    code, doc = run_on_bytes(data, argv)
+    assert code in (0, 2, 3) and doc["command"] == argv[0]
+    if code == 3:
+        assert doc["stage"] and doc["needed"] > doc["budget"]
+    return code, doc
+
+
+# every subcommand with an ideal reader, under small caps
+IDEAL_COMMANDS = [
+    ["normality", "--budget-points", "64"],
+    ["closure", "--power", "2", "--budget-points", "64"],
+    ["resurgence", "--budget-points", "64"],
+    ["containment", "--r", "1..2", "--budget-points", "64"],
+    ["invariants", "--budget-points", "64"],
+    ["mfull"],
+    ["cremona"],
+    ["vnumber", "--degree-cap", "2"],
+]
+
+
 @FUZZ
 @given(IDEAL_FILES)
 def test_fuzz_ideal_reader(data):
-    code, doc = run_on_bytes(data, ["symbolic", "--budget-points", "64"])
-    assert code in (0, 2, 3) and doc["command"] == "symbolic"
+    code, doc = fuzz_report(data, ["symbolic", "--budget-points", "64"])
     assert code != 3 or doc["stage"] == "symbolic_power"
+    for argv in IDEAL_COMMANDS:
+        fuzz_report(data, argv)
+
+
+@FUZZ
+@given(uniform_files())
+def test_fuzz_uniform_ideals_reach_the_cremona_test(data):
+    """Uniform inputs get past the degree check of ``cremona`` and reach
+    the determinant; ``invariants`` and ``mfull`` read them too."""
+    for argv in [["cremona"], ["invariants", "--budget-points", "64"], ["mfull"]]:
+        fuzz_report(data, argv)
 
 
 @FUZZ
 @given(GRAPH_FILES)
 def test_fuzz_graph_reader(data):
-    code, doc = run_on_bytes(data, ["graph-analyze", "--budget-cycles", "6"])
-    assert code in (0, 2, 3) and doc["command"] == "graph-analyze"
+    code, doc = fuzz_report(data, ["graph-analyze", "--budget-cycles", "6"])
     assert code != 3 or doc["stage"] == "require_cycle_budget"
 
 
 @FUZZ
 @given(POINT_FILES)
 def test_fuzz_points_reader(data):
-    code, doc = run_on_bytes(data, ["vnumber", "--kind", "points"])
-    assert code in (0, 2, 3) and doc["command"] == "vnumber"
+    fuzz_report(data, ["vnumber", "--kind", "points"])
+    fuzz_report(data, ["code-weights", "--degree", "2"])
 
 
 BUDGETS = {"budget_cycles": 14, "budget_points": 2000000}

@@ -32,6 +32,7 @@ from helpers import (
     connected_atlas_graphs,
     cycle_graph,
     loop_multigraphs,
+    monoid_decompose,
     path_graph,
     q6_clutter,
     q6_ideal,
@@ -291,7 +292,7 @@ def test_cover_and_matching_searches_leave_no_reference_cycles():
         triangle = [(0, 0), (2, 0), (0, 2)]
         assert polyhedra.lattice_points(triangle, dilation=3) == 28
         assert len(codes.monomial_basis(3, 2)) == 6
-        assert polyhedra.monoid_decompose((2, 2), [(1, 0), (0, 1)]) == [
+        assert monoid_decompose((2, 2), [(1, 0), (0, 1)]) == [
             (1, 0), (1, 0), (0, 1), (0, 1)
         ]
         assert p4.maximal_stable_sets() == [(0, 2), (0, 3), (1, 3)]

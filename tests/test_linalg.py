@@ -13,6 +13,7 @@ from helpers import (
     coordinates_in_basis,
     eliminated_lattice_coordinates,
     mat_mul,
+    saturation_basis,
     smith_normal_form,
 )
 
@@ -158,11 +159,11 @@ def test_integer_row_basis_spans_same_lattice():
 
 
 def test_saturation_basis():
-    basis = linalg.saturation_basis([(2, 0), (0, 2)])
+    basis = saturation_basis([(2, 0), (0, 2)])
     # saturation of the full-rank lattice is all of Z^2
     assert coordinates_in_basis((1, 0), basis) is not None
     assert coordinates_in_basis((0, 1), basis) is not None
-    basis = linalg.saturation_basis([(2, 4)])
+    basis = saturation_basis([(2, 4)])
     assert coordinates_in_basis((1, 2), basis) is not None
 
 

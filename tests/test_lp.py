@@ -2,10 +2,21 @@ import itertools
 import random
 from fractions import Fraction
 
-from monomials import lp
-from monomials.core import MonomialIdeal
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import covering_lp, cycle_graph, packing_lp
+from monomials import linalg, lp
+from monomials.core import MonomialIdeal
+from monomials.errors import PreconditionError
+
+from helpers import (
+    INFEASIBLE,
+    covering_lp,
+    cycle_graph,
+    in_cone,
+    packing_lp,
+    two_phase_lp,
+)
 
 
 def test_spec_examples():
@@ -28,10 +39,19 @@ def test_min_form_duality():
 def test_unbounded_and_infeasible():
     res = lp.exact_lp([1, 1], a_ub=[[1, -1]], b_ub=[0])
     assert res.status == lp.UNBOUNDED
-    res = lp.exact_lp([1], a_ub=[[1], [-1]], b_ub=[1, -2])
-    assert res.status == lp.INFEASIBLE
+    res = two_phase_lp([1], a_ub=[[1], [-1]], b_ub=[1, -2])
+    assert res.status == INFEASIBLE
     # A y <= -1 with A = 0
-    assert packing_lp([[0, 0]], [-1]).status == lp.INFEASIBLE
+    assert two_phase_lp([1, 1], a_ub=[[0, 0]], b_ub=[-1]).status == INFEASIBLE
+
+
+def test_a_negative_right_hand_side_is_refused():
+    """The library's simplex starts from the slack basis, which needs a
+    feasible origin."""
+    with pytest.raises(PreconditionError, match="b >= 0"):
+        lp.exact_lp([1], a_ub=[[1], [-1]], b_ub=[1, -2])
+    with pytest.raises(PreconditionError, match="b >= 0"):
+        packing_lp([[0, 0]], [-1])
 
 
 def _brute_force_max(c, a_ub, b_ub):
@@ -87,13 +107,46 @@ def test_simplex_matches_vertex_enumeration():
 
 def test_equality_constraints():
     # max x1 + x2 with x1 + x2 + x3 = 2, x1 <= 1
-    res = lp.exact_lp(
+    res = two_phase_lp(
         [1, 1, 0], a_ub=[[1, 0, 0]], b_ub=[1], a_eq=[[1, 1, 1]], b_eq=[2]
     )
     assert res.status == lp.OPTIMAL and res.value == 2
 
 
 def test_in_cone():
-    assert lp.in_cone((2, 2), [(1, 0), (1, 2)])
-    assert not lp.in_cone((0, 1), [(1, 0), (1, 2)])
-    assert lp.in_cone((0, 0), [])
+    assert in_cone((2, 2), [(1, 0), (1, 2)])
+    assert not in_cone((0, 1), [(1, 0), (1, 2)])
+    assert in_cone((0, 0), [])
+
+
+def packing_programs():
+    """max c.x subject to A x <= b, x >= 0 with b >= 0: 1-3 variables, 1-4
+    rows of mixed signs in A and c, so some programs are unbounded."""
+    return st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+        lambda nm: st.tuples(
+            st.tuples(*[st.integers(-3, 3)] * nm[0]),
+            st.lists(
+                st.tuples(*[st.integers(-3, 3)] * nm[0]),
+                min_size=nm[1], max_size=nm[1],
+            ),
+            st.tuples(*[st.integers(0, 5)] * nm[1]),
+        )
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(packing_programs())
+def test_property_one_phase_simplex_matches_both_oracles(program):
+    """From the slack basis, the simplex reaches the optimum of the
+    two-phase oracle and of the vertex enumeration, with a feasible witness
+    that attains it, and is unbounded exactly when the oracle is."""
+    c, a_ub, b_ub = program
+    res = lp.exact_lp(c, a_ub, b_ub)
+    oracle = two_phase_lp(c, a_ub=a_ub, b_ub=b_ub)
+    assert res.status == oracle.status
+    if res.status == lp.UNBOUNDED:
+        return
+    assert res.value == oracle.value == _brute_force_max(c, a_ub, b_ub)
+    assert all(x >= 0 for x in res.x)
+    assert all(linalg.vec_dot(row, res.x) <= b for row, b in zip(a_ub, b_ub))
+    assert linalg.vec_dot(c, res.x) == res.value

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from monomials import closure, linalg, lp, polyhedra
+from monomials import closure, linalg, polyhedra
 from monomials.core import Graph, alexander_dual
 from monomials.errors import (
     BudgetExceededError,
@@ -23,11 +23,15 @@ from helpers import (
     cycle_graph,
     degree_ordered_hilbert_basis,
     gcd_of_maximal_minors,
+    in_cone,
+    inequalities_from_v_description,
     is_pointed,
+    monoid_decompose,
     nullspace,
     q6_ideal,
     random_squarefree_ideal,
     refuse_smith_forms,
+    saturation_basis,
     subsystem_vertices,
     time_limit,
     triangles_joined_by_path,
@@ -77,10 +81,8 @@ def test_double_description_matches_brute_force():
         brute = _brute_force_rays(rows)
         assert set(dd) <= set(brute)
         # every brute ray must be a non-negative combination of dd rays
-        from monomials import lp as lp_mod
-
         for ray in brute:
-            assert lp_mod.in_cone(ray, dd)
+            assert in_cone(ray, dd)
 
 
 def test_hilbert_basis_rees_cone_of_bipartite_cycle():
@@ -111,7 +113,7 @@ def test_hilbert_basis_covers_lattice_points():
             if sum(point) > bound or not any(point):
                 continue
             if polyhedra.cone_contains(point, eqs, facets):
-                assert polyhedra.monoid_decompose(point, basis) is not None
+                assert monoid_decompose(point, basis) is not None
 
 
 def test_hilbert_basis_elements_irreducible():
@@ -281,9 +283,9 @@ def certify_simplicial_hilbert_basis(gens, basis):
         point = tuple(sum(c * x for c, x in zip(lam, col)) for col in columns)
         assert all(x.denominator == 1 for x in point)
         point = tuple(map(int, point))
-        assert polyhedra.monoid_decompose(point, basis) is not None
+        assert monoid_decompose(point, basis) is not None
     for g in gens:
-        assert polyhedra.monoid_decompose(g, basis) is not None
+        assert monoid_decompose(g, basis) is not None
     sums = {
         tuple(x + y for x, y in zip(a, b))
         for a, b in itertools.combinations_with_replacement(basis, 2)
@@ -302,7 +304,7 @@ def test_a_mixed_sign_flat_cone_needs_no_smith_form(monkeypatch):
         assert f == linalg.primitive(f) and f[-1] == 0  # on the pivot columns
         assert sorted(vec_dot(f, g) > 0 for g in gens) == [False] * 5 + [True]
         assert min(vec_dot(f, g) for g in gens) == 0
-    basis = linalg.saturation_basis(gens)
+    basis = saturation_basis(gens)
     assert len(basis) == len(gens)
     assert all(coordinates_in_basis(g, basis) is not None for g in gens)
     assert gcd_of_maximal_minors(basis) == 1
@@ -329,10 +331,10 @@ def test_monoid_decompose_is_bounded_on_a_mixed_sign_basis():
     h = (7, -1, 4, 0, 4, 0, -1)
     assert h in hilbert
     with time_limit(5):
-        assert polyhedra.monoid_decompose(h, hilbert) == [h]
+        assert monoid_decompose(h, hilbert) == [h]
         twice = tuple(2 * x for x in h)
-        assert polyhedra.monoid_decompose(twice, hilbert) == [h, h]
-        assert polyhedra.monoid_decompose((1,) + (0,) * 6, hilbert) is None
+        assert monoid_decompose(twice, hilbert) == [h, h]
+        assert monoid_decompose((1,) + (0,) * 6, hilbert) is None
 
 
 def test_monoid_decompose_uses_its_whole_term_budget():
@@ -342,10 +344,10 @@ def test_monoid_decompose_uses_its_whole_term_budget():
         ((14, 6), [(1, 0), (3, 2), (4, 2), (5, 2)], 3),
         ((16, 6), [(1, 0), (2, 1), (3, 0), (4, 2)], 6),
     ]:
-        summands = polyhedra.monoid_decompose(point, basis, max_terms=terms)
+        summands = monoid_decompose(point, basis, max_terms=terms)
         assert summands is not None and len(summands) <= terms
         assert tuple(map(sum, zip(*summands))) == point
-    assert polyhedra.monoid_decompose((14, 6), [(1, 0), (5, 2)], max_terms=3) is None
+    assert monoid_decompose((14, 6), [(1, 0), (5, 2)], max_terms=3) is None
 
 
 def test_one_facet_description_per_generator_set(monkeypatch):
@@ -359,8 +361,8 @@ def test_one_facet_description_per_generator_set(monkeypatch):
     polyhedra._facet_description.cache.clear()
     basis = [(1, 0), (3, 2), (4, 2), (5, 2)]
     for point in [(14, 6), (5, 2), (9, 4)]:
-        assert polyhedra.monoid_decompose(point, basis) is not None
-        assert polyhedra.monoid_decompose(point, basis[::-1]) is not None
+        assert monoid_decompose(point, basis) is not None
+        assert monoid_decompose(point, basis[::-1]) is not None
     triangle = [(0, 0), (6, 0), (0, 5)]
     assert polyhedra.polytope_volume(triangle) == 15
     assert polyhedra.lattice_points(triangle[::-1]) == 22
@@ -514,7 +516,7 @@ def test_vertex_inequality_round_trip():
             tuple(1 if i == j else 0 for j in range(ideal.s))
             for i in range(ideal.s)
         ]
-        eqs, ineqs = polyhedra.inequalities_from_v_description(verts, orthant)
+        eqs, ineqs = inequalities_from_v_description(verts, orthant)
         assert not eqs
         assert subsystem_vertices(ideal.s, ineqs) == verts
         for v in verts:
@@ -535,6 +537,18 @@ def test_lattice_points_examples():
             assert polyhedra.lattice_points(verts, n) == count
 
 
+def test_lattice_points_refuse_a_negative_dilation():
+    """-P has as many lattice points as P, but its box would be swapped."""
+    for verts, k, count in [
+        ([(0,), (1,)], -1, 2),
+        ([(0, 0), (2, 0), (0, 2)], -1, 6),
+        ([(1, 0), (0, 1)], -2, 3),
+    ]:
+        assert polyhedra.lattice_points(verts, -k) == count
+        with pytest.raises(PreconditionError, match="dilation must be non-negative"):
+            polyhedra.lattice_points(verts, k)
+
+
 def test_lattice_point_budget_reports_the_visit_it_stopped_at():
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
     with pytest.raises(BudgetExceededError) as info:
@@ -549,8 +563,8 @@ def test_lattice_points_of_rational_polyhedron():
     for n, count in [(1, 4), (2, 16), (3, 25)]:
         rows = [((1, 0), 0), ((0, 1), 0), ((-2, 0), -3 * n), ((0, -2), -3 * n)]
         assert polyhedra.lattice_points_system([], rows, [-1, -1], [5, 5]) == count
-        # the diagonal cut x + y <= 3n/2 is no single-variable row, so the
-        # walk meets it
+        # the walk prunes by single-variable rows like any other; the
+        # diagonal cut x + y <= 3n/2 cuts the square further
         cut = rows + [((-2, -2), -3 * n)]
         inside = [
             x for x in itertools.product(range(-1, 6), repeat=2)
@@ -561,14 +575,14 @@ def test_lattice_points_of_rational_polyhedron():
 
 def orbit_scan_count(verts, n):
     """The box scan of ``box_scan_lattice_points`` for vertices closed under
-    permuting coordinates: one ``lp.in_cone`` test per orbit of box points,
+    permuting coordinates: one :func:`in_cone` test per orbit of box points,
     its non-increasing member, weighed by the orbit's size."""
     lifted = [v + (1,) for v in verts]
     top = n * max(map(max, verts))
     return sum(
         len(set(itertools.permutations(x)))
         for x in itertools.combinations_with_replacement(range(top, -1, -1), len(verts[0]))
-        if lp.in_cone(x + (n,), lifted)
+        if in_cone(x + (n,), lifted)
     )
 
 

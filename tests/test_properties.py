@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from monomials import closure, codes, core, invariants, linalg, lp, polyhedra, symbolic
+from monomials import closure, codes, core, invariants, linalg, polyhedra, symbolic
 from monomials.errors import (
     BudgetExceededError,
     NonPointedConeError,
@@ -35,8 +35,10 @@ from helpers import (
     fraction_seeded_extreme_rays,
     gcd_of_maximal_minors,
     height_bound,
+    in_cone,
     incidence_extreme_ray_generators,
     incidence_pulling_triangulation,
+    inequalities_from_v_description,
     inverse_parallelepiped_points,
     invert,
     is_pointed,
@@ -50,11 +52,13 @@ from helpers import (
     reintersecting_irreducible_components,
     rowwise_staircase,
     row_echelon,
+    saturation_basis,
     smith_normal_form,
     solve_coordinates,
     subset_scan_minimal_covers,
     subset_scan_weight,
     subsystem_vertices,
+    two_phase_lp,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -158,7 +162,7 @@ def generator_sets(entry):
 def test_property_is_pointed_matches_the_lp_oracle(gens):
     """Pointed iff the only non-negative combination giving 0 is trivial."""
     k = len(gens)
-    res = lp.exact_lp(
+    res = two_phase_lp(
         [1] * k,
         a_ub=[[int(i == j) for j in range(k)] for i in range(k)],
         b_ub=[1] * k,
@@ -226,7 +230,7 @@ def test_property_extreme_rays_match_the_lp_oracle(gens):
     """A positive last coordinate keeps the cone pointed."""
     prim = sorted({linalg.primitive(g) for g in gens})
     expected = [
-        g for g in prim if not lp.in_cone(g, [h for h in prim if h != g])
+        g for g in prim if not in_cone(g, [h for h in prim if h != g])
     ]
     assert list(ray_table(gens)) == expected
 
@@ -469,6 +473,26 @@ def small_ideals():
     )
 
 
+@settings(SEEDED, max_examples=150)
+@given(st.data(), st.integers(1, 3))
+def test_property_membership_witness_is_feasible_and_optimal(data, n):
+    """The answer is the facet test's and the two-phase oracle's; a positive
+    one carries y >= 0 with A y <= a and |y| >= n, and |y| is the optimum."""
+    ideal = data.draw(small_ideals())
+    a = data.draw(st.tuples(*[st.integers(0, 4)] * ideal.s))
+    answer, y = closure.membership(a, ideal, n)
+    rows = ideal.incidence_matrix()
+    optimum = two_phase_lp([1] * len(ideal.gens), a_ub=rows, b_ub=a).value
+    assert answer == (optimum >= n)
+    assert answer == closure.rees_representation(ideal).newton_polyhedron_contains(a, n)
+    if answer:
+        assert all(x >= 0 for x in y)
+        assert all(linalg.vec_dot(row, y) <= b for row, b in zip(rows, a))
+        assert sum(y) == optimum >= n
+    else:
+        assert y is None
+
+
 @settings(SEEDED, max_examples=100, deadline=2000)
 @given(small_ideals(), st.booleans(), st.sampled_from(["powers", "both"]))
 @example(core.MonomialIdeal(2, [(2, 0), (0, 2)]), False, "powers")
@@ -574,9 +598,9 @@ def test_property_dd_round_trip_returns_the_extreme_points(points):
     lifted = [p + (1,) for p in points]
     extreme = sorted(
         p for p, g in zip(points, lifted)
-        if not lp.in_cone(g, [h for h in lifted if h != g])
+        if not in_cone(g, [h for h in lifted if h != g])
     )
-    eqs, ineqs = polyhedra.inequalities_from_v_description(points)
+    eqs, ineqs = inequalities_from_v_description(points)
     assert eqs == []
     assert subsystem_vertices(len(points[0]), ineqs) == extreme
 
@@ -589,10 +613,10 @@ def test_property_dd_round_trip_on_rational_vertices(points, k):
     lifted = [p + (1,) for p in points]
     extreme = sorted(
         tuple(Fraction(x, k) for x in p) for p, g in zip(points, lifted)
-        if not lp.in_cone(g, [h for h in lifted if h != g])
+        if not in_cone(g, [h for h in lifted if h != g])
     )
     scaled = [tuple(Fraction(x, k) for x in p) for p in points]
-    eqs, ineqs = polyhedra.inequalities_from_v_description(scaled)
+    eqs, ineqs = inequalities_from_v_description(scaled)
     assert eqs == []
     assert subsystem_vertices(len(points[0]), ineqs) == extreme
 
@@ -705,7 +729,7 @@ def lattice_cone_facets(generators):
     ]
     if not equations:
         return [], polyhedra.extreme_rays_of_inequalities(gens)
-    sat = linalg.saturation_basis(gens)
+    sat = saturation_basis(gens)
     coords = [coordinates_in_basis(g, sat) for g in gens]
     return sorted(equations), sorted(
         linalg.clear_denominators(linalg.solve(sat, f))
@@ -867,7 +891,7 @@ def saturated_parallelepiped_points(rays):
     d, n = len(rays), len(rays[0])
     if d == n:
         return polyhedra.parallelepiped_points(rays)
-    sat = linalg.saturation_basis(rays)
+    sat = saturation_basis(rays)
     coords = [coordinates_in_basis(r, sat) for r in rays]
     return [
         tuple(sum(c[i] * sat[i][j] for i in range(d)) for j in range(n))
@@ -891,7 +915,7 @@ def mixed_sign_spans():
 def test_property_saturation_basis_is_a_saturated_basis_of_the_span(rows):
     """The deadline fails a blow-up of the basis entries instead of
     stalling the suite."""
-    basis = linalg.saturation_basis(rows)
+    basis = saturation_basis(rows)
     assert len(basis) == linalg.rank(rows)
     assert all(coordinates_in_basis(r, basis) is not None for r in rows)
     assert gcd_of_maximal_minors(basis) == 1
@@ -1002,7 +1026,7 @@ def test_property_invariant_factors_give_the_index_of_the_row_lattice(rows):
     delta = math.prod(f for f in factors if f)
     lattice = pivot_product(linalg.integer_row_basis(rows))
     saturation = pivot_product(
-        linalg.integer_row_basis(linalg.saturation_basis(rows))
+        linalg.integer_row_basis(saturation_basis(rows))
     )
     assert lattice % saturation == 0
     assert delta == lattice // saturation

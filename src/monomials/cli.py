@@ -171,8 +171,10 @@ def cmd_normality(ideal, args):
 
 def cmd_closure(ideal, args):
     closed = closure_mod.closure_of_power(ideal, args.power, budget=args.budget_points)
-    power = ideal_power(ideal, args.power)
-    gained = [g for g in closed.gens if not power.contains_monomial(g)]
+    # I^n lies in closure(I^n), whose generators are minimal: one of them
+    # is in I^n exactly when it is a generator of I^n.
+    power = set(ideal_power(ideal, args.power).gens)
+    gained = [g for g in closed.gens if g not in power]
     results = {
         "power": args.power,
         "closure_generators": closed.gens,
@@ -191,7 +193,10 @@ def cmd_symbolic(ideal, args):
         "symbolic_generators": sym.gens,
         "equals_ordinary": sym == power,
     }
-    gap = [g for g in sym.gens if not power.contains_monomial(g)]
+    # I^n lies in I^(n), so as above a minimal generator of I^(n) is in
+    # I^n exactly when it is a generator of I^n.
+    ordinary = set(power.gens)
+    gap = [g for g in sym.gens if g not in ordinary]
     return results, {"symbolic_minus_ordinary": gap}
 
 

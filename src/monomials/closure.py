@@ -13,17 +13,21 @@ not unique, the witness is one optimal y, the one Bland's rule reaches.
 
 Normality by powers and the normalization index read the gaps, the first
 generator of closure(I^n) outside I*closure(I^(n-1)), and never build I^n.
+As closure(I^n) contains I*closure(I^(n-1)) and its generators are minimal,
+a generator lies in that product exactly when it is a sum h + q of a
+generator h of I and a generator q of closure(I^(n-1)): a gap is a generator
+missing from the set of those sums.
 """
+
+from operator import add
 
 from monomials import lp, polyhedra
 from monomials.core import (
     MonomialIdeal,
-    divides,
     ideal_power,
     memo,
     require_box,
     staircase,
-    vec_sub_clamped,
 )
 from monomials.errors import (
     BudgetExceededError,
@@ -96,17 +100,20 @@ def _closures(ideal, top, budget):
 
 def _gaps(ideal, closures):
     """{n: first generator of closures[n] outside I*closures[n-1]} for the n
-    that have one, closure(I^0) being S: g is in I*J iff some generator h
-    of I divides g with g - h in J.  As I*closure(I^(n-1)) lies inside
-    closure(I^n), no gap at n means the two are equal."""
+    that have one, closure(I^0) being S.  Each sum h + q of a generator h of
+    I and a generator q of closure(I^(n-1)) lies in closure(I^n), whose
+    generators are minimal: such a sum divides a generator g only by
+    equalling it, so g is in I*closure(I^(n-1)) iff g is one of the sums.
+    As I*closure(I^(n-1)) lies inside closure(I^n), no gap at n means the
+    two are equal."""
     gaps = {}
     for n, closed in closures.items():
         lower = closures.get(n - 1)
-        for g in closed.gens:
-            quotients = (vec_sub_clamped(g, h) for h in ideal.gens if divides(h, g))
-            if not any(lower is None or lower.contains_monomial(q) for q in quotients):
-                gaps[n] = g
-                break
+        lower_gens = ((0,) * ideal.s,) if lower is None else lower.gens
+        sums = {tuple(map(add, h, q)) for h in ideal.gens for q in lower_gens}
+        gap = next((g for g in closed.gens if g not in sums), None)
+        if gap is not None:
+            gaps[n] = gap
     return gaps
 
 

@@ -561,10 +561,14 @@ def lattice_points(polytope_vertices, dilation=1, budget=DEFAULT_POINT_BUDGET):
     """The number of lattice points of ``dilation * conv(vertices)``, for a
     dilation >= 0."""
     verts = [tuple(v) for v in polytope_vertices]
+    if not verts:
+        raise PreconditionError("a polytope needs at least one vertex")
+    n = len(verts[0])
+    if any(len(v) != n for v in verts):
+        raise PreconditionError("vertices of different lengths")
     if any(Fraction(x).denominator != 1 for v in verts for x in v):
         raise PreconditionError("lattice polytope expected")
     verts = [tuple(int(x) for x in v) for v in verts]
-    n = len(verts[0])
     k = dilation
     if k < 0:
         raise PreconditionError("dilation must be non-negative")

@@ -1232,6 +1232,22 @@ def power_oracle(a, ideal, n, max_p=None):
     return False, None
 
 
+def divisibility_gaps(ideal, closures):
+    """The gaps of ``closure._gaps`` by divisibility scans: g is in I*J iff
+    some generator h of I divides g with g - h in J, closure(I^0) being S."""
+    gaps = {}
+    for n, closed in closures.items():
+        lower = closures.get(n - 1)
+        for g in closed.gens:
+            quotients = (
+                core.vec_sub_clamped(g, h) for h in ideal.gens if core.divides(h, g)
+            )
+            if not any(lower is None or lower.contains_monomial(q) for q in quotients):
+                gaps[n] = g
+                break
+    return gaps
+
+
 def _neighborhood(graph, vertices):
     out = set()
     for v in vertices:

@@ -6,13 +6,18 @@ import os
 import subprocess
 import sys
 import tempfile
+import random
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monomials import cli
+from monomials.core import ideal_power
+
+from helpers import connected_atlas_graphs, random_ideal, random_squarefree_ideal
 
 
 def write(tmp_path, name, text):
@@ -282,6 +287,37 @@ def test_invariants_and_mfull_and_cremona(tmp_path, capsys):
     cm = write(tmp_path, "cremona.txt", "1 1 0\n0 1 1\n1 0 1\n")
     code, doc = run_capture(capsys, ["cremona", cm])
     assert doc["results"]["cremona"] is True
+
+
+def test_certificates_agree_with_the_divisibility_filters():
+    """``new_generators`` and ``symbolic_minus_ordinary`` keep the generators
+    that are not generators of I^n; they equal the generators not in I^n."""
+    rng = random.Random(11)
+    gained = 0
+    for _ in range(200):
+        ideal = random_ideal(rng, rng.randint(3, 4), max_exp=3, max_gens=4)
+        args = SimpleNamespace(power=rng.randint(1, 3), budget_points=2_000_000)
+        results, certs = cli.cmd_closure(ideal, args)
+        power = ideal_power(ideal, args.power)
+        expected = [g for g in results["closure_generators"]
+                    if not power.contains_monomial(g)]
+        assert certs["new_generators"] == expected
+        gained += bool(expected)
+    assert gained >= 40
+    rng = random.Random(12)
+    ideals = [random_squarefree_ideal(rng, rng.randint(3, 5)) for _ in range(40)]
+    ideals += [graph.edge_ideal() for graph in connected_atlas_graphs(max_nodes=5)]
+    symbolic_gaps = 0
+    for ideal in ideals:
+        args = SimpleNamespace(power=rng.randint(2, 3), budget_points=2_000_000,
+                               verify=False)
+        results, certs = cli.cmd_symbolic(ideal, args)
+        power = ideal_power(ideal, args.power)
+        expected = [g for g in results["symbolic_generators"]
+                    if not power.contains_monomial(g)]
+        assert certs["symbolic_minus_ordinary"] == expected
+        symbolic_gaps += bool(expected)
+    assert symbolic_gaps >= 25
 
 
 def test_out_file(tmp_path, capsys):

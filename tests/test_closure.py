@@ -15,10 +15,13 @@ from monomials.linalg import solve
 
 from helpers import (
     complete_graph,
+    connected_atlas_graphs,
     cycle_graph,
+    divisibility_gaps,
     power_oracle,
     q6_ideal,
     random_ideal,
+    random_squarefree_ideal,
     refuse_smith_forms,
     two_disjoint_triangles,
 )
@@ -147,6 +150,34 @@ def test_is_normal_method_agreement_random():
         assert by_h.normal == by_p.normal
         both = closure.is_normal(ideal, method="both")
         assert both.normal == by_h.normal
+
+
+def test_gaps_agree_with_the_divisibility_scan():
+    """The gaps read as generators missing from the sums I + closure(I^(n-1))
+    equal those of the divisibility scan, on closures up to power s; the
+    floors keep the corpus from passing with no gap to find."""
+    rng = random.Random(5)
+    ideals = [
+        random_ideal(rng, rng.randint(3, 4), max_exp=3, max_gens=5) for _ in range(400)
+    ]
+    rng = random.Random(6)
+    ideals += [
+        random_squarefree_ideal(rng, rng.randint(4, 5), num_edges=rng.randint(4, 6))
+        for _ in range(60)
+    ]
+    ideals += [graph.edge_ideal() for graph in connected_atlas_graphs(max_nodes=5)]
+    ideals.append(two_disjoint_triangles().edge_ideal())
+    seen = {}
+    for ideal in ideals:
+        if (ideal.s, ideal.gens) in seen:
+            continue
+        closures = closure._closures(ideal, ideal.s, closure.DEFAULT_BOX_BUDGET)
+        gaps = closure._gaps(ideal, closures)
+        assert gaps == divisibility_gaps(ideal, closures), ideal
+        seen[ideal.s, ideal.gens] = gaps
+    assert len(seen) >= 400
+    assert sum(bool(gaps) for gaps in seen.values()) >= 120
+    assert sum(any(n > 1 for n in gaps) for gaps in seen.values()) >= 12
 
 
 def test_normalization_index_examples():

@@ -549,6 +549,17 @@ def test_lattice_points_refuse_a_negative_dilation():
             polyhedra.lattice_points(verts, k)
 
 
+@pytest.mark.parametrize("verts, dilation, message", [
+    ([], 1, "at least one vertex"),
+    ([(0, 0), (1,)], 1, "different lengths"),
+    # once counted as 2 points, by the length of the first vertex
+    ([(0, 1), (1, 0, 2)], 2, "different lengths"),
+], ids=["empty", "shorter", "longer"])
+def test_lattice_points_refuse_a_malformed_vertex_list(verts, dilation, message):
+    with pytest.raises(PreconditionError, match=message):
+        polyhedra.lattice_points(verts, dilation)
+
+
 def test_lattice_point_budget_reports_the_visit_it_stopped_at():
     square = [(0, 0), (1, 0), (0, 1), (1, 1)]
     with pytest.raises(BudgetExceededError) as info:

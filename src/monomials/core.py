@@ -11,7 +11,7 @@ import itertools
 from collections import OrderedDict
 from functools import wraps
 from math import prod
-from operator import add, floordiv, itemgetter, le
+from operator import add, itemgetter, le, lt
 
 from monomials.errors import BudgetExceededError, PreconditionError
 
@@ -253,76 +253,76 @@ def ideal_power(ideal, n):
 def _by_bound(bounds, rows):
     """The box and the system with their coordinates sorted by bound, stably,
     and that order: the staircase walks the box in it, so the largest bound
-    is the closed-form last coordinate and the next largest the inner one.
-    The weights are checked here, before they are permuted."""
+    is the closed-form last coordinate and the next two span the planes.
+    Bounds, weights and constants must be ints; only constants may be < 0."""
+    bounds = list(bounds)
+    if not bounds or {*map(type, bounds)} != {int} or min(bounds) < 0:
+        raise PreconditionError(f"staircase bounds {bounds} must be non-negative integers")
     rows = [(tuple(w), c) for w, c in rows]
-    for w, _ in rows:
-        if len(w) != len(bounds) or any(x < 0 for x in w):
-            raise PreconditionError(
-                f"staircase weights {w} must be {len(bounds)} non-negative integers"
-            )
+    for w, c in rows:
+        if len(w) != len(bounds) or {type(c), *map(type, w)} != {int} or min(w) < 0:
+            raise PreconditionError(f"staircase row {(w, c)} needs {len(bounds)} "
+                                    "non-negative integer weights and an integer")
     order = sorted(range(len(bounds)), key=bounds.__getitem__)
-    permuted = [(tuple(w[i] for i in order), c) for w, c in rows]
-    return order, [bounds[i] for i in order], permuted
+    if order == sorted(order):
+        return order, bounds, rows
+    pick = itemgetter(*order)
+    return order, list(pick(bounds)), [(pick(w), c) for w, c in rows]
 
 
-def _inner_rows(bounds, rows):
-    """The column thresholds of the box of the first s-1 coordinates, one
-    inner row at a time, in lex order.  An inner row is the columns (p, x)
-    that share the outer coordinates p and differ only in the innermost head
-    coordinate x; a column's threshold is the least last coordinate t with
-    (p, x, t) in {a : w.a >= c for (w, c) in rows}, or last + 1 for none.
-    Yields (p, x0, ts): the columns x < x0 are empty, and ts holds the
-    thresholds of the columns x0..inner.  The weights must be non-negative
-    tuples of length s (see :func:`_by_bound`).
+class _Lines(dict):
+    """A row's thresholds along x, built on first use for each room r at
+    x = 0.  ``row`` is (step, up, last, up * last, width).  Where q = r +
+    step * x >= 0, q + up * (t - last) >= 0 first holds at t = max(0, last -
+    q // up), or t = 0 for a flat row (up = 0); where q < 0 no t <= last does."""
 
-    Row (w, c) asks for w_last * t >= -q with q = w_head.(p, x) - c, so it
-    empties a column exactly when q < f = -w_last * last (f = 0 for a flat
-    row, w_last = 0).  Each row keeps its room g = q - f at x = 0, one list
-    addition per outer coordinate the odometer advances; along the inner row
-    the room grows by w_inner per step.  So the empty columns are the
-    x < x0 = max ceil(-g / w_inner) over the rows with g < 0, and a row with
-    g < 0 and w_inner = 0 empties the whole inner row.  From x0 on, the
-    threshold is the largest of the rows' max(0, last - floor((g + w_inner
-    * x) / w_last)) over the rows with w_last > 0.  A row's list of these
-    over x = 0..inner depends only on its room g, so each row keeps its
-    lists by room for the length of one call, and an inner row slices them
-    at x0.  Non-negative weights make the set upward closed, so these
-    bounds are exact.  With s = 1 the one column is the inner row of the
-    box [0, 0] x [0, last].
-    """
-    pad = (0,) * (len(bounds) == 1)
-    *outer, inner, last = pad + tuple(bounds)
-    # a row with c <= 0 holds on the whole box; the rows with w_inner = 0 first
-    rows = sorted(((pad + w, c) for w, c in rows if c > 0), key=lambda r: r[0][-2] > 0)
-    width = inner + 1
-    fixed = sum(not w[-2] for w, _ in rows)
-    steps = [w[-2] for w, _ in rows[fixed:]]
-    rising = [(i, w[-2], w[-1], {}) for i, (w, _) in enumerate(rows) if w[-1]]
+    def __missing__(self, room):
+        step, up, last, full, width = self.row
+        rooms = range(room, room + step * width, step) if step else [room] * width
+        line = self[room] = [
+            last + 1 if r < 0 else 0 if r >= full else last - r // up for r in rooms
+        ]
+        return line
+
+
+def _planes(bounds, rows):
+    """The column thresholds of the box of the first s-1 coordinates, plane
+    by plane in lex order: a plane is the columns (p, y, x) that share the
+    outer coordinates p, a column's threshold the least t with (p, y, x, t)
+    in {a : w.a >= c for (w, c) in rows}, last + 1 for none.  Yields (p, ts),
+    ts y-major or None for a plane of empty columns.  A box with s < 3 is
+    padded in front by bounds 0; bounds and rows come from :func:`_by_bound`.
+
+    A row with c <= 0 holds on the whole box.  Each other row keeps its room
+    r = w.(p, 0, 0, last) - c, one list addition per outer coordinate the
+    odometer advances.  Where r >= w_last * last it holds on the plane at
+    t = 0 and is skipped; where r is still negative at the far corner the
+    plane is empty.  Otherwise its list is its lines (see :class:`_Lines`) at
+    the rooms r + w_y * y chained, and ts is their element-wise max, exact
+    as non-negative weights make the set upward closed."""
+    pad = (0,) * (3 - len(bounds))
+    *outer, ybound, xbound, last = pad + tuple(bounds)
+    height, rows = ybound + 1, [(pad + w, c) for w, c in rows if c > 0]
+    params = []
+    for (*_, wy, wx, up), _ in rows:
+        lines = _Lines()
+        lines.row = (wx, up, last, up * last, xbound + 1)
+        params.append((wy, wy * ybound + wx * xbound, up * last, lines))
     weights = [[w[i] for w, _ in rows] for i in range(len(outer))]  # by coordinate
-    p = [0] * len(outer)
-    # level[k]: the rooms at (p, 0) with the coordinates from k on set to 0
+    p, zeros = [0] * len(outer), [0] * (height * (xbound + 1))
+    # level[k]: the rooms at (p, 0, 0) with the coordinates from k on set to 0
     level = [[w[-1] * last - c for w, c in rows]] * (len(outer) + 1)
     while True:
-        g = level[-1]
-        x0, ts = width, []
-        if min(g[:fixed], default=0) >= 0:
-            x0 = min(width, -min([0, *map(floordiv, g[fixed:], steps)]))
-        if x0 < width:
-            lists = []
-            for i, step, up, by_room in rising:
-                room = g[i]
-                thresholds = by_room.get(room)
-                if thresholds is None:
-                    thresholds = by_room[room] = [
-                        max(0, last - (room + step * x) // up) for x in range(width)
-                    ]
-                lists.append(thresholds[x0:])
-            if len(lists) > 1:
-                ts = list(map(max, *lists))
-            else:
-                ts = lists[0] if lists else [0] * (width - x0)
-        yield tuple(p), x0, ts
+        lists, ts = [], None
+        for r, (wy, far, full, lines) in zip(level[-1], params):
+            if r + far < 0:
+                break
+            if r < full:
+                ys = range(r, r + wy * height, wy) if wy else [r] * height
+                lists.append(list(itertools.chain.from_iterable(map(lines.__getitem__, ys))))
+        else:
+            ts = list(map(max, *lists)) if len(lists) > 1 else lists[0] if lists else zeros
+        yield tuple(p), ts
         i = len(outer) - 1
         while i >= 0 and p[i] == outer[i]:
             p[i] = 0
@@ -336,31 +336,30 @@ def _inner_rows(bounds, rows):
 def staircase(bounds, rows):
     """Minimal points, in lexicographic order, of {a : w.a >= c for (w, c) in
     rows} with every w >= 0 in the box prod [0, b_i].  The box is walked with
-    its coordinates sorted by bound (see :func:`_by_bound`), and the points
-    found are mapped back and sorted.  A point of the walk is a (p, x, t)
-    whose column threshold t lies below u, the least threshold over the
-    lower neighbours (last + 1 for none).  One inner row at a time (see
-    :func:`_inner_rows`): its x0 empty columns go into ``seen`` at once as
-    last + 1, none of them kept; for the others, u is the element-wise
-    minimum of the left neighbour in the row and the slices of ``seen`` that
-    hold the earlier inner rows (p - e_i, x)."""
+    its coordinates sorted by bound (see :func:`_by_bound`), one plane at a
+    time (see :func:`_planes`), and the points found are mapped back and
+    sorted.  A column is kept at its threshold t when t lies below the least
+    threshold u over its lower neighbours (last + 1 for none): the minimum of
+    its left and y - 1 neighbours and the slices of ``seen`` that hold the
+    planes p - e_i.  An empty plane goes into ``seen`` with nothing tested."""
     order, bounds, rows = _by_bound(bounds, rows)
-    *head, last = bounds
-    none = last + 1
-    strides = [prod(b + 1 for b in head[i + 1:]) for i in range(len(head) - 1)]
-    seen = []
-    kept = []
-    for p, x0, ts in _inner_rows(bounds, rows):
-        n = len(seen) + x0
-        seen += [none] * x0
-        if ts:
+    pad = max(0, 3 - len(bounds))
+    *outer, ybound, xbound, last = [0] * pad + bounds
+    none, width, size = last + 1, xbound + 1, (ybound + 1) * (xbound + 1)
+    strides = [size * prod(b + 1 for b in outer[i + 1:]) for i in range(len(outer))]
+    empty, edge = [none] * size, [none] * (ybound + 1)
+    seen, kept = [], []
+    for p, ts in _planes(bounds, rows):
+        n = len(seen)
+        if ts is not None:
             left = [none] + ts[:-1]
-            lower = [seen[n - k : n - k + len(ts)] for y, k in zip(p, strides) if y]
-            us = map(min, left, *lower) if lower else left
-            kept += [p + (x, t) for (x, t), u in zip(enumerate(ts, x0), us) if t < u]
-            seen += ts
-    if len(bounds) == 1:
-        return [a[1:] for a in kept]
+            left[::width] = edge
+            lower = [seen[n - k : n - k + size] for v, k in zip(p, strides) if v]
+            us = map(min, left, empty[:width] + ts[:-width], *lower)
+            hits = itertools.compress(range(size), map(lt, ts, us))
+            kept += [(*p, *divmod(j, width), ts[j]) for j in hits]
+        seen += empty if ts is None else ts
+    kept = [a[pad:] for a in kept] if pad else kept
     if order != sorted(order):
         # coordinate k of the walk is coordinate order[k] of the box
         back = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
@@ -380,11 +379,10 @@ def require_box(bounds, budget, stage, label):
 
 def staircase_count(bounds, rows):
     """Number of box points outside {a : w.a >= c for (w, c) in rows}, w >= 0:
-    the sum of the column thresholds, x0 * (last + 1) for the empty columns
-    at the start of each inner row, over the walk of :func:`staircase`."""
+    the sum of the column thresholds over the walk of :func:`staircase`."""
     _, bounds, rows = _by_bound(bounds, rows)
-    none = bounds[-1] + 1
-    return sum(x0 * none + sum(ts) for _, x0, ts in _inner_rows(bounds, rows))
+    size = prod(b + 1 for b in bounds[-3:])  # an empty plane's count
+    return sum(size if ts is None else sum(ts) for _, ts in _planes(bounds, rows))
 
 
 def colon_monomial(ideal, a):

@@ -93,8 +93,8 @@ def normalization_hilbert_function(ideal, n, verify=True,
                                    budget=polyhedra.DEFAULT_POINT_BUDGET):
     """Length of S/closure(I^n): lattice points outside n * NP(I).
 
-    Counted directly under the staircase of the box prod [0, n a_i], which
-    may hold at most ``budget`` points; with ``verify`` compared against the
+    Summed plane by plane under the staircase of the box prod [0, n a_i],
+    which may hold at most ``budget`` points; with ``verify`` compared to the
     Ehrhart difference E_Delta(n) - E_P0(n).
     """
     if n < 0:

@@ -4,9 +4,9 @@ For a squarefree monomial ideal the n-th symbolic power is cut out by the
 minimal vertex covers: t^a lies in I^(n) exactly when every cover collects
 total degree at least n from a.  That is the linear system {m.a >= n} over
 the cover indicator vectors m, whose minimal points
-:func:`monomials.core.staircase` reads off over [0, n]^s, each column's
-threshold in closed form.  That makes symbolic powers, containments and
-the Schenzel function finite computations.
+:func:`monomials.core.staircase` reads off over [0, n]^s, a plane of
+column thresholds at a time in closed form.  That makes symbolic powers,
+containments and the Schenzel function finite computations.
 """
 
 import itertools
@@ -42,9 +42,9 @@ def symbolic_power(ideal, n, verify=False, budget=closure_mod.DEFAULT_BOX_BUDGET
 
     Candidates live in [0, n]^s (larger entries can be reduced).  The
     staircase of the cover system {m.a >= n} reads off each column's least
-    last coordinate in closed form, and a point is a generator when its
-    value lies below those of all lower neighbours.  The box budget
-    is checked on every call, before the staircase memo is consulted.  With
+    last coordinate in closed form, a plane at a time, and a point is a
+    generator when its value lies below all lower neighbours'.  The box
+    budget is checked on every call, before the staircase memo is consulted.  With
     ``verify`` the result is recomputed by intersecting cover-prime powers.
     """
     if n < 1:

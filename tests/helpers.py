@@ -1155,6 +1155,94 @@ def rowwise_staircase(bounds, rows):
     return ([a[1:] for a in kept] if len(bounds) == 1 else kept), sum(seen)
 
 
+def _room_cached_inner_rows(bounds, rows):
+    """The column thresholds of the box of the first s-1 coordinates, one
+    inner row (the columns (p, x) that differ only in the innermost head
+    coordinate x) at a time, in lex order and in the given coordinate order.
+    Yields (p, x0, ts): the columns x < x0 are empty, and ts holds the
+    thresholds of the columns x0..inner.
+
+    Each row keeps its room g = w_head.(p, 0) - c + w_last * last, one list
+    addition per outer coordinate the odometer advances; along the inner
+    row the room grows by w_inner per step.  The empty columns are the
+    x < x0 = max ceil(-g / w_inner) over the rows with g < 0, and a row with
+    g < 0 and w_inner = 0 empties the whole inner row.  From x0 on, the
+    threshold is the largest max(0, last - floor((g + w_inner * x) /
+    w_last)) over the rows with w_last > 0; each row keeps its list of these
+    over x = 0..inner by room for the length of one call, and an inner row
+    slices them at x0.  With s = 1 the one column is the inner row of the
+    box [0, 0] x [0, last].
+    """
+    pad = (0,) * (len(bounds) == 1)
+    *outer, inner, last = pad + tuple(bounds)
+    # a row with c <= 0 holds on the whole box; the rows with w_inner = 0 first
+    rows = sorted(((pad + tuple(w), c) for w, c in rows if c > 0), key=lambda r: r[0][-2] > 0)
+    width = inner + 1
+    fixed = sum(not w[-2] for w, _ in rows)
+    steps = [w[-2] for w, _ in rows[fixed:]]
+    rising = [(i, w[-2], w[-1], {}) for i, (w, _) in enumerate(rows) if w[-1]]
+    weights = [[w[i] for w, _ in rows] for i in range(len(outer))]  # by coordinate
+    p = [0] * len(outer)
+    # level[k]: the rooms at (p, 0) with the coordinates from k on set to 0
+    level = [[w[-1] * last - c for w, c in rows]] * (len(outer) + 1)
+    while True:
+        g = level[-1]
+        x0, ts = width, []
+        if min(g[:fixed], default=0) >= 0:
+            x0 = min(width, -min([0, *map(operator.floordiv, g[fixed:], steps)]))
+        if x0 < width:
+            lists = []
+            for i, step, up, by_room in rising:
+                room = g[i]
+                thresholds = by_room.get(room)
+                if thresholds is None:
+                    thresholds = by_room[room] = [
+                        max(0, last - (room + step * x) // up) for x in range(width)
+                    ]
+                lists.append(thresholds[x0:])
+            if len(lists) > 1:
+                ts = list(map(max, *lists))
+            else:
+                ts = lists[0] if lists else [0] * (width - x0)
+        yield tuple(p), x0, ts
+        i = len(outer) - 1
+        while i >= 0 and p[i] == outer[i]:
+            p[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        p[i] += 1
+        level[i + 1:] = [list(map(operator.add, level[i + 1], weights[i]))] * (
+            len(outer) - i
+        )
+
+
+def room_cached_staircase(bounds, rows):
+    """The staircase of {a : w.a >= c for (w, c) in rows}, w >= 0, one inner
+    row at a time in the given coordinate order, each row's threshold lists
+    kept by room for the length of the call: an inner row's x0 empty
+    columns go into ``seen`` at once as last + 1, and a column from x0 on is
+    kept when its threshold lies below the least threshold over its left
+    neighbour and the slices of ``seen`` that hold the earlier inner rows
+    (p - e_i, x).  Returns the minimal points, in lex order with nothing
+    sorted, and the count outside."""
+    *head, last = bounds
+    none = last + 1
+    strides = [math.prod(b + 1 for b in head[i + 1:]) for i in range(len(head) - 1)]
+    seen = []
+    kept = []
+    for p, x0, ts in _room_cached_inner_rows(bounds, rows):
+        n = len(seen) + x0
+        seen += [none] * x0
+        if ts:
+            left = [none] + ts[:-1]
+            lower = [seen[n - k : n - k + len(ts)] for y, k in zip(p, strides) if y]
+            us = map(min, left, *lower) if lower else left
+            kept += [p + (x, t) for (x, t), u in zip(enumerate(ts, x0), us) if t < u]
+            seen += ts
+    return ([a[1:] for a in kept] if len(bounds) == 1 else kept), sum(seen)
+
+
 def solve_coordinates(vector, basis):
     """Integer coordinates of vector in the lattice basis, or None, from one
     ``linalg.solve`` of the system with the basis rows as columns.  The

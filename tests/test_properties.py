@@ -50,6 +50,7 @@ from helpers import (
     rank_is_pointed,
     recursive_maximal_stable_sets,
     reintersecting_irreducible_components,
+    room_cached_staircase,
     rowwise_staircase,
     row_echelon,
     saturation_basis,
@@ -327,12 +328,40 @@ def test_property_staircase_matches_a_sorted_box_scan(case):
 # two rising rows with room 0 at p = 0 but different steps
 @example(((2, 3), [((2, 1), 3), ((1, 1), 3)]))
 def test_property_staircase_matches_the_rowwise_oracle(case):
-    """The walk in bound order with the thresholds kept per room gives what
-    the row-by-row walk in the given order gives."""
+    """The plane walk in bound order gives what the row-by-row walk in the
+    given order gives, with and without threshold lists kept per room."""
     bounds, rows = case
     kept, count = rowwise_staircase(bounds, rows)
+    assert room_cached_staircase(bounds, rows) == (kept, count)
     assert core.staircase(bounds, rows) == kept
     assert core.staircase_count(bounds, rows) == count
+
+
+FIVE_COORDINATE_SYSTEMS = st.tuples(*[st.integers(0, 2)] * 5).flatmap(
+    lambda b: st.tuples(st.just(b), row_systems(b))
+)
+
+
+@SEEDED
+@given(FIVE_COORDINATE_SYSTEMS)
+# at p = (0, 0) the flat first row has room -2 even at the far corner: the plane is empty
+@example(((2, 2, 2, 2, 2), [((1, 1, 0, 0, 0), 2), ((0, 0, 1, 1, 1), 3)]))
+# from p = (1, 0) on, the first row holds on the whole plane at t = 0
+@example(((2, 2, 2, 2, 2), [((1, 0, 0, 0, 1), 1), ((0, 1, 1, 1, 1), 3)]))
+# sorted bounds (0, 0, 0, 1, 2): the planes have y-bound 0
+@example(((2, 0, 0, 1, 0), [((1, 1, 1, 1, 1), 3), ((2, 0, 1, 1, 0), 2)]))
+@example(((2,), [((1,), 2)]))  # s = 1, padded to (0, 0, 2)
+@example(((2, 1), [((1, 2), 3)]))  # s = 2, padded to (0, 1, 2)
+@example(((1, 2, 2), [((1, 1, 1), 3), ((0, 2, 1), 2)]))  # s = 3, one plane
+def test_property_staircase_on_five_coordinates_matches_a_sorted_box_scan(case):
+    """Five coordinates put two outer coordinates above each plane, as the
+    closures of edge ideals on five vertices do."""
+    bounds, rows = case
+    expected = brute_staircase(bounds, satisfies(rows))
+    assert rowwise_staircase(bounds, rows) == expected
+    assert room_cached_staircase(bounds, rows) == expected
+    assert core.staircase(bounds, rows) == expected[0]
+    assert core.staircase_count(bounds, rows) == expected[1]
 
 
 @SEEDED
@@ -373,6 +402,31 @@ def test_staircase_edge_cases(bounds):
     ]
     assert core.staircase(bounds, only_top) == [top]
     assert core.staircase_count(bounds, only_top) == size - 1
+
+
+@pytest.mark.parametrize(
+    "rows", [[((1.5, 1), 2)], [((1, 1), 2.0)], [((1, Fraction(1)), 1)], [((1, 1), Fraction(3, 2))]]
+)
+def test_staircase_refuses_weights_and_constants_that_are_not_ints(rows):
+    """The walk is exact integer arithmetic: a float weight would come back
+    as a float coordinate."""
+    with pytest.raises(PreconditionError):
+        core.staircase((2, 2), rows)
+    with pytest.raises(PreconditionError):
+        core.staircase_count((2, 2), rows)
+
+
+def test_staircase_refuses_an_empty_box():
+    for fn in (core.staircase, core.staircase_count):
+        with pytest.raises(PreconditionError):
+            fn((), [])
+
+
+@pytest.mark.parametrize("bounds", [(-1, 2), (2, -1), (0, 0, -3), (2.0, 2)])
+def test_staircase_refuses_negative_or_non_integer_bounds(bounds):
+    for fn in (core.staircase, core.staircase_count):
+        with pytest.raises(PreconditionError):
+            fn(bounds, [])
 
 
 def test_staircase_refuses_negative_weights():

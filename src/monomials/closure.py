@@ -5,7 +5,7 @@ exponent vector lies in the Rees cone: f[:-1].a >= -n f[-1] for every facet
 f, with f[:-1] >= 0 as the cone holds each e_i.  So after computing the
 Rees cone facets once per ideal, a closure's minimal generators are read
 off that system by :func:`monomials.core.staircase` over a candidate box,
-a plane of column thresholds at a time in closed form.  The LP membership
+every column threshold in closed form, packed into one int.  The LP membership
 test is kept alongside for its rational witnesses: the packing program
 max{|y| : A y <= a, y >= 0} has a feasible origin, so :mod:`monomials.lp`
 starts it from the slack basis with no first phase.  Where its optimum is
@@ -79,8 +79,9 @@ def closure_of_power(ideal, n, budget=DEFAULT_BOX_BUDGET):
     Candidates live in the box prod [0, n*max_i v_i[j]]; anything outside
     has a slack coordinate and cannot be a minimal generator.  The
     staircase of the facet system {f[:-1].a >= -n f[-1]} reads off each
-    column's least last coordinate in closed form, a plane at a time, and a
-    point is a generator when its value lies below all lower neighbours'.
+    column's least last coordinate in closed form, all columns at once as
+    fields of one int, and a point is a generator when its value lies below
+    all lower neighbours'.
     """
     if n < 1:
         raise PreconditionError("power must be >= 1")

@@ -11,7 +11,7 @@ import itertools
 from collections import OrderedDict
 from functools import wraps
 from math import prod
-from operator import add, itemgetter, le, lt
+from operator import floordiv, itemgetter, le, mod
 
 from monomials.errors import BudgetExceededError, PreconditionError
 
@@ -253,7 +253,8 @@ def ideal_power(ideal, n):
 def _by_bound(bounds, rows):
     """The box and the system with their coordinates sorted by bound, stably,
     and that order: the staircase walks the box in it, so the largest bound
-    is the closed-form last coordinate and the next two span the planes.
+    is the closed-form last coordinate and the next largest the inner one,
+    which varies fastest among the columns.
     Bounds, weights and constants must be ints; only constants may be < 0."""
     bounds = list(bounds)
     if not bounds or {*map(type, bounds)} != {int} or min(bounds) < 0:
@@ -270,98 +271,93 @@ def _by_bound(bounds, rows):
     return order, list(pick(bounds)), [(pick(w), c) for w, c in rows]
 
 
-class _Lines(dict):
-    """A row's thresholds along x, built on first use for each room r at
-    x = 0.  ``row`` is (step, up, last, up * last, width).  Where q = r +
-    step * x >= 0, q + up * (t - last) >= 0 first holds at t = max(0, last -
-    q // up), or t = 0 for a flat row (up = 0); where q < 0 no t <= last does."""
+def _thresholds(bounds, rows):
+    """(ts, k, high): the column thresholds of the box of the first s-1
+    coordinates packed into the int ts, k bytes a field.  Field j (bytes jk
+    to jk + k - 1, little-endian) holds the least t with (p, t) in {a : w.a
+    >= c for (w, c) in rows}, last + 1 for none, p the j-th column in lex
+    order.  k = none.bit_length() // 8 + 1 leaves the top bit of every field
+    0, a guard: ``high`` has every guard bit set, and (a | high) - b borrows
+    across no field and keeps the guard bits of the fields where a >= b.
+    Bounds and rows come from :func:`_by_bound`.
 
-    def __missing__(self, room):
-        step, up, last, full, width = self.row
-        rooms = range(room, room + step * width, step) if step else [room] * width
-        line = self[room] = [
-            last + 1 if r < 0 else 0 if r >= full else last - r // up for r in rooms
-        ]
-        return line
-
-
-def _planes(bounds, rows):
-    """The column thresholds of the box of the first s-1 coordinates, plane
-    by plane in lex order: a plane is the columns (p, y, x) that share the
-    outer coordinates p, a column's threshold the least t with (p, y, x, t)
-    in {a : w.a >= c for (w, c) in rows}, last + 1 for none.  Yields (p, ts),
-    ts y-major or None for a plane of empty columns.  A box with s < 3 is
-    padded in front by bounds 0; bounds and rows come from :func:`_by_bound`.
-
-    A row with c <= 0 holds on the whole box.  Each other row keeps its room
-    r = w.(p, 0, 0, last) - c, one list addition per outer coordinate the
-    odometer advances.  Where r >= w_last * last it holds on the plane at
-    t = 0 and is skipped; where r is still negative at the far corner the
-    plane is empty.  Otherwise its list is its lines (see :class:`_Lines`) at
-    the rooms r + w_y * y chained, and ts is their element-wise max, exact
-    as non-negative weights make the set upward closed."""
-    pad = (0,) * (3 - len(bounds))
-    *outer, ybound, xbound, last = pad + tuple(bounds)
-    height, rows = ybound + 1, [(pad + w, c) for w, c in rows if c > 0]
-    params = []
-    for (*_, wy, wx, up), _ in rows:
-        lines = _Lines()
-        lines.row = (wx, up, last, up * last, xbound + 1)
-        params.append((wy, wy * ybound + wx * xbound, up * last, lines))
-    weights = [[w[i] for w, _ in rows] for i in range(len(outer))]  # by coordinate
-    p, zeros = [0] * len(outer), [0] * (height * (xbound + 1))
-    # level[k]: the rooms at (p, 0, 0) with the coordinates from k on set to 0
-    level = [[w[-1] * last - c for w, c in rows]] * (len(outer) + 1)
-    while True:
-        lists, ts = [], None
-        for r, (wy, far, full, lines) in zip(level[-1], params):
-            if r + far < 0:
-                break
-            if r < full:
-                ys = range(r, r + wy * height, wy) if wy else [r] * height
-                lists.append(list(itertools.chain.from_iterable(map(lines.__getitem__, ys))))
-        else:
-            ts = list(map(max, *lists)) if len(lists) > 1 else lists[0] if lists else zeros
-        yield tuple(p), ts
-        i = len(outer) - 1
-        while i >= 0 and p[i] == outer[i]:
-            p[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        p[i] += 1
-        level[i + 1:] = [list(map(add, level[i + 1], weights[i]))] * (len(outer) - i)
+    A row with c <= 0 holds on the whole box.  Each other row has the room
+    r = w.(p, last) - c at column p: t = none where r < 0, 0 where r >=
+    w_last * last, else last - r // w_last.  Its int is built from the inside
+    out, once per distinct room: a line, the fields along the inner
+    coordinate x from the room r at x = 0, is joined once per r, and the
+    block of each shorter prefix joins the blocks at the rooms r + w_i * p_i
+    of its next coordinate i, or repeats one block where w_i = 0.
+    ``levels`` holds the distinct rooms of each prefix, so the work follows
+    them, however large the weights.  ts is the field-wise max over the
+    rows, exact as non-negative weights make the set upward closed."""
+    *head, last = bounds
+    *outer, inner = head or [0]
+    none, size = last + 1, prod(b + 1 for b in head)
+    k = none.bit_length() // 8 + 1
+    nones, zero = none.to_bytes(k, "little"), bytes(k)
+    high = int.from_bytes((bytes(k - 1) + b"\x80") * size, "little")
+    ts = 0
+    for (*wh, up), c in rows:
+        if c <= 0:
+            continue
+        *wo, wx = wh or [0]
+        full, width = up * last, inner + 1
+        levels = [{full - c}]  # the rooms at x = 0 of the prefixes of the outer coordinates
+        for v, b in zip(wo, outer):
+            levels.append({r + d for r in levels[-1] for d in range(0, v * (b + 1), v)}
+                          if v else levels[-1])
+        blocks = {r: b"".join([
+            nones if q < 0 else zero if q >= full else (last - q // up).to_bytes(k, "little")
+            for q in (range(r, r + wx * width, wx) if wx else [r] * width)]) for r in levels[-1]}
+        for v, b, rs in zip(reversed(wo), reversed(outer), reversed(levels[:-1])):
+            blocks = {r: b"".join([blocks[r + d] for d in range(0, v * (b + 1), v)]) if v
+                      else blocks[r] * (b + 1) for r in rs}
+        row = int.from_bytes(blocks[full - c], "little")
+        if ts:  # the field-wise max
+            ge = ((ts | high) - row) & high
+            row ^= (ts ^ row) & (ge - (ge >> 8 * k - 1))
+        ts = row
+    return ts, k, high
 
 
 def staircase(bounds, rows):
     """Minimal points, in lexicographic order, of {a : w.a >= c for (w, c) in
     rows} with every w >= 0 in the box prod [0, b_i].  The box is walked with
-    its coordinates sorted by bound (see :func:`_by_bound`), one plane at a
-    time (see :func:`_planes`), and the points found are mapped back and
-    sorted.  A column is kept at its threshold t when t lies below the least
-    threshold u over its lower neighbours (last + 1 for none): the minimum of
-    its left and y - 1 neighbours and the slices of ``seen`` that hold the
-    planes p - e_i.  An empty plane goes into ``seen`` with nothing tested."""
+    its coordinates sorted by bound (see :func:`_by_bound`), all columns at
+    once as fields of one int (see :func:`_thresholds`), and the points found
+    are mapped back and sorted.  A column is kept at its threshold t when t
+    lies below the threshold of every lower neighbour p - e_i (last + 1 for
+    none), which is ts moved up by the stride of coordinate i with last + 1
+    put in the fields where p_i = 0; the kept columns are the guard bits of
+    the field-wise compares, found with ``bytes.find``, and their coordinates
+    are read off their indices one coordinate at a time."""
     order, bounds, rows = _by_bound(bounds, rows)
-    pad = max(0, 3 - len(bounds))
-    *outer, ybound, xbound, last = [0] * pad + bounds
-    none, width, size = last + 1, xbound + 1, (ybound + 1) * (xbound + 1)
-    strides = [size * prod(b + 1 for b in outer[i + 1:]) for i in range(len(outer))]
-    empty, edge = [none] * size, [none] * (ybound + 1)
-    seen, kept = [], []
-    for p, ts in _planes(bounds, rows):
-        n = len(seen)
-        if ts is not None:
-            left = [none] + ts[:-1]
-            left[::width] = edge
-            lower = [seen[n - k : n - k + size] for v, k in zip(p, strides) if v]
-            us = map(min, left, empty[:width] + ts[:-width], *lower)
-            hits = itertools.compress(range(size), map(lt, ts, us))
-            kept += [(*p, *divmod(j, width), ts[j]) for j in hits]
-        seen += empty if ts is None else ts
-    kept = [a[pad:] for a in kept] if pad else kept
+    *head, last = bounds
+    ts, k, high = _thresholds(bounds, rows)
+    size, nones = prod(b + 1 for b in head), (last + 1).to_bytes(k, "little")
+    tsh, hits, stride = ts | high, high, 1
+    for b in reversed(head):
+        if b:
+            reps, skip, run = size // (stride * (b + 1)), k * stride, k * stride * b
+            keep = int.from_bytes((bytes(skip) + b"\xff" * run) * reps, "little")
+            fill = int.from_bytes((nones * stride + bytes(run)) * reps, "little")
+            hits &= ~(tsh - ((ts << 8 * skip) & keep | fill))
+        stride *= b + 1
+    if size == 1:  # no neighbour: t < last + 1
+        hits &= ~(tsh - last - 1)
+    flags, js = hits.to_bytes(size * k, "little")[k - 1 :: k], []
+    j = flags.find(128)
+    while j >= 0:
+        js.append(j)
+        j = flags.find(128, j + 1)
+    data, points = ts.to_bytes(size * k, "little"), []
+    for b in head:  # the coordinates of column j, outermost first
+        size //= b + 1
+        points.append(map(mod, map(floordiv, js, itertools.repeat(size)), itertools.repeat(b + 1)))
+    kept = [*zip(*points, [int.from_bytes(data[j * k : j * k + k], "little") for j in js])]
     if order != sorted(order):
-        # coordinate k of the walk is coordinate order[k] of the box
+        # coordinate i of the walk is coordinate order[i] of the box
         back = itemgetter(*sorted(range(len(order)), key=order.__getitem__))
         kept = sorted(map(back, kept))
     return kept
@@ -379,10 +375,12 @@ def require_box(bounds, budget, stage, label):
 
 def staircase_count(bounds, rows):
     """Number of box points outside {a : w.a >= c for (w, c) in rows}, w >= 0:
-    the sum of the column thresholds over the walk of :func:`staircase`."""
+    the sum of the column thresholds of :func:`_thresholds`, summed over
+    the fields one byte position at a time."""
     _, bounds, rows = _by_bound(bounds, rows)
-    size = prod(b + 1 for b in bounds[-3:])  # an empty plane's count
-    return sum(size if ts is None else sum(ts) for _, ts in _planes(bounds, rows))
+    ts, k, _ = _thresholds(bounds, rows)
+    data = ts.to_bytes(prod(b + 1 for b in bounds[:-1]) * k, "little")
+    return sum(sum(data[i::k]) << 8 * i for i in range(k))
 
 
 def colon_monomial(ideal, a):

@@ -93,9 +93,9 @@ def normalization_hilbert_function(ideal, n, verify=True,
                                    budget=polyhedra.DEFAULT_POINT_BUDGET):
     """Length of S/closure(I^n): lattice points outside n * NP(I).
 
-    Summed plane by plane under the staircase of the box prod [0, n a_i],
-    which may hold at most ``budget`` points; with ``verify`` compared to the
-    Ehrhart difference E_Delta(n) - E_P0(n).
+    The column thresholds of the staircase of the box prod [0, n a_i], which
+    may hold at most ``budget`` points, summed from the int that packs them;
+    with ``verify`` compared to the Ehrhart difference E_Delta(n) - E_P0(n).
     """
     if n < 0:
         raise PreconditionError("dilation must be non-negative")

@@ -1243,6 +1243,112 @@ def room_cached_staircase(bounds, rows):
     return ([a[1:] for a in kept] if len(bounds) == 1 else kept), sum(seen)
 
 
+class _Lines(dict):
+    """A row's thresholds along x, built on first use for each room r at
+    x = 0.  ``row`` is (step, up, last, up * last, width).  Where q = r +
+    step * x >= 0, q + up * (t - last) >= 0 first holds at t = max(0, last -
+    q // up), or t = 0 for a flat row (up = 0); where q < 0 no t <= last does."""
+
+    def __missing__(self, room):
+        step, up, last, full, width = self.row
+        rooms = range(room, room + step * width, step) if step else [room] * width
+        line = self[room] = [
+            last + 1 if r < 0 else 0 if r >= full else last - r // up for r in rooms
+        ]
+        return line
+
+
+def _planes(bounds, rows):
+    """The column thresholds of the box of the first s-1 coordinates, plane
+    by plane in lex order: a plane is the columns (p, y, x) that share the
+    outer coordinates p, a column's threshold the least t with (p, y, x, t)
+    in {a : w.a >= c for (w, c) in rows}, last + 1 for none.  Yields (p, ts),
+    ts y-major or None for a plane of empty columns.  A box with s < 3 is
+    padded in front by bounds 0; bounds and rows come from ``core._by_bound``.
+
+    A row with c <= 0 holds on the whole box.  Each other row keeps its room
+    r = w.(p, 0, 0, last) - c, one list addition per outer coordinate the
+    odometer advances.  Where r >= w_last * last it holds on the plane at
+    t = 0 and is skipped; where r is still negative at the far corner the
+    plane is empty.  Otherwise its list is its lines (see :class:`_Lines`) at
+    the rooms r + w_y * y chained, and ts is their element-wise max, exact
+    as non-negative weights make the set upward closed."""
+    pad = (0,) * (3 - len(bounds))
+    *outer, ybound, xbound, last = pad + tuple(bounds)
+    height, rows = ybound + 1, [(pad + w, c) for w, c in rows if c > 0]
+    params = []
+    for (*_, wy, wx, up), _ in rows:
+        lines = _Lines()
+        lines.row = (wx, up, last, up * last, xbound + 1)
+        params.append((wy, wy * ybound + wx * xbound, up * last, lines))
+    weights = [[w[i] for w, _ in rows] for i in range(len(outer))]  # by coordinate
+    p, zeros = [0] * len(outer), [0] * (height * (xbound + 1))
+    # level[k]: the rooms at (p, 0, 0) with the coordinates from k on set to 0
+    level = [[w[-1] * last - c for w, c in rows]] * (len(outer) + 1)
+    while True:
+        lists, ts = [], None
+        for r, (wy, far, full, lines) in zip(level[-1], params):
+            if r + far < 0:
+                break
+            if r < full:
+                ys = range(r, r + wy * height, wy) if wy else [r] * height
+                lists.append(list(itertools.chain.from_iterable(map(lines.__getitem__, ys))))
+        else:
+            ts = list(map(max, *lists)) if len(lists) > 1 else lists[0] if lists else zeros
+        yield tuple(p), ts
+        i = len(outer) - 1
+        while i >= 0 and p[i] == outer[i]:
+            p[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        p[i] += 1
+        level[i + 1:] = [list(map(operator.add, level[i + 1], weights[i]))] * (len(outer) - i)
+
+
+def plane_staircase(bounds, rows):
+    """The staircase of {a : w.a >= c for (w, c) in rows}, w >= 0, one plane
+    of column threshold lists at a time: the box is walked with its
+    coordinates sorted by ``core._by_bound`` (see :func:`_planes`), and the
+    points found are mapped back and sorted.  A column is kept at its
+    threshold t when t lies below the least threshold u over its lower
+    neighbours (last + 1 for none): the minimum of its left and y - 1
+    neighbours and the slices of ``seen`` that hold the planes p - e_i.  An
+    empty plane goes into ``seen`` with nothing tested.  Returns the minimal
+    points in lex order; :func:`plane_staircase_count` gives the count."""
+    order, bounds, rows = core._by_bound(bounds, rows)
+    pad = max(0, 3 - len(bounds))
+    *outer, ybound, xbound, last = [0] * pad + bounds
+    none, width, size = last + 1, xbound + 1, (ybound + 1) * (xbound + 1)
+    strides = [size * math.prod(b + 1 for b in outer[i + 1:]) for i in range(len(outer))]
+    empty, edge = [none] * size, [none] * (ybound + 1)
+    seen, kept = [], []
+    for p, ts in _planes(bounds, rows):
+        n = len(seen)
+        if ts is not None:
+            left = [none] + ts[:-1]
+            left[::width] = edge
+            lower = [seen[n - k : n - k + size] for v, k in zip(p, strides) if v]
+            us = map(min, left, empty[:width] + ts[:-width], *lower)
+            hits = itertools.compress(range(size), map(operator.lt, ts, us))
+            kept += [(*p, *divmod(j, width), ts[j]) for j in hits]
+        seen += empty if ts is None else ts
+    kept = [a[pad:] for a in kept] if pad else kept
+    if order != sorted(order):
+        # coordinate k of the walk is coordinate order[k] of the box
+        back = operator.itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+        kept = sorted(map(back, kept))
+    return kept
+
+
+def plane_staircase_count(bounds, rows):
+    """Number of box points outside {a : w.a >= c for (w, c) in rows}, w >= 0:
+    the sum of the column thresholds over the walk of :func:`plane_staircase`."""
+    _, bounds, rows = core._by_bound(bounds, rows)
+    size = math.prod(b + 1 for b in bounds[-3:])  # an empty plane's count
+    return sum(size if ts is None else sum(ts) for _, ts in _planes(bounds, rows))
+
+
 def solve_coordinates(vector, basis):
     """Integer coordinates of vector in the lattice basis, or None, from one
     ``linalg.solve`` of the system with the basis rows as columns.  The

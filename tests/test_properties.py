@@ -45,6 +45,8 @@ from helpers import (
     mat_mul,
     nullspace,
     packing_lp,
+    plane_staircase,
+    plane_staircase_count,
     q6_clutter,
     q6_ideal,
     rank_is_pointed,
@@ -274,6 +276,45 @@ def satisfies(rows):
     return lambda a: all(linalg.vec_dot(w, a) >= c for w, c in rows)
 
 
+def distinct_floor(floor):
+    """Run the decorated ``@given`` test and fail it when the ``case``
+    arguments it checked held fewer than ``floor`` distinct values:
+    derandomized draws repeat, so ``max_examples`` alone overstates how many
+    inputs a test checks."""
+
+    def decorate(test):
+        seen = set()
+        inner = test.hypothesis.inner_test
+
+        def counted(*args, **kwargs):
+            inner(*args, **kwargs)  # a case that fails an assume() is not counted
+            seen.add(repr(kwargs["case"]))
+
+        def run():
+            seen.clear()
+            test()
+            assert len(seen) >= floor, f"{len(seen)} distinct cases, fewer than {floor}"
+
+        test.hypothesis.inner_test = counted
+        run.__name__, run.__doc__ = test.__name__, test.__doc__
+        return run
+
+    return decorate
+
+
+def all_staircases(bounds, rows):
+    """The staircase and its count from core and every walk-based oracle,
+    in that order: core, the plane walk, the room-cached inner rows, the
+    fresh inner rows and the column walk."""
+    return [
+        (core.staircase(bounds, rows), core.staircase_count(bounds, rows)),
+        (plane_staircase(bounds, rows), plane_staircase_count(bounds, rows)),
+        room_cached_staircase(bounds, rows),
+        rowwise_staircase(bounds, rows),
+        column_staircase(bounds, rows),
+    ]
+
+
 BOXES = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple)
 
 
@@ -296,6 +337,7 @@ def multiples(bounds):
 BOXED_SYSTEMS = BOXES.flatmap(lambda b: st.tuples(st.just(b), row_systems(b)))
 
 
+@distinct_floor(140)
 @SEEDED
 @given(BOXED_SYSTEMS)
 @example(((3,), []))
@@ -313,12 +355,10 @@ def test_property_staircase_matches_a_sorted_box_scan(case):
     bounds, rows = case
     expected = brute_staircase(bounds, satisfies(rows))
     assert predicate_staircase(bounds, satisfies(rows)) == expected
-    assert column_staircase(bounds, rows) == expected
-    assert rowwise_staircase(bounds, rows) == expected
-    assert core.staircase(bounds, rows) == expected[0]
-    assert core.staircase_count(bounds, rows) == expected[1]
+    assert all_staircases(bounds, rows) == [expected] * 5
 
 
+@distinct_floor(140)
 @SEEDED
 @given(BOXED_SYSTEMS)
 # unsorted bounds: the walk's coordinate order is (1, 0, 2)
@@ -328,11 +368,14 @@ def test_property_staircase_matches_a_sorted_box_scan(case):
 # two rising rows with room 0 at p = 0 but different steps
 @example(((2, 3), [((2, 1), 3), ((1, 1), 3)]))
 def test_property_staircase_matches_the_rowwise_oracle(case):
-    """The plane walk in bound order gives what the row-by-row walk in the
-    given order gives, with and without threshold lists kept per room."""
+    """The packed walk and the plane walk in bound order give what the
+    row-by-row walk in the given order gives, with and without threshold
+    lists kept per room."""
     bounds, rows = case
     kept, count = rowwise_staircase(bounds, rows)
     assert room_cached_staircase(bounds, rows) == (kept, count)
+    assert plane_staircase(bounds, rows) == kept
+    assert plane_staircase_count(bounds, rows) == count
     assert core.staircase(bounds, rows) == kept
     assert core.staircase_count(bounds, rows) == count
 
@@ -342,6 +385,7 @@ FIVE_COORDINATE_SYSTEMS = st.tuples(*[st.integers(0, 2)] * 5).flatmap(
 )
 
 
+@distinct_floor(140)
 @SEEDED
 @given(FIVE_COORDINATE_SYSTEMS)
 # at p = (0, 0) the flat first row has room -2 even at the far corner: the plane is empty
@@ -358,12 +402,82 @@ def test_property_staircase_on_five_coordinates_matches_a_sorted_box_scan(case):
     closures of edge ideals on five vertices do."""
     bounds, rows = case
     expected = brute_staircase(bounds, satisfies(rows))
-    assert rowwise_staircase(bounds, rows) == expected
-    assert room_cached_staircase(bounds, rows) == expected
-    assert core.staircase(bounds, rows) == expected[0]
-    assert core.staircase_count(bounds, rows) == expected[1]
+    assert all_staircases(bounds, rows) == [expected] * 5
 
 
+# last bounds whose thresholds take 16-, 32- and more-than-64-bit fields;
+# in the first three ranges last + 1 has 8, 24 and 64 bits, where a field of
+# ceil(bits / 8) bytes would leave no guard bit
+WIDE_LASTS = st.one_of(
+    st.integers(2**7 - 1, 2**8 - 2),
+    st.integers(2**23 - 1, 2**24 - 2),
+    st.integers(2**63 - 1, 2**64 - 2),
+    st.integers(2**64, 2**70),
+)
+
+
+def wide_rows(bounds):
+    """1-4 rows (w, c) with weights 0-3 and either c = w_last * last - d
+    with d in [-12, 24], where the thresholds vary from column to column, or
+    c anywhere in [-3, 4 * last]."""
+    weights = st.tuples(*[st.integers(0, 3)] * len(bounds))
+    row = weights.flatmap(lambda w: st.tuples(st.just(w), st.one_of(
+        st.integers(-12, 24).map(lambda d: w[-1] * bounds[-1] - d),
+        st.integers(-3, 4 * bounds[-1]),
+    )))
+    return st.lists(row, min_size=1, max_size=4)
+
+
+WIDE_FIELD_SYSTEMS = st.tuples(st.lists(st.integers(1, 3), min_size=1, max_size=3), WIDE_LASTS).flatmap(
+    lambda b: st.tuples(st.just((*b[0], b[1])), wide_rows((*b[0], b[1])))
+)
+
+
+@distinct_floor(140)
+@SEEDED
+@given(WIDE_FIELD_SYSTEMS)
+@example(((2**70,), [((1,), 2**70 - 3)]))  # s = 1, a 72-bit field
+@example(((3, 2**31 - 2), [((1, 1), 2**31), ((2, 2), 2**32 - 5)]))  # s = 2, 32 bits
+@example(((2, 0, 300), [((1, 1, 1), 301), ((0, 3, 2), 590)]))  # a bound-0 coordinate
+@example(((2, 3, 2**64), [((1, 0, 1), 2**64 + 1), ((0, 2, 3), 3 * 2**64)]))  # step 0
+@example(((3, 2, 2**24), [((1, 2, 0), 4), ((0, 1, 1), 2**24 + 1)]))  # a flat row, up = 0
+def test_property_staircase_with_wide_fields_matches_the_walk_oracles(case):
+    """Thresholds up to 2^70 take packed fields of 2, 4 and 9 bytes, each
+    with its guard bit; the column walk, which packs nothing, is the
+    independent check, as the box is too tall to scan."""
+    bounds, rows = case
+    results = all_staircases(bounds, rows)
+    assert results == [results[-1]] * 5
+
+
+def rising_rows(bounds):
+    """1-3 rows (w, c) with w_last in 1-3 and c = w_last * last - d, d in
+    [-60, 30]: the room d at the origin column can be negative, so the
+    thresholds run from none through last and down to 0 across the box."""
+    weights = st.tuples(*[st.integers(0, 3)] * (len(bounds) - 1), st.integers(1, 3))
+    row = st.tuples(weights, st.integers(-60, 30)).map(lambda wd: (wd[0], wd[0][-1] * bounds[-1] - wd[1]))
+    return st.lists(row, min_size=1, max_size=3)
+
+
+BIG_BOX_SYSTEMS = st.integers(127, 300).flatmap(
+    lambda last: st.tuples(st.just((6,) * 6 + (last,)), rising_rows((6,) * 6 + (last,)))
+)
+
+
+@settings(SEEDED, max_examples=3)
+@given(BIG_BOX_SYSTEMS)
+@example(((6,) * 6 + (4,), [((1, 1, 1, 1, 1, 1, 1), 9), ((0, 2, 0, 1, 3, 1, 2), 12)]))
+def test_property_staircase_on_a_box_of_117649_columns_matches_the_plane_walk(case):
+    """7^6 columns: the packed ints run to 117,649 fields, of two bytes for
+    the drawn last bounds and of one in the example.  The slower inner-row
+    and column walks are left out."""
+    bounds, rows = case
+    expected = room_cached_staircase(bounds, rows)
+    assert (core.staircase(bounds, rows), core.staircase_count(bounds, rows)) == expected
+    assert (plane_staircase(bounds, rows), plane_staircase_count(bounds, rows)) == expected
+
+
+@distinct_floor(140)
 @SEEDED
 @given(BOXED_SYSTEMS, st.data())
 def test_property_permuting_the_coordinates_permutes_the_staircase(case, data):
@@ -439,6 +553,7 @@ def test_staircase_refuses_negative_weights():
             core.staircase_count((2, 2), rows)
 
 
+@distinct_floor(140)
 @SEEDED
 @given(BOXED_SYSTEMS)
 def test_property_staircase_output_needs_no_minimalization(case):

@@ -200,8 +200,9 @@ class MonomialIdeal:
         return covering_number(self._support_clutter())
 
     def minimal_primes(self):
-        """Minimal vertex covers of the support clutter, as index tuples."""
-        return self._support_clutter().minimal_covers()
+        """Minimal vertex covers of the support clutter, as index tuples,
+        from the Berge walk on the generators' support masks."""
+        return sorted(map(_members, _cover_masks(_mask(support(g)) for g in self.gens)))
 
     def big_height(self):
         """Largest cardinality of a minimal prime (squarefree ideals)."""
@@ -399,11 +400,13 @@ def colon_monomial(ideal, a):
 
 
 def alexander_dual(ideal):
-    """Ideal of covers I^vee: monomials of the minimal vertex covers."""
+    """Ideal of covers I^vee: monomials of the minimal vertex covers, from
+    the Berge walk on the generators' support masks (the supports of a
+    squarefree ideal are a clutter already, so none is built or checked)."""
     if not ideal.is_squarefree():
         raise PreconditionError("Alexander dual requires a squarefree ideal")
-    covers = ideal.clutter().minimal_covers()
-    gens = [tuple(1 if i in c else 0 for i in range(ideal.s)) for c in covers]
+    covers = _cover_masks(_mask(support(g)) for g in ideal.gens)
+    gens = [tuple(m >> i & 1 for i in range(ideal.s)) for m in covers]
     return MonomialIdeal._from_minimal(ideal.s, sorted(gens))  # covers are minimal
 
 
@@ -475,7 +478,7 @@ class Clutter:
 
     def minimal_covers(self):
         """All minimal transversals as sorted vertex tuples, in sorted order."""
-        return sorted(_members(m) for m in _cover_masks(self.edges))
+        return sorted(map(_members, _cover_masks(map(_mask, self.edges))))
 
     def blocker(self):
         return Clutter(self.s, self.minimal_covers())
@@ -517,11 +520,11 @@ def _minimal_masks(masks):
 
 
 def _cover_masks(edges):
-    """The minimal transversals of ``edges`` as bitmasks, by Berge expansion:
-    a cover that misses the next edge grows by one vertex of it, and only the
-    inclusion-minimal covers are kept."""
+    """The minimal transversals of the bitmask edges as bitmasks, by Berge
+    expansion: a cover that misses the next edge grows by one vertex of it,
+    and only the inclusion-minimal covers are kept."""
     covers = {0}
-    for e in map(_mask, edges):
+    for e in edges:
         covers = _minimal_masks(
             [c for c in covers if c & e]
             + [c | bit for c in covers if not c & e for bit in _bits(e)]
@@ -710,23 +713,27 @@ class Graph:
 
     def components(self):
         """Vertex sets of the connected components (isolated vertices count)."""
-        seen = [False] * self.s
-        comps = []
+        return [comp for comp, _ in self.colored_components()]
+
+    def colored_components(self):
+        """(vertex set, bipartite) for each connected component, by least
+        vertex, from one 2-coloring per component: it is bipartite unless
+        an edge joins two vertices of one color or a vertex carries a loop."""
+        color = [None] * self.s
+        loops = set(self.loops)
+        pairs = []
         for v0 in range(self.s):
-            if seen[v0]:
-                continue
-            comp = []
-            stack = [v0]
-            seen[v0] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return comps
+            if color[v0] is None:
+                color[v0] = 0
+                comp = [v0]
+                for v in comp:  # the list grows as it is read
+                    for w in self._adj[v]:
+                        if color[w] is None:
+                            color[w] = 1 - color[v]
+                            comp.append(w)
+                odd = any(color[w] == color[v] for v in comp for w in self._adj[v])
+                pairs.append((tuple(sorted(comp)), not odd and loops.isdisjoint(comp)))
+        return pairs
 
     def is_connected(self):
         return len(self.components()) == 1
@@ -759,15 +766,14 @@ class Graph:
         return color
 
     def is_bipartite(self):
-        if self.loops:
-            return False
-        return self.two_coloring() is not None
+        return all(bipartite for _, bipartite in self.colored_components())
 
     def maximal_stable_sets(self):
         """All maximal independent sets: the complements of the minimal
         vertex covers.  Loops are ignored, as in the adjacency."""
         everything = (1 << self.s) - 1
-        return sorted(_members(everything ^ m) for m in _cover_masks(self.edges))
+        masks = _cover_masks(map(_mask, self.edges))
+        return sorted(_members(everything ^ m) for m in masks)
 
     def is_well_covered(self):
         sizes = {len(m) for m in self.maximal_stable_sets()}

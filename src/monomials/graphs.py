@@ -299,15 +299,11 @@ def simis_failure_degree(graph):
 
 
 def number_of_bipartite_components(graph):
-    return sum(
-        1
-        for comp in graph.components()
-        if graph.induced(comp).is_bipartite()
-    )
+    return sum(bipartite for _, bipartite in graph.colored_components())
 
 
 def number_of_nonbipartite_components(graph):
-    return len(graph.components()) - number_of_bipartite_components(graph)
+    return sum(not bipartite for _, bipartite in graph.colored_components())
 
 
 def edge_subring_dimension(graph):
@@ -322,19 +318,13 @@ def edge_subring_dimension(graph):
     return formula
 
 
-def lifted_edge_matrix(graph):
-    """The matrix B with columns (v_i, 1) over the edge vectors."""
-    ideal = graph.edge_ideal()
-    cols = [tuple(g) + (1,) for g in ideal.gens]
-    return [tuple(c[i] for c in cols) for i in range(graph.s + 1)]
-
-
 def ehrhart_normality_criterion(graph, budget=14):
     """Three-route test of normality of I(G) via its Ehrhart ring.
 
     Routes, each independent:
-      * smith: Delta_r of the lifted edge matrix equals 1 (component count
-        via 2^(c1-1)) and the unique non-bipartite component, if any, has no
+      * smith: Delta_r of the lifted edge matrix B, whose columns are the
+        (v_i, 1) over the edge vectors, equals 1 (component count via
+        2^(c1-1)) and the unique non-bipartite component, if any, has no
         Hochster configuration;
       * hochster: no Hochster configuration in the whole graph;
       * hilbert: the Rees cone Hilbert basis adds nothing (normality);
@@ -342,9 +332,11 @@ def ehrhart_normality_criterion(graph, budget=14):
     vectors has Hilbert basis inside the lifted edge vectors themselves.
     Any disagreement raises.  Returns (verdict, diagnosis dict).
     """
-    b = lifted_edge_matrix(graph)
-    delta, _ = polyhedra.smith_invariant(b)
-    c1 = number_of_nonbipartite_components(graph)
+    ideal = graph.edge_ideal()
+    cols = [g + (1,) for g in ideal.gens]  # the columns of B
+    delta, _ = polyhedra.smith_invariant(list(zip(*cols)))
+    odd = [comp for comp, bipartite in graph.colored_components() if not bipartite]
+    c1 = len(odd)
     expected_delta = 2 ** (c1 - 1) if c1 >= 1 else 1
     if delta != expected_delta:
         raise InternalConsistencyError(
@@ -354,22 +346,15 @@ def ehrhart_normality_criterion(graph, budget=14):
     if c1 == 0:
         by_smith = True
     elif c1 == 1:
-        comp = next(
-            comp
-            for comp in graph.components()
-            if not graph.induced(comp).is_bipartite()
-        )
         by_smith = delta == 1 and (
-            by_hochster if len(comp) == graph.s  # it induces the graph itself
-            else edge_ideal_normal(graph.induced(comp), budget)
+            by_hochster if len(odd[0]) == graph.s  # it induces the graph itself
+            else edge_ideal_normal(graph.induced(odd[0]), budget)
         )
     else:
         by_smith = False
 
-    ideal = graph.edge_ideal()
     by_hilbert = bool(closure_mod.is_normal(ideal, method="hilbert"))
 
-    cols = [tuple(g) + (1,) for g in ideal.gens]
     basis = polyhedra.hilbert_basis(cols)
     subring_identity = set(basis) <= set(cols)
 

@@ -685,19 +685,21 @@ def polytope_volume(points):
 # ---------------------------------------------------------------------------
 
 def smith_invariant(matrix, r=None):
-    """Delta_r: gcd of the non-zero r x r minors, the product of the first r
-    invariant factors (:func:`linalg.invariant_factors`, from alternating
-    echelon bases).
-
-    Returns (delta_r, rank).  With r omitted, uses r = rank.
+    """Delta_r: gcd of the non-zero r x r minors.  Returns (delta_r, rank);
+    r defaults to the rank.  Delta_rank is the diagonal product of the
+    triangular rank x rank matrix that :func:`linalg.integer_row_basis` on
+    the rows, then on the columns, leaves (unimodular steps); a smaller r
+    multiplies the first r of :func:`linalg.invariant_factors`.
     """
     rows = [tuple(map(int, row)) for row in matrix]
     if not rows or not any(any(row) for row in rows):
         raise PreconditionError("smith_invariant requires a non-zero matrix")
-    factors = [f for f in linalg.invariant_factors(rows) if f]
-    rk = len(factors)
+    tri = linalg.integer_row_basis(list(zip(*linalg.integer_row_basis(rows))))
+    rk = len(tri)
     if r is None:
         r = rk
     if r < 1 or r > rk:
         raise PreconditionError(f"r={r} out of range for rank {rk}")
-    return prod(factors[:r]), rk
+    if r == rk:
+        return prod(row[k] for k, row in enumerate(tri)), rk
+    return prod(linalg.invariant_factors(rows)[:r]), rk

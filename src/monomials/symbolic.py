@@ -19,11 +19,13 @@ from monomials.core import MonomialIdeal, ideal_power, memo, require_box, stairc
 from monomials.errors import InternalConsistencyError, PreconditionError
 from monomials.linalg import vec_dot
 
+_SQUAREFREE = "symbolic machinery requires a squarefree ideal"
+
 
 @memo
 def _covers(ideal):
     if not ideal.is_squarefree():
-        raise PreconditionError("symbolic machinery requires a squarefree ideal")
+        raise PreconditionError(_SQUAREFREE)
     return tuple(ideal.minimal_primes())
 
 
@@ -74,8 +76,10 @@ def symbolic_power_via_primes(ideal, n):
 
 def is_simis(ideal):
     """I^n = I^(n) for all n, equivalently the max-flow min-cut property:
-    normal Rees algebra plus integral Q(I)."""
-    _covers(ideal)  # squarefree guard
+    normal Rees algebra plus integral Q(I).  The squarefree guard is the
+    generator check alone: neither test reads the minimal covers."""
+    if not ideal.is_squarefree():
+        raise PreconditionError(_SQUAREFREE)
     rep = closure_mod.rees_representation(ideal)
     if not rep.integral:
         return False

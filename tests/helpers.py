@@ -946,6 +946,30 @@ def _extend_stable(graph, candidates, current, sets):
     _extend_stable(graph, candidates - {v}, current, sets)
 
 
+def induced_component_bipartiteness(graph):
+    """(component, bipartite) per connected component, the components found
+    by a plain search and each tested on its own induced graph: no loop and
+    a 2-coloring.  The oracle of ``Graph.colored_components``, which colors
+    each component once, and of ``Graph.is_bipartite``."""
+    seen = set()
+    comps = []
+    for v0 in range(graph.s):
+        if v0 in seen:
+            continue
+        comp = {v0}
+        stack = [v0]
+        while stack:
+            for w in graph.neighbors(stack.pop()) - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return [
+        (comp, not g.loops and g.two_coloring() is not None)
+        for comp, g in zip(comps, map(graph.induced, comps))
+    ]
+
+
 def column_drop_v_number(points):
     """The least degree where removing one point's column drops the rank of
     the evaluation matrix.  The oracle of ``codes.v_number_points``."""

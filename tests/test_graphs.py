@@ -3,7 +3,7 @@ from math import inf
 
 import pytest
 
-from monomials import closure, graphs, symbolic
+from monomials import closure, core, graphs, linalg, symbolic
 from monomials.core import Graph, ideal_power
 from monomials.errors import PreconditionError
 
@@ -243,6 +243,50 @@ def test_ehrhart_normality_criterion():
     assert not ok and diag["delta_r"] == 2
     ok, diag = graphs.ehrhart_normality_criterion(cycle_graph(4))
     assert ok and diag["nonbipartite_components"] == 0
+
+
+def test_the_six_way_check_and_the_criterion_build_each_object_once(monkeypatch):
+    """A triangle with a pendant vertex beside a disjoint edge: the six-way
+    check of the Rees-cone chain and the Ehrhart criterion build no clutter,
+    run no cover walk as the squarefree guard and no invariant factors for
+    Delta_rank, induce only the proper odd component, and the criterion
+    forms one edge ideal."""
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls.setdefault(name, []).append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [
+        (core.Clutter, "__init__"),
+        (symbolic, "_covers"),
+        (Graph, "induced"),
+        (linalg, "invariant_factors"),
+    ]:
+        count(owner, name)
+    graph = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)])
+    ideal = graph.edge_ideal()
+    rep = closure.rees_representation(ideal)
+    normal = bool(closure.is_normal(ideal, method="hilbert"))
+    verdicts = {
+        graph.is_bipartite(),
+        rep.integral and normal,
+        core.has_packing_property(ideal),
+        rep.integral,
+        symbolic.is_simis(core.alexander_dual(ideal)),
+    }
+    assert verdicts == {False} and normal
+    assert calls == {}
+    count(Graph, "edge_ideal")
+    verdict, diagnosis = graphs.ehrhart_normality_criterion(graph)
+    assert verdict and diagnosis["delta_r"] == 1
+    assert diagnosis["nonbipartite_components"] == 1
+    assert calls == {"induced": [(graph, (0, 1, 2, 3))], "edge_ideal": [(graph,)]}
 
 
 def test_unmixed():

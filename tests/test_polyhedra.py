@@ -647,6 +647,9 @@ def test_smith_invariant_examples_and_minor_gcd():
     assert (delta, rank) == (1, 3)
     with pytest.raises(PreconditionError):
         polyhedra.smith_invariant([(1, 0), (0, 1)], r=3)
+    for zero in ([], [(0, 0), (0, 0)]):
+        with pytest.raises(PreconditionError, match="requires a non-zero matrix"):
+            polyhedra.smith_invariant(zero)
     rng = random.Random(67)
     for _ in range(10):
         m, n = rng.randint(1, 4), rng.randint(1, 4)

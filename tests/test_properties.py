@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from monomials import closure, codes, core, invariants, linalg, polyhedra, symbolic
+from monomials import (
+    closure, codes, core, graphs, invariants, linalg, polyhedra, symbolic,
+)
 from monomials.errors import (
     BudgetExceededError,
     NonPointedConeError,
@@ -38,6 +40,7 @@ from helpers import (
     in_cone,
     incidence_extreme_ray_generators,
     incidence_pulling_triangulation,
+    induced_component_bipartiteness,
     inequalities_from_v_description,
     inverse_parallelepiped_points,
     invert,
@@ -1219,6 +1222,46 @@ def test_property_invariant_factors_match_the_smith_oracle(rows):
     assert linalg.invariant_factors(rows) == smith_normal_form(rows)[3]
 
 
+def with_zero_lines(case):
+    """The matrix with the chosen rows and columns set to 0."""
+    rows, zero_rows, zero_cols = case
+    return [
+        tuple(0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row))
+        for i, row in enumerate(rows)
+    ]
+
+
+ZERO_LINED_MATRICES = integer_matrices(st.integers(-6, 6), 5, 6).flatmap(
+    lambda rows: st.tuples(
+        st.just(rows),
+        st.sets(st.integers(0, len(rows) - 1), max_size=2),
+        st.sets(st.integers(0, len(rows[0]) - 1), max_size=2),
+    )
+).map(with_zero_lines)
+
+
+@distinct_floor(110)
+@settings(SEEDED, deadline=2000)
+@given(ZERO_LINED_MATRICES)
+@example([(0, 0, 0), (0, 0, 0)])
+@example([(2, 0, 4), (0, 0, 0), (1, 0, -1)])
+def test_property_smith_invariant_is_the_product_of_the_invariant_factors(case):
+    """Delta_rank from two echelon passes, and Delta_r for every smaller r,
+    are products of the non-zero invariant factors; the zero matrix and an
+    r above the rank are refused."""
+    factors = [f for f in linalg.invariant_factors(case) if f]
+    if not factors:
+        with pytest.raises(PreconditionError):
+            polyhedra.smith_invariant(case)
+        return
+    rank = len(factors)
+    assert polyhedra.smith_invariant(case) == (math.prod(factors), rank)
+    for r in range(1, rank + 1):
+        assert polyhedra.smith_invariant(case, r) == (math.prod(factors[:r]), rank)
+    with pytest.raises(PreconditionError):
+        polyhedra.smith_invariant(case, rank + 1)
+
+
 @SEEDED
 @given(st.tuples(SIMPLICES, st.integers(1, 2), st.data()))
 def test_property_lower_dimensional_parallelepipeds_hold_one_point_per_class(case):
@@ -1483,13 +1526,52 @@ def test_property_stable_sets_are_the_complements_of_the_minimal_covers(graph):
     assert graph.is_well_covered() == (len({len(m) for m in stable}) == 1)
 
 
-@settings(SEEDED, max_examples=150)
-@given(squarefree_ideals(max_s=7, max_gens=8))
+def clutter_ideals(max_s=8, max_gens=8):
+    """Squarefree ideals on 2 to ``max_s`` variables from sets of distinct
+    support masks, which repeat less than lists of 0/1 tuples."""
+    return st.integers(2, max_s).flatmap(
+        lambda s: st.sets(st.integers(1, 2**s - 1), min_size=1, max_size=max_gens).map(
+            lambda masks: core.MonomialIdeal(
+                s, [tuple(m >> i & 1 for i in range(s)) for m in masks]
+            )
+        )
+    )
+
+
+@distinct_floor(160)
+@settings(SEEDED, max_examples=300)
+@given(clutter_ideals())
 @example(q6_ideal())
-def test_property_alexander_dual_matches_the_frozenset_covers(ideal):
-    covers = berge_minimal_covers(ideal.clutter())
-    gens = [tuple(int(i in c) for i in range(ideal.s)) for c in covers]
-    assert core.alexander_dual(ideal) == core.MonomialIdeal(ideal.s, gens)
+def test_property_alexander_dual_matches_the_frozenset_covers(case):
+    """The dual and the minimal primes, both read off the Berge walk on the
+    support masks, are the frozenset walk's covers of the clutter."""
+    covers = berge_minimal_covers(case.clutter())
+    gens = [tuple(int(i in c) for i in range(case.s)) for c in covers]
+    assert core.alexander_dual(case) == core.MonomialIdeal(case.s, gens)
+    assert case.minimal_primes() == covers
+
+
+@distinct_floor(150)
+@settings(SEEDED, max_examples=300)
+@given(graphs_with_loops().map(lambda g: (g.s, g.edges, g.loops)))
+@example((0, (), ()))
+@example((3, (), ()))  # isolated vertices only
+@example((4, ((0, 1),), (1,)))  # a loop on an edge, two isolated vertices
+@example((3, (), (0, 1, 2)))  # loops only
+@example((7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)), ()))
+def test_property_one_coloring_per_component_matches_the_induced_graphs(case):
+    """Each component's bipartiteness from one coloring pass is that of the
+    graph it induces, and both counts follow."""
+    s, edges, loops = case
+    graph = core.Graph(s, list(edges) + [(v,) for v in loops], multigraph=bool(loops))
+    expected = induced_component_bipartiteness(graph)
+    assert graph.colored_components() == expected
+    assert graph.components() == [comp for comp, _ in expected]
+    assert graph.is_bipartite() == all(b for _, b in expected)
+    assert graphs.number_of_bipartite_components(graph) == sum(b for _, b in expected)
+    assert graphs.number_of_nonbipartite_components(graph) == sum(
+        not b for _, b in expected
+    )
 
 
 def point_sets():

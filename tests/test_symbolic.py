@@ -212,6 +212,20 @@ def test_rejects_non_squarefree():
         symbolic.symbolic_power(MonomialIdeal(2, [(2, 0), (0, 1)]), 2)
 
 
+def test_is_simis_and_the_alexander_dual_refuse_a_non_squarefree_ideal():
+    """``is_simis`` checks the generators alone and raises the message of
+    the rest of the symbolic machinery."""
+    ideal = MonomialIdeal(3, [(2, 0, 0), (0, 1, 1)])
+    with pytest.raises(
+        PreconditionError, match="^symbolic machinery requires a squarefree ideal$"
+    ):
+        symbolic.is_simis(ideal)
+    with pytest.raises(
+        PreconditionError, match="^Alexander dual requires a squarefree ideal$"
+    ):
+        alexander_dual(ideal)
+
+
 def test_symbolic_power_budget_reports_the_box_size():
     # the bull graph, at a power no other test computes, so the cache misses
     bull = MonomialIdeal(5, [
